@@ -1,21 +1,30 @@
 // FlatMap: open-addressing hash map with linear probing over a single
 // contiguous slot array.
 //
-// Drop-in replacement for the std::unordered_map uses on the hot lookup
-// paths (the oracle location map / Assignment, client location caches,
-// WorkloadGraph interning): one cache line per probe instead of a bucket
+// Replaces node-based maps on the hot paths: the oracle location map /
+// Assignment, client location caches, WorkloadGraph interning, the object
+// store, the multicast dedupe set and the servers' per-command
+// coordination records. One cache line per probe instead of a bucket
 // pointer chase, no per-node allocation. Power-of-two capacity, byte-wise
 // control array (empty / full / tombstone), max load factor 3/4 including
-// tombstones.
+// tombstones. When tombstones push the table over that cap while live
+// entries fill less than half of it, the table is rebuilt at the same
+// capacity, so insert/erase churn over distinct keys keeps the capacity
+// proportional to the live size rather than to the history.
 //
 // Semantics notes:
 //  * erase(iterator) leaves a tombstone, so iterators to other elements
-//    stay valid across erases (rehash on insert invalidates everything,
-//    as with unordered_map).
+//    stay valid across erases. Any insert may rehash, which invalidates
+//    every iterator and reference (as with unordered_map): never hold a
+//    reference into the map across an insert into the same map.
 //  * Iteration order is slot order — deterministic given the same sequence
 //    of operations, which is what same-seed reproducibility needs.
-//  * Keys and values must be default-constructible and cheap to move;
-//    every intended use maps trivially-copyable ids to ids/weights.
+//  * Keys and values must be default-constructible and movable. Values may
+//    own resources (containers, shared_ptr): erase and clear release them
+//    at once by resetting the slot. Copies are deep (snapshot semantics).
+//  * The hasher's low bits pick the home slot, so it must mix well. Use
+//    mix64 (or std::hash<StrongId>, which is mix64) for integer keys whose
+//    structure lives in the high bits, such as (sender << 32) | seq.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +37,22 @@
 #include <vector>
 
 namespace dynastar::common {
+
+/// splitmix64 finalizer: a cheap bijective 64-bit mix whose low bits depend
+/// on every input bit. The one hash for integer keys in this codebase.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Hasher for raw 64-bit keys (std::hash<std::uint64_t> is the identity).
+struct Mix64Hash {
+  std::size_t operator()(std::uint64_t x) const noexcept {
+    return static_cast<std::size_t>(mix64(x));
+  }
+};
 
 template <typename K, typename V, typename Hash = std::hash<K>>
 class FlatMap {
@@ -95,6 +120,8 @@ class FlatMap {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Number of slots (live + tombstone + empty); a power of two or 0.
+  [[nodiscard]] std::size_t capacity() const { return ctrl_.size(); }
 
   void clear() {
     std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
@@ -221,7 +248,8 @@ class FlatMap {
     slots_[i].second = V{};
     ++size_;
     if (used_ * 4 > ctrl_.size() * 3) {
-      rehash(ctrl_.size() * 2);
+      // Mostly tombstones: purge them in place instead of growing.
+      rehash(size_ * 2 < ctrl_.size() ? ctrl_.size() : ctrl_.size() * 2);
       return find_index(key);
     }
     return i;

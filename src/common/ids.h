@@ -9,6 +9,8 @@
 #include <functional>
 #include <ostream>
 
+#include "common/flat_map.h"
+
 namespace dynastar {
 
 /// Simulated time in nanoseconds since simulation start.
@@ -90,11 +92,8 @@ namespace std {
 template <typename Tag>
 struct hash<dynastar::StrongId<Tag>> {
   size_t operator()(dynastar::StrongId<Tag> id) const noexcept {
-    // splitmix64 finalizer: cheap, well distributed even for dense ids.
-    uint64_t x = id.value() + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(x ^ (x >> 31));
+    // Well distributed even for dense ids.
+    return static_cast<size_t>(dynastar::common::mix64(id.value()));
   }
 };
 }  // namespace std

@@ -339,13 +339,23 @@ void ClientCore::complete(ReplyStatus status, const sim::MessagePtr& payload) {
                    static_cast<std::uint64_t>(status));
   if (metrics_) {
     const SimTime latency = env_.now() - out.start_time;
-    metrics_->series(metric::kCompleted).add(env_.now(), 1.0);
+    const auto series = [this](TimeSeries*& handle, const char* name) {
+      if (handle == nullptr) handle = &metrics_->series(name);
+      return handle;
+    };
+    const auto histogram = [this](Histogram*& handle, const char* name) {
+      if (handle == nullptr) handle = &metrics_->histogram(name);
+      return handle;
+    };
+    series(completed_series_, metric::kCompleted)->add(env_.now(), 1.0);
     if (out.multi)
-      metrics_->series(metric::kCompletedMulti).add(env_.now(), 1.0);
-    metrics_->histogram(metric::kLatency).record(latency);
-    metrics_
-        ->histogram(out.multi ? metric::kLatencyMulti : metric::kLatencySingle)
-        .record(latency);
+      series(completed_multi_series_, metric::kCompletedMulti)
+          ->add(env_.now(), 1.0);
+    histogram(latency_hist_, metric::kLatency)->record(latency);
+    if (out.multi)
+      histogram(latency_multi_hist_, metric::kLatencyMulti)->record(latency);
+    else
+      histogram(latency_single_hist_, metric::kLatencySingle)->record(latency);
   }
   driver_->on_result(out.spec, status, payload, out.start_time, env_.now());
   issue_next();

@@ -122,6 +122,12 @@ class ClientCore {
   std::unique_ptr<ClientDriver> driver_;
   MetricsRegistry* metrics_;
   TraceCollector* trace_;
+  // Per-command metric series and histograms, resolved on first use.
+  TimeSeries* completed_series_ = nullptr;
+  TimeSeries* completed_multi_series_ = nullptr;
+  Histogram* latency_hist_ = nullptr;
+  Histogram* latency_single_hist_ = nullptr;
+  Histogram* latency_multi_hist_ = nullptr;
 
   multicast::McastClient sender_;
 

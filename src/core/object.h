@@ -6,14 +6,14 @@
 // relocate a whole vertex at once.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "core/types.h"
 
@@ -52,6 +52,11 @@ inline std::uint64_t digest_mix(std::uint64_t h, std::uint64_t v) {
 using ObjectPtr = std::shared_ptr<PRObject>;
 
 /// A partition replica's local object storage with a vertex index.
+///
+/// Both indexes are flat: objects move in and out on every borrow/return,
+/// so node-based maps would allocate per move. A vertex keeps its id vector
+/// (and its capacity) while its objects are lent out; objects_of_vertex
+/// lists ids in insertion order.
 ///
 /// Single-threaded by default. The parallel executor's real-thread backend
 /// installs a concurrency guard for the duration of a batch
@@ -133,10 +138,10 @@ class ObjectStore {
   /// capture/restore must not alias live mutable objects.
   [[nodiscard]] ObjectStore deep_copy() const {
     ObjectStore copy;
-    for (const auto& [id, entry] : objects_) {
-      copy.put(id, entry.vertex,
-               entry.object ? ObjectPtr(entry.object->clone()) : nullptr);
-    }
+    copy.objects_ = objects_;
+    copy.by_vertex_ = by_vertex_;
+    for (auto& [id, entry] : copy.objects_)
+      if (entry.object) entry.object = ObjectPtr(entry.object->clone());
     return copy;
   }
 
@@ -151,18 +156,25 @@ class ObjectStore {
 
  private:
   void put_unlocked(ObjectId id, VertexId vertex, ObjectPtr object) {
-    auto it = objects_.find(id);
-    if (it != objects_.end()) {
-      if (it->second.vertex != vertex) {
-        by_vertex_[it->second.vertex].erase(id);
-        by_vertex_[vertex].insert(id);
-        it->second.vertex = vertex;
-      }
-      it->second.object = std::move(object);
-      return;
+    auto [it, inserted] = objects_.try_emplace(id, Entry{vertex, nullptr});
+    Entry& entry = it->second;
+    entry.object = std::move(object);
+    if (inserted) {
+      by_vertex_[vertex].push_back(id);
+    } else if (entry.vertex != vertex) {
+      unindex(entry.vertex, id);
+      by_vertex_[vertex].push_back(id);
+      entry.vertex = vertex;
     }
-    objects_.emplace(id, Entry{vertex, std::move(object)});
-    by_vertex_[vertex].insert(id);
+  }
+
+  /// Drops `id` from its vertex's id list (order of the rest is kept).
+  void unindex(VertexId vertex, ObjectId id) {
+    auto it = by_vertex_.find(vertex);
+    if (it == by_vertex_.end()) return;
+    auto& ids = it->second;
+    auto pos = std::find(ids.begin(), ids.end(), id);
+    if (pos != ids.end()) ids.erase(pos);
   }
 
   [[nodiscard]] PRObject* find_unlocked(ObjectId id) {
@@ -184,7 +196,7 @@ class ObjectStore {
     auto it = objects_.find(id);
     if (it == objects_.end()) return nullptr;
     ObjectPtr obj = std::move(it->second.object);
-    by_vertex_[it->second.vertex].erase(id);
+    unindex(it->second.vertex, id);
     objects_.erase(it);
     return obj;
   }
@@ -193,15 +205,15 @@ class ObjectStore {
       VertexId vertex) const {
     auto it = by_vertex_.find(vertex);
     if (it == by_vertex_.end()) return {};
-    return {it->second.begin(), it->second.end()};
+    return it->second;
   }
 
   struct Entry {
     VertexId vertex;
     ObjectPtr object;
   };
-  std::unordered_map<ObjectId, Entry> objects_;
-  std::unordered_map<VertexId, std::unordered_set<ObjectId>> by_vertex_;
+  common::FlatMap<ObjectId, Entry> objects_;
+  common::FlatMap<VertexId, std::vector<ObjectId>> by_vertex_;
   std::shared_mutex* guard_ = nullptr;  // non-owning, transient (see above)
 };
 

@@ -186,8 +186,10 @@ void OracleCore::on_adeliver(const multicast::McastData& data) {
   if (metrics_) {
     // Admission depth sampled at each delivery (mirrors the servers'
     // server.queue_depth series; mean per bucket = sum / delivery count).
-    metrics_->series(metric::kOracleQueueDepth, {{"replica", replica_label_}})
-        .add(env_.now(), static_cast<double>(queue_depth()));
+    if (queue_depth_series_ == nullptr)
+      queue_depth_series_ = &metrics_->series(metric::kOracleQueueDepth,
+                                              {{"replica", replica_label_}});
+    queue_depth_series_->add(env_.now(), static_cast<double>(queue_depth()));
   }
   if (auto req = sim::dyn_ref_cast<const OracleRequest>(data.payload)) {
     on_request(*req);
@@ -245,8 +247,11 @@ void OracleCore::on_shed_deliver(const multicast::McastData& data) {
 
 void OracleCore::on_request(const OracleRequest& request) {
   env_.consume_cpu(kRequestCost);
-  if (record_metrics_ && metrics_)
-    metrics_->series(metric::kOracleQueries).add(env_.now(), 1.0);
+  if (record_metrics_ && metrics_) {
+    if (queries_series_ == nullptr)
+      queries_series_ = &metrics_->series(metric::kOracleQueries);
+    queries_series_->add(env_.now(), 1.0);
+  }
 
   const Command& cmd = *request.cmd;
 

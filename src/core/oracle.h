@@ -125,6 +125,9 @@ class OracleCore {
   SnapshotPtr stable_snapshot_;
   /// Label identifying this replica in per-node metrics.
   std::string replica_label_;
+  // Per-delivery and per-query metric series, resolved on first use.
+  TimeSeries* queue_depth_series_ = nullptr;
+  TimeSeries* queries_series_ = nullptr;
 
   multicast::MemberCore member_;
   multicast::McastClient plan_sender_;  // per-replica sender for PlanMsg

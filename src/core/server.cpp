@@ -30,6 +30,39 @@ bool star_multi_owner(const ExecCommand& ec) {
     if (o != ec.owners.front()) return true;
   return false;
 }
+
+/// Indices i with keep(i) at which vertices[i] occurs for the first time
+/// among the kept indices, in command order. One sorted copy plus a
+/// done-mask: no per-vertex node, and omegas run to thousands of vertices.
+template <typename Keep>
+std::vector<std::size_t> first_occurrences(const std::vector<VertexId>& vertices,
+                                           Keep keep) {
+  std::vector<std::size_t> firsts;
+  firsts.reserve(vertices.size());
+  for (std::size_t i = 0; i < vertices.size(); ++i)
+    if (keep(i)) firsts.push_back(i);
+  if (firsts.size() < 2) return firsts;
+  std::vector<VertexId> sorted;
+  sorted.reserve(firsts.size());
+  for (std::size_t i : firsts) sorted.push_back(vertices[i]);
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  if (sorted.size() == firsts.size()) return firsts;  // no duplicates
+  std::vector<bool> done(sorted.size(), false);
+  std::size_t kept = 0;
+  for (std::size_t i : firsts) {
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), vertices[i]) -
+        sorted.begin());
+    if (done[rank]) continue;
+    done[rank] = true;
+    firsts[kept++] = i;
+  }
+  firsts.resize(kept);
+  return firsts;
+}
+
+bool any_index(std::size_t /*i*/) { return true; }
 }  // namespace
 
 PartitionServerCore::PartitionServerCore(
@@ -365,9 +398,7 @@ void PartitionServerCore::on_adeliver(const multicast::McastData& data) {
     // common/report.cpp). Per-node labeled series are recorded by every
     // replica (no double counting: the labels make each node's series
     // distinct).
-    metrics_
-        ->series(metric::kServerQueueDepth, {{"partition", partition_label_},
-                                             {"replica", replica_label_}})
+    node_series(queue_depth_series_, metric::kServerQueueDepth)
         .add(env_.now(), static_cast<double>(admission_depth()));
   }
   if (!blocked_) pump();
@@ -646,10 +677,9 @@ void PartitionServerCore::flush_exec_batch() {
   // Commit effects in slot order: replies, caches, hints, metrics.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const ExecCommand& ec = *batch[i];
-    if (!is_read_only(*ec.cmd)) {
-      std::set<VertexId> mutated;
-      for (VertexId v : ec.cmd->vertices)
-        if (mutated.insert(v).second) note_vertex_mutation(v);
+    if (leases_on() && !is_read_only(*ec.cmd)) {
+      for (std::size_t j : first_occurrences(ec.cmd->vertices, any_index))
+        note_vertex_mutation(ec.cmd->vertices[j]);
     }
     sim::MessagePtr reply_payload = std::move(results[i].reply);
     remember_reply(ec, ReplyStatus::kOk, reply_payload);
@@ -661,7 +691,7 @@ void PartitionServerCore::flush_exec_batch() {
       note_command_metrics(ec, /*multi=*/false);
     }
     if (config_.mode == ExecutionMode::kDynaStar)
-      record_hints(*ec.cmd, /*multi_partition=*/false);
+      record_hints(*ec.cmd);
   }
 }
 
@@ -806,7 +836,7 @@ bool PartitionServerCore::transfers_ready_for_ssmr(const ExecCommand& ec) {
   // S-SMR: every involved partition ships copies to every other one, then
   // each executes the whole command locally. Send once, then wait.
   if (!ssmr_sent_.contains(key)) {
-    ssmr_sent_.insert(key);
+    ssmr_sent_.try_emplace(key);
     std::vector<ObjectEnvelope> mine;
     for (std::size_t i = 0; i < ec.cmd->objects.size(); ++i) {
       if (ec.owners[i] != partition_) continue;
@@ -904,11 +934,10 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
   env_.consume_cpu(result.cpu_cost);
 
   // A write against our own vertices invalidates any leased copies of them.
-  if (!is_read_only(*ec.cmd)) {
-    std::set<VertexId> mutated;
-    for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i)
-      if (ec.owners[i] == partition_ && mutated.insert(ec.cmd->vertices[i]).second)
-        note_vertex_mutation(ec.cmd->vertices[i]);
+  if (leases_on() && !is_read_only(*ec.cmd)) {
+    const auto owned = [&](std::size_t i) { return ec.owners[i] == partition_; };
+    for (std::size_t i : first_occurrences(ec.cmd->vertices, owned))
+      note_vertex_mutation(ec.cmd->vertices[i]);
   }
 
   sim::MessagePtr reply_payload = std::move(result.reply);
@@ -920,12 +949,11 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
       // Return every borrowed vertex (with any objects the execution
       // created under it) to its owner.
       std::map<PartitionId, std::vector<ObjectEnvelope>> by_owner;
-      std::set<VertexId> done;
-      for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
-        if (ec.owners[i] == partition_) continue;
-        const VertexId v = ec.cmd->vertices[i];
-        if (!done.insert(v).second) continue;
-        auto envelopes = extract_vertex(v);
+      const auto borrowed = [&](std::size_t i) {
+        return ec.owners[i] != partition_;
+      };
+      for (std::size_t i : first_occurrences(ec.cmd->vertices, borrowed)) {
+        auto envelopes = extract_vertex(ec.cmd->vertices[i]);
         auto& sink = by_owner[ec.owners[i]];
         sink.insert(sink.end(), std::make_move_iterator(envelopes.begin()),
                     std::make_move_iterator(envelopes.end()));
@@ -944,10 +972,8 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
       // Permanent relocation: keep the objects, take ownership of the
       // vertices, and tell the oracle.
       std::vector<std::pair<VertexId, PartitionId>> moves;
-      std::set<VertexId> done;
-      for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
+      for (std::size_t i : first_occurrences(ec.cmd->vertices, any_index)) {
         const VertexId v = ec.cmd->vertices[i];
-        if (!done.insert(v).second) continue;
         map_[v] = partition_;
         if (ec.owners[i] != partition_) moves.emplace_back(v, partition_);
       }
@@ -962,7 +988,7 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
     transfers_.erase(key);
   }
 
-  if (config_.mode == ExecutionMode::kDynaStar) record_hints(*ec.cmd, multi);
+  if (config_.mode == ExecutionMode::kDynaStar) record_hints(*ec.cmd);
   note_command_metrics(ec, multi);
 }
 
@@ -992,7 +1018,7 @@ void PartitionServerCore::execute_create(const ExecCommand& ec) {
     note_command_metrics(ec, /*multi=*/false);
   }
   if (config_.mode == ExecutionMode::kDynaStar)
-    record_hints(*ec.cmd, /*multi_partition=*/false);
+    record_hints(*ec.cmd);
 }
 
 void PartitionServerCore::execute_delete(const ExecCommand& ec) {
@@ -1022,13 +1048,12 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
     transfers_.erase(tstate);
     return;
   }
-  sent_transfers_.insert(key);
+  sent_transfers_.try_emplace(key);
 
   // Ship every omega object we own to the target (a move: the objects leave
   // this partition until returned — or forever under DS-SMR).
   std::vector<ObjectEnvelope> mine;
   LendRecord lend{ec.target, {}};
-  std::set<VertexId> vertex_set;
   for (std::size_t i = 0; i < ec.cmd->objects.size(); ++i) {
     if (ec.owners[i] != partition_) continue;
     const ObjectId id = ec.cmd->objects[i];
@@ -1036,12 +1061,15 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
     ObjectPtr obj = store_.take(id);
     mine.push_back(ObjectEnvelope{
         id, v, std::shared_ptr<const PRObject>(std::move(obj))});
-    vertex_set.insert(v);
+    lend.vertices.push_back(v);
   }
-  lend.vertices.assign(vertex_set.begin(), vertex_set.end());
+  std::sort(lend.vertices.begin(), lend.vertices.end());
+  lend.vertices.erase(std::unique(lend.vertices.begin(), lend.vertices.end()),
+                      lend.vertices.end());
   // The objects leave this store and the borrower may write them: any
   // outstanding leased copies are stale from this slot on.
-  for (VertexId v : vertex_set) note_vertex_mutation(v);
+  if (leases_on())
+    for (VertexId v : lend.vertices) note_vertex_mutation(v);
   env_.consume_cpu(kPerObjectMoveCost * static_cast<SimTime>(mine.size() + 1));
 
   if (record_metrics_ && metrics_)
@@ -1053,10 +1081,8 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
     // back) can be rolled back — otherwise the objects and the map entry
     // would be lost forever.
     MoveRecord record;
-    std::set<VertexId> done;
-    for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
+    for (std::size_t i : first_occurrences(ec.cmd->vertices, any_index)) {
       const VertexId v = ec.cmd->vertices[i];
-      if (!done.insert(v).second) continue;
       auto it = map_.find(v);
       record.previous_owner.emplace_back(
           v, it == map_.end() ? kNoPartition : it->second);
@@ -1117,12 +1143,10 @@ void PartitionServerCore::grant_lease(const ExecCommand& ec) {
     return;
   }
   std::vector<LeaseEntry> entries;
-  std::set<VertexId> done;
   std::size_t copied = 0;
-  for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
-    if (ec.owners[i] != partition_) continue;
+  const auto owned = [&](std::size_t i) { return ec.owners[i] == partition_; };
+  for (std::size_t i : first_occurrences(ec.cmd->vertices, owned)) {
     const VertexId v = ec.cmd->vertices[i];
-    if (!done.insert(v).second) continue;
     std::uint64_t version = 0;
     if (auto it = lease_versions_.find(v); it != lease_versions_.end())
       version = it->second;
@@ -1233,12 +1257,9 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
   // only reads (lease_eligible requires the read-only classification), so
   // removing exactly the spliced ids restores the store bit-for-bit.
   std::vector<ObjectId> spliced;
-  std::set<VertexId> done;
-  for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
-    if (ec.owners[i] == partition_) continue;
-    const VertexId v = ec.cmd->vertices[i];
-    if (!done.insert(v).second) continue;
-    const auto lease = leases_.find(v);
+  const auto remote = [&](std::size_t i) { return ec.owners[i] != partition_; };
+  for (std::size_t i : first_occurrences(ec.cmd->vertices, remote)) {
+    const auto lease = leases_.find(ec.cmd->vertices[i]);
     if (lease == leases_.end()) continue;  // validated above; defensive
     for (const ObjectEnvelope& env : lease->second.objects) {
       if (!env.object) continue;
@@ -1262,12 +1283,12 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
   if (record_metrics_ && metrics_)
     metrics_->add_counter(metric::kServerLeaseReads);
   if (config_.mode == ExecutionMode::kDynaStar)
-    record_hints(*ec.cmd, /*multi_partition=*/true);
+    record_hints(*ec.cmd);
   note_command_metrics(ec, /*multi=*/true);
 }
 
 void PartitionServerCore::note_vertex_mutation(VertexId vertex) {
-  if (!config_.read_leases || !mode_supports_leases(config_.mode)) return;
+  if (!leases_on()) return;
   ++lease_versions_[vertex];
   auto holders = lease_holders_.find(vertex);
   if (holders == lease_holders_.end()) return;
@@ -1341,13 +1362,10 @@ void PartitionServerCore::execute_ssmr(const ExecCommand& ec) {
 
   if (multi) {
     // Drop the copies of remote vertices; keep only our own updated state.
-    std::set<VertexId> done;
-    for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
-      if (ec.owners[i] == partition_) continue;
-      const VertexId v = ec.cmd->vertices[i];
-      if (!done.insert(v).second) continue;
-      for (ObjectId id : store_.objects_of_vertex(v)) store_.take(id);
-    }
+    const auto remote = [&](std::size_t i) { return ec.owners[i] != partition_; };
+    for (std::size_t i : first_occurrences(ec.cmd->vertices, remote))
+      for (ObjectId id : store_.objects_of_vertex(ec.cmd->vertices[i]))
+        store_.take(id);
     transfers_.erase(key);
     ssmr_sent_.erase(key);
   }
@@ -1765,7 +1783,7 @@ void PartitionServerCore::on_var_return(
       early_returns_[key] = msg_ptr;  // outran our own lend; hold it
       return;
     }
-    returns_seen_.insert(key);
+    returns_seen_.try_emplace(key);
     early_returns_.erase(key);
     if (trace_)
       trace_->record(TracePoint::kReturnReceived, env_.now(), msg.cmd_id,
@@ -1791,7 +1809,7 @@ void PartitionServerCore::on_var_return(
     early_returns_[key] = msg_ptr;  // outran our own lend; hold it
     return;
   }
-  returns_seen_.insert(key);
+  returns_seen_.try_emplace(key);
   early_returns_.erase(key);
   if (trace_)
     trace_->record(TracePoint::kReturnReceived, env_.now(), msg.cmd_id,
@@ -1849,8 +1867,7 @@ std::vector<ObjectEnvelope> PartitionServerCore::extract_vertex(
   return envelopes;
 }
 
-void PartitionServerCore::record_hints(const Command& cmd,
-                                       bool /*multi_partition*/) {
+void PartitionServerCore::record_hints(const Command& cmd) {
   // Vertex weights ~ access counts; edges between co-accessed vertices.
   // Large omegas (a celebrity post) contribute a star around the first
   // vertex instead of a full clique to keep hint volume linear.
@@ -1858,17 +1875,16 @@ void PartitionServerCore::record_hints(const Command& cmd,
   for (VertexId v : cmd.vertices) unique.push_back(v.value());
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  for (std::uint64_t v : unique) hint_vertices_[v] += 1;
+  hint_vertices_.insert(hint_vertices_.end(), unique.begin(), unique.end());
   if (unique.size() <= 8) {
     for (std::size_t i = 0; i < unique.size(); ++i)
       for (std::size_t j = i + 1; j < unique.size(); ++j)
-        hint_edges_[{unique[i], unique[j]}] += 1;
+        hint_edges_.emplace_back(unique[i], unique[j]);
   } else {
     const std::uint64_t hub = cmd.vertices.front().value();
     for (std::uint64_t v : unique) {
       if (v == hub) continue;
-      auto key = std::minmax(hub, v);
-      hint_edges_[{key.first, key.second}] += 1;
+      hint_edges_.push_back(std::minmax(hub, v));
     }
   }
   if (++commands_since_hint_ >= config_.hint_batch_commands) maybe_emit_hints();
@@ -1877,12 +1893,22 @@ void PartitionServerCore::record_hints(const Command& cmd,
 void PartitionServerCore::maybe_emit_hints() {
   commands_since_hint_ = 0;
   if (hint_vertices_.empty()) return;
-  std::vector<std::pair<std::uint64_t, std::int64_t>> vs(
-      hint_vertices_.begin(), hint_vertices_.end());
+  // Sorting the raw observations and summing each run yields the weights
+  // in key order.
+  std::sort(hint_vertices_.begin(), hint_vertices_.end());
+  std::vector<std::pair<std::uint64_t, std::int64_t>> vs;
+  for (std::uint64_t v : hint_vertices_) {
+    if (vs.empty() || vs.back().first != v) vs.emplace_back(v, 0);
+    ++vs.back().second;
+  }
+  std::sort(hint_edges_.begin(), hint_edges_.end());
   std::vector<std::tuple<std::uint64_t, std::uint64_t, std::int64_t>> es;
-  es.reserve(hint_edges_.size());
-  for (const auto& [edge, w] : hint_edges_)
-    es.emplace_back(edge.first, edge.second, w);
+  for (const auto& [a, b] : hint_edges_) {
+    if (es.empty() || std::get<0>(es.back()) != a ||
+        std::get<1>(es.back()) != b)
+      es.emplace_back(a, b, 0);
+    ++std::get<2>(es.back());
+  }
   hint_vertices_.clear();
   hint_edges_.clear();
   member_.amcast_as_group(
@@ -1891,13 +1917,25 @@ void PartitionServerCore::maybe_emit_hints() {
       sim::make_message<HintReport>(partition_, std::move(vs), std::move(es)));
 }
 
+TimeSeries& PartitionServerCore::node_series(TimeSeries*& handle,
+                                             const char* name) {
+  if (handle == nullptr)
+    handle = &metrics_->series(name, {{"partition", partition_label_},
+                                      {"replica", replica_label_}});
+  return *handle;
+}
+
+TimeSeries& PartitionServerCore::run_series(TimeSeries*& handle,
+                                            const char* name) {
+  if (handle == nullptr) handle = &metrics_->series(name);
+  return *handle;
+}
+
 void PartitionServerCore::note_objects_exchanged(double count) {
   if (!record_metrics_ || metrics_ == nullptr || count <= 0) return;
   const SimTime now = env_.now();
-  metrics_->series(metric::kObjectsExchanged).add(now, count);
-  metrics_
-      ->series(metric::kServerObjectsExchanged,
-               {{"partition", partition_label_}, {"replica", replica_label_}})
+  run_series(exchanged_series_, metric::kObjectsExchanged).add(now, count);
+  node_series(node_exchanged_series_, metric::kServerObjectsExchanged)
       .add(now, count);
 }
 
@@ -1905,16 +1943,11 @@ void PartitionServerCore::note_command_metrics(
     [[maybe_unused]] const ExecCommand& ec, bool multi) {
   if (!record_metrics_ || !metrics_) return;
   const SimTime now = env_.now();
-  metrics_->series(metric::kExecuted).add(now, 1.0);
-  metrics_
-      ->series(metric::kServerExecuted,
-               {{"partition", partition_label_}, {"replica", replica_label_}})
-      .add(now, 1.0);
+  run_series(executed_series_, metric::kExecuted).add(now, 1.0);
+  node_series(node_executed_series_, metric::kServerExecuted).add(now, 1.0);
   if (multi) {
-    metrics_->series(metric::kMultiPartition).add(now, 1.0);
-    metrics_
-        ->series(metric::kServerMultiPartition,
-                 {{"partition", partition_label_}, {"replica", replica_label_}})
+    run_series(mpart_series_, metric::kMultiPartition).add(now, 1.0);
+    node_series(node_mpart_series_, metric::kServerMultiPartition)
         .add(now, 1.0);
   }
 }

@@ -19,6 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/app.h"
@@ -93,6 +94,18 @@ class PartitionServerCore {
  private:
   /// Dedupe key for per-command coordination: (cmd_id, attempt).
   using CmdKey = std::pair<std::uint64_t, std::uint32_t>;
+  struct CmdKeyHash {
+    std::size_t operator()(const CmdKey& k) const noexcept {
+      return static_cast<std::size_t>(
+          common::mix64(k.first ^ common::mix64(k.second)));
+    }
+  };
+  /// Per-command coordination records. Lookup-only (nothing iterates them
+  /// but the snapshot copy), so a flat table replaces the tree.
+  template <typename V>
+  using CmdMap = common::FlatMap<CmdKey, V, CmdKeyHash>;
+  /// Set of commands: the mapped byte is unused.
+  using CmdSet = CmdMap<bool>;
   using ExecCommandPtr = sim::Ref<const ExecCommand>;
   using PlanMsgPtr = sim::Ref<const PlanMsg>;
 
@@ -193,8 +206,18 @@ class PartitionServerCore {
   void send_handoff(PartitionId to, sim::Ref<const ObjectHandoff> handoff);
   void insert_envelopes(const std::vector<ObjectEnvelope>& envelopes);
   std::vector<ObjectEnvelope> extract_vertex(VertexId vertex);
-  void record_hints(const Command& cmd, bool multi_partition);
+  void record_hints(const Command& cmd);
   void maybe_emit_hints();
+  /// True when read leases are active; note_vertex_mutation is a no-op
+  /// otherwise.
+  [[nodiscard]] bool leases_on() const {
+    return config_.read_leases && mode_supports_leases(config_.mode);
+  }
+  /// Series `name` labeled with this replica's partition and index,
+  /// resolved into `handle` on first use (registry entries never move).
+  TimeSeries& node_series(TimeSeries*& handle, const char* name);
+  /// Run-wide series `name`, resolved into `handle` on first use.
+  TimeSeries& run_series(TimeSeries*& handle, const char* name);
   void note_objects_exchanged(double count);
   void note_command_metrics(const ExecCommand& ec, bool multi_partition);
   void send_reply(const ExecCommand& ec, ReplyStatus status,
@@ -221,6 +244,14 @@ class PartitionServerCore {
   /// Labels identifying this replica in per-node metrics.
   std::string partition_label_;
   std::string replica_label_;
+  // Per-delivery and per-command metric series, resolved on first use.
+  TimeSeries* queue_depth_series_ = nullptr;
+  TimeSeries* executed_series_ = nullptr;
+  TimeSeries* node_executed_series_ = nullptr;
+  TimeSeries* mpart_series_ = nullptr;
+  TimeSeries* node_mpart_series_ = nullptr;
+  TimeSeries* exchanged_series_ = nullptr;
+  TimeSeries* node_exchanged_series_ = nullptr;
 
   multicast::MemberCore member_;
   /// Ack+retransmit channel for the direct (non-multicast) coordination
@@ -267,29 +298,29 @@ class PartitionServerCore {
     std::map<PartitionId, std::vector<ObjectEnvelope>> received;
     std::set<PartitionId> aborted;
   };
-  std::map<CmdKey, TransferState> transfers_;
+  CmdMap<TransferState> transfers_;
 
   // Source-side: objects currently lent out, per command.
   struct LendRecord {
     PartitionId borrower;
     std::vector<VertexId> vertices;
   };
-  std::map<CmdKey, LendRecord> lends_;
+  CmdMap<LendRecord> lends_;
   std::unordered_set<ObjectId> lent_objects_;
   std::unordered_map<VertexId, int> lent_vertex_count_;
-  std::set<CmdKey> returns_seen_;
+  CmdSet returns_seen_;
   // A return can outrun this replica's own processing of the command: the
   // peer source replica's transfer drives the target, whose return lands
   // here before we lent anything. Hold it until the lend record exists.
-  std::map<CmdKey, sim::Ref<const VarReturn>> early_returns_;
-  std::set<CmdKey> sent_transfers_;  // non-target: vars already shipped
-  std::set<CmdKey> ssmr_sent_;
+  CmdMap<sim::Ref<const VarReturn>> early_returns_;
+  CmdSet sent_transfers_;  // non-target: vars already shipped
+  CmdSet ssmr_sent_;
   // Target-side: commands already executed or rejected, with the sources
   // whose transfers were consumed (or already bounced). A late transfer
   // from any *other* source is bounced straight back; duplicates from an
   // already-consumed source are dropped (bouncing those would resurrect
   // pre-execution object state at the source).
-  std::map<CmdKey, std::set<PartitionId>> resolved_;
+  CmdMap<std::set<PartitionId>> resolved_;
 
   // Plan-application state.
   std::unordered_map<VertexId, PartitionId> awaited_;      // inbound moves
@@ -310,9 +341,11 @@ class PartitionServerCore {
   std::map<std::pair<Epoch, std::uint64_t>, HandoffAssembly> handoff_assembly_;
 
   // Workload-graph hints accumulated since the last report (deterministic
-  // across replicas: driven purely by executed commands).
-  std::map<std::uint64_t, std::int64_t> hint_vertices_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::int64_t> hint_edges_;
+  // across replicas: driven purely by executed commands). Raw observations,
+  // one per vertex / edge per command; maybe_emit_hints sorts them and sums
+  // each run into its weight.
+  std::vector<std::uint64_t> hint_vertices_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> hint_edges_;
   std::uint64_t commands_since_hint_ = 0;
   std::uint64_t hint_emissions_ = 0;
 
@@ -345,8 +378,7 @@ class PartitionServerCore {
   /// Lender side: partitions believed to hold a live copy of the vertex.
   std::unordered_map<VertexId, std::set<PartitionId>> lease_holders_;
   /// Target side: grants received per command (may arrive early).
-  std::map<CmdKey, std::map<PartitionId, sim::Ref<const LeaseGrant>>>
-      lease_grants_;
+  CmdMap<std::map<PartitionId, sim::Ref<const LeaseGrant>>> lease_grants_;
 
   // DS-SMR: state needed to roll an aborted permanent move back. Entries
   // for committed moves are never revisited (the target commits exactly
@@ -354,7 +386,7 @@ class PartitionServerCore {
   struct MoveRecord {
     std::vector<std::pair<VertexId, PartitionId>> previous_owner;
   };
-  std::map<CmdKey, MoveRecord> dssmr_moves_;
+  CmdMap<MoveRecord> dssmr_moves_;
 
   // STAR state. The epoch-switch markers are emitted by master replicas via
   // a per-replica McastClient (timer emission is replica-local, like the
@@ -385,17 +417,16 @@ struct PartitionServerCore::Snapshot {
   std::deque<QueueItem> queue;
   bool blocked = false;
   std::deque<ExecCommandPtr> future;
-  std::map<CmdKey, TransferState> transfers;
-  std::map<CmdKey, LendRecord> lends;
+  CmdMap<TransferState> transfers;
+  CmdMap<LendRecord> lends;
   std::unordered_set<ObjectId> lent_objects;
   std::unordered_map<VertexId, int> lent_vertex_count;
-  std::set<CmdKey> returns_seen;
-  std::map<CmdKey, sim::Ref<const VarReturn>> early_returns;
-  std::set<CmdKey> sent_transfers;
-  std::set<CmdKey> ssmr_sent;
-  std::map<CmdKey, std::set<PartitionId>> resolved;
-  std::map<CmdKey, std::map<PartitionId, sim::Ref<const LeaseGrant>>>
-      lease_grants;
+  CmdSet returns_seen;
+  CmdMap<sim::Ref<const VarReturn>> early_returns;
+  CmdSet sent_transfers;
+  CmdSet ssmr_sent;
+  CmdMap<std::set<PartitionId>> resolved;
+  CmdMap<std::map<PartitionId, sim::Ref<const LeaseGrant>>> lease_grants;
   std::unordered_map<VertexId, std::uint64_t> lease_versions;
   std::unordered_map<VertexId, PartitionId> awaited;
   std::unordered_map<VertexId, PartitionId> obligations;
@@ -404,12 +435,12 @@ struct PartitionServerCore::Snapshot {
   std::set<std::pair<Epoch, std::uint64_t>> handoffs_seen;
   std::vector<sim::Ref<const ObjectHandoff>> handoff_buffer;
   std::map<std::pair<Epoch, std::uint64_t>, HandoffAssembly> handoff_assembly;
-  std::map<std::uint64_t, std::int64_t> hint_vertices;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::int64_t> hint_edges;
+  std::vector<std::uint64_t> hint_vertices;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> hint_edges;
   std::uint64_t commands_since_hint = 0;
   std::uint64_t hint_emissions = 0;
   std::uint64_t location_updates_emitted = 0;
-  std::map<CmdKey, MoveRecord> dssmr_moves;
+  CmdMap<MoveRecord> dssmr_moves;
   multicast::McastClient::State star_sender;
   Epoch star_epoch = 0;
   std::deque<ExecCommandPtr> star_deferred;

@@ -16,6 +16,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "multicast/messages.h"
 #include "paxos/replica.h"
 #include "paxos/topology.h"
@@ -74,7 +75,7 @@ class MemberCore {
   struct State {
     Timestamp clock = 0;
     std::unordered_map<Uid, Pending> pending;
-    std::unordered_map<Uid, Timestamp> seen;
+    common::FlatMap<Uid, Timestamp, common::Mix64Hash> seen;
     std::uint64_t delivered_count = 0;
     std::unordered_map<Uid, std::map<GroupId, Timestamp>> early_proposals;
     std::unordered_set<Uid> final_submitted;
@@ -174,7 +175,8 @@ class MemberCore {
   // entry on purpose: after this group delivers, a peer group whose copy of
   // our proposal was lost still repair-polls with its own proposal, and we
   // must be able to answer (see on_ts_proposal) or that group wedges.
-  std::unordered_map<Uid, Timestamp> seen_;
+  // Uids are (sender << 32) | seq, so the table needs the mixing hash.
+  common::FlatMap<Uid, Timestamp, common::Mix64Hash> seen_;
   std::uint64_t delivered_count_ = 0;
 
   // Timestamp proposals that arrived before the Start entry was processed.

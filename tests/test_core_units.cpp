@@ -2,6 +2,10 @@
 // ObjectStore, target choice, and protocol message invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "core/object.h"
 #include "core/protocol.h"
 #include "core/server.h"
@@ -47,6 +51,86 @@ TEST(ObjectStore, PutRehomesVertex) {
   EXPECT_EQ(store.objects_of_vertex(VertexId{8}).size(), 1u);
   EXPECT_EQ(store.vertex_of(ObjectId{1}), VertexId{8});
   EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(ObjectStore, ChurnKeepsIndexesExact) {
+  // Borrow/return moves the same ids out and back in on every
+  // multi-partition command; occasionally a vertex is re-homed, as a
+  // repartitioning plan does. Both indexes must track a reference model
+  // exactly, however long the history.
+  constexpr std::uint64_t kObjects = 64;
+  constexpr std::uint64_t kVertices = 8;
+  ObjectStore store;
+  std::map<ObjectId, VertexId> model;
+  for (std::uint64_t i = 0; i < kObjects; ++i) {
+    store.put(ObjectId{i}, VertexId{i % kVertices},
+              std::make_shared<KvObject>(i));
+    model[ObjectId{i}] = VertexId{i % kVertices};
+  }
+  const auto check = [&] {
+    ASSERT_EQ(store.size(), model.size());
+    for (std::uint64_t v = 0; v < kVertices + 1; ++v) {
+      auto ids = store.objects_of_vertex(VertexId{v});
+      std::sort(ids.begin(), ids.end());
+      std::vector<ObjectId> expected;
+      for (const auto& [id, vertex] : model)
+        if (vertex == VertexId{v}) expected.push_back(id);
+      ASSERT_EQ(ids, expected) << "vertex " << v;
+    }
+    for (std::uint64_t i = 0; i < kObjects + 1; ++i) {
+      auto it = model.find(ObjectId{i});
+      EXPECT_EQ(store.vertex_of(ObjectId{i}),
+                it == model.end() ? VertexId{UINT64_MAX} : it->second);
+    }
+  };
+  for (std::uint64_t round = 0; round < 100'000; ++round) {
+    const ObjectId id{(round * 7) % kObjects};
+    ObjectPtr taken = store.take(id);
+    ASSERT_NE(taken, nullptr);
+    VertexId home = model.at(id);
+    model.erase(id);
+    if (round % 1000 == 999) {
+      // Re-home the whole vertex: every object of it moves to v + 1 (the
+      // spare vertex kVertices included).
+      const VertexId to{(home.value() + 1) % (kVertices + 1)};
+      for (ObjectId other : store.objects_of_vertex(home)) {
+        store.put(other, to, store.take(other));
+        model[other] = to;
+      }
+      home = to;
+    }
+    store.put(id, home, std::move(taken));
+    model[id] = home;
+    if (round % 10'000 == 0) check();
+  }
+  check();
+  // Re-putting a live id under a new vertex re-homes it in place.
+  store.put(ObjectId{0}, VertexId{kVertices}, std::make_shared<KvObject>(9));
+  model[ObjectId{0}] = VertexId{kVertices};
+  check();
+}
+
+TEST(ObjectStore, DeepCopyDoesNotAliasLiveObjects) {
+  ObjectStore store;
+  for (std::uint64_t i = 0; i < 20; ++i)
+    store.put(ObjectId{i}, VertexId{i / 4}, std::make_shared<KvObject>(i));
+  store.take(ObjectId{3});  // leave a tombstone behind
+  const ObjectStore copy = store.deep_copy();
+  ASSERT_EQ(copy.size(), store.size());
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    if (i == 3) {
+      EXPECT_FALSE(copy.contains(ObjectId{i}));
+      continue;
+    }
+    ASSERT_NE(copy.find(ObjectId{i}), store.find(ObjectId{i}));
+    dynamic_cast<KvObject*>(store.find(ObjectId{i}))->value = 1000;
+    EXPECT_EQ(dynamic_cast<const KvObject*>(copy.find(ObjectId{i}))->value, i);
+    EXPECT_EQ(copy.vertex_of(ObjectId{i}), VertexId{i / 4});
+  }
+  store.take(ObjectId{0});
+  store.put(ObjectId{1}, VertexId{9}, nullptr);
+  EXPECT_EQ(copy.objects_of_vertex(VertexId{0}).size(), 3u);
+  EXPECT_TRUE(copy.objects_of_vertex(VertexId{9}).empty());
 }
 
 TEST(ChooseTarget, MostObjectsWins) {

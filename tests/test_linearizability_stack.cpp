@@ -9,16 +9,28 @@
 // sweep shares.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "tests/lin_harness.h"
 
 namespace dynastar {
 namespace {
 
+// The discovered test names are a byte dump of this struct, so it must have
+// no padding: the six bytes the compiler would pad with are spelled out and
+// zeroed, which keeps every case's name the same from one build to the next.
 struct LinParam {
+  LinParam(core::ExecutionMode m, bool repartition, std::uint64_t s)
+      : mode(m), repartition_mid_run(repartition), seed(s) {}
+
   core::ExecutionMode mode;
   bool repartition_mid_run;
+  std::uint8_t reserved[6] = {};
   std::uint64_t seed;
 };
+static_assert(sizeof(LinParam) == 16 &&
+              std::has_unique_object_representations_v<LinParam>);
 
 class StackLinearizability : public ::testing::TestWithParam<LinParam> {};
 

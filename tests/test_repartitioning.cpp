@@ -2,6 +2,9 @@
 // relocation, epoch-held commands, oracle placement and rejection logic.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "core/system.h"
 #include "workloads/kv.h"
 #include "workloads/kv_drivers.h"
@@ -174,6 +177,66 @@ TEST(Repartitioning, DeleteRemovesVertexEverywhere) {
   ASSERT_EQ(records.size(), 2u);
   // After the delete, the oracle no longer knows the vertex.
   EXPECT_EQ(records[1].status, core::ReplyStatus::kNok);
+}
+
+TEST(Repartitioning, HintReportWeightsMatchHandCounts) {
+  // One DynaStar partition executes a fixed script twice; the hint batch
+  // covers all six commands, so one HintReport carries the merged weights.
+  core::SystemConfig config = base_config(/*eager=*/true);
+  config.num_partitions = 1;
+  config.hint_batch_commands = 6;
+  core::System system(config, workloads::kv_app_factory());
+  core::Assignment assignment;
+  for (std::uint64_t k = 0; k <= 10; ++k) {
+    assignment[VertexId{k}] = PartitionId{0};
+    system.preload_object(ObjectId{k}, VertexId{k}, PartitionId{0},
+                          workloads::KvObject(k));
+  }
+  // A second object homed at vertex 1: the first command lists vertex 1
+  // twice, and the hint counts it once.
+  system.preload_object(ObjectId{100}, VertexId{1}, PartitionId{0},
+                        workloads::KvObject(100));
+  system.preload_assignment(assignment);
+
+  CommandSpec duplicate = op({1, 2}, KvOp::Kind::kPut, 5);
+  duplicate.objects.emplace_back(ObjectId{100}, VertexId{1});
+  const CommandSpec pair = op({3, 4}, KvOp::Kind::kGet, 0);
+  // More than 8 vertices: a star around the first one (10), not a clique.
+  const CommandSpec star =
+      op({10, 1, 2, 3, 4, 5, 6, 7, 8, 9}, KvOp::Kind::kGet, 0);
+  std::vector<ScriptedKvDriver::Record> records;
+  system.add_client(std::make_unique<ScriptedKvDriver>(
+      std::vector<CommandSpec>{duplicate, pair, star, duplicate, pair, star},
+      &records));
+  system.run_until(seconds(5));
+  ASSERT_EQ(records.size(), 6u);
+  for (const auto& r : records) ASSERT_EQ(r.status, core::ReplyStatus::kOk);
+
+  // Per run of the script: vertices 1-4 appear in two commands, 5-10 in
+  // one; edges are {1,2}, {3,4} and the star's {v,10} for v in 1..9.
+  std::map<std::uint64_t, std::int64_t> want_vertices;
+  for (std::uint64_t v = 1; v <= 10; ++v) want_vertices[v] = v <= 4 ? 4 : 2;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::int64_t> want_edges;
+  want_edges[{1, 2}] = 2;
+  want_edges[{3, 4}] = 2;
+  for (std::uint64_t v = 1; v <= 9; ++v) want_edges[{v, 10}] = 2;
+
+  for (std::size_t replica = 0; replica < 2; ++replica) {
+    const auto compact = system.oracle(replica).graph().compact();
+    const auto& g = compact.graph;
+    std::map<std::uint64_t, std::int64_t> vertices;
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::int64_t> edges;
+    for (std::uint32_t i = 0; i < g.num_vertices(); ++i) {
+      const std::uint64_t id = compact.ids[i];
+      if (want_vertices.contains(id)) vertices[id] = g.vertex_weights[i];
+      for (std::size_t e = g.xadj[i]; e < g.xadj[i + 1]; ++e) {
+        const std::uint64_t other = compact.ids[g.adjacency[e]];
+        if (id < other) edges[{id, other}] = g.edge_weights[e];
+      }
+    }
+    EXPECT_EQ(vertices, want_vertices) << "oracle replica " << replica;
+    EXPECT_EQ(edges, want_edges) << "oracle replica " << replica;
+  }
 }
 
 }  // namespace

@@ -60,14 +60,16 @@ class TpccAppTest : public ::testing::Test {
     auto cmd = make_cmd({{tp::oid(tp::Table::kWarehouse, 1, 0, 0),
                           tp::warehouse_vertex(1)}},
                         args);
-    last_ = app_.execute(*cmd, store_).reply;
-    return dynamic_cast<const tp::TpccReply*>(last_.get());
+    replies_.push_back(app_.execute(*cmd, store_).reply);
+    return dynamic_cast<const tp::TpccReply*>(replies_.back().get());
   }
 
   tp::Scale scale_;
   tp::TpccApp app_;
   core::ObjectStore store_;
-  sim::MessagePtr last_;
+  // Every reply stays alive for the test: callers hold the returned
+  // pointers across later calls.
+  std::vector<sim::MessagePtr> replies_;
 };
 
 TEST_F(TpccAppTest, NewOrderAssignsIncreasingOrderIds) {
