@@ -66,6 +66,27 @@ using ObjectPtr = std::shared_ptr<PRObject>;
 /// two in-flight commands share a vertex unless both are read-only.
 class ObjectStore {
  public:
+  ObjectStore() = default;
+
+  /// Copies are deep: every object is cloned, so a copy (a checkpoint, or a
+  /// restore from one) never aliases the source's mutable objects. The
+  /// concurrency guard is never copied.
+  ObjectStore(const ObjectStore& other)
+      : objects_(other.objects_), by_vertex_(other.by_vertex_) {
+    for (auto& [id, entry] : objects_)
+      if (entry.object) entry.object = ObjectPtr(entry.object->clone());
+  }
+  ObjectStore& operator=(const ObjectStore& other) {
+    if (this != &other) {
+      ObjectStore copy(other);
+      objects_ = std::move(copy.objects_);
+      by_vertex_ = std::move(copy.by_vertex_);
+    }
+    return *this;
+  }
+  ObjectStore(ObjectStore&&) = default;
+  ObjectStore& operator=(ObjectStore&&) = default;
+
   /// Inserts or replaces an object. The vertex is the object's home vertex.
   void put(ObjectId id, VertexId vertex, ObjectPtr object) {
     if (guard_ != nullptr) {
@@ -131,19 +152,9 @@ class ObjectStore {
 
   /// Installs (or with nullptr removes) the reader/writer lock used while a
   /// real-thread batch is in flight. The store does not own the mutex; the
-  /// guard is transient and never survives checkpoint capture or restore.
+  /// guard is transient, and the copy constructor and copy assignment never
+  /// carry it, so no checkpoint capture or restore can pick it up.
   void set_concurrency_guard(std::shared_mutex* guard) { guard_ = guard; }
-
-  /// Clone of the whole store with every object deep-copied — checkpoint
-  /// capture/restore must not alias live mutable objects.
-  [[nodiscard]] ObjectStore deep_copy() const {
-    ObjectStore copy;
-    copy.objects_ = objects_;
-    copy.by_vertex_ = by_vertex_;
-    for (auto& [id, entry] : copy.objects_)
-      if (entry.object) entry.object = ObjectPtr(entry.object->clone());
-    return copy;
-  }
 
   /// Approximate serialized size of the whole store, for snapshot-transfer
   /// network cost accounting.

@@ -105,28 +105,14 @@ OracleCore::SnapshotPtr OracleCore::capture_snapshot() const {
   auto snap = std::make_shared<Snapshot>();
   snap->member = member_.capture_state();
   snap->plan_sender = plan_sender_.capture();
-  snap->map = map_;
-  snap->epoch = epoch_;
-  snap->graph = graph_;
-  snap->pending_creates = pending_creates_;
-  snap->relay_cache = relay_cache_;
-  snap->changes = changes_;
-  snap->create_round_robin = create_round_robin_;
-  snap->relays_emitted = relays_emitted_;
+  snap->state = *this;
   return snap;
 }
 
 void OracleCore::restore_snapshot(const Snapshot& snapshot) {
   member_.restore_state(snapshot.member);
   plan_sender_.restore(snapshot.plan_sender);
-  map_ = snapshot.map;
-  epoch_ = snapshot.epoch;
-  graph_ = snapshot.graph;
-  pending_creates_ = snapshot.pending_creates;
-  relay_cache_ = snapshot.relay_cache;
-  changes_ = snapshot.changes;
-  create_round_robin_ = snapshot.create_round_robin;
-  relays_emitted_ = snapshot.relays_emitted;
+  OracleState::operator=(snapshot.state);
   // The adopted state's checkpoint history belongs to the peer; our next
   // boundary repopulates the stable snapshot.
   stable_snapshot_ = nullptr;

@@ -34,12 +34,39 @@
 
 namespace dynastar::core {
 
-class OracleCore {
+/// Everything an oracle replica makes durable. OracleCore inherits it
+/// privately and a checkpoint holds one copy of it, so a field added here is
+/// captured and restored with no further edit.
+struct OracleState {
+  Assignment map_;
+  Epoch epoch_ = 0;
+  partitioning::WorkloadGraph graph_;
+
+  /// Creates relayed but whose Task-2 delivery has not landed yet.
+  common::FlatMap<VertexId, PartitionId> pending_creates_;
+
+  /// Last command relayed per client. A retransmitted request whose vertices
+  /// no longer resolve (the original attempt already executed a delete) is
+  /// re-relayed with the original addressing so the target's reply cache can
+  /// answer it, instead of bouncing kNok at the client.
+  std::unordered_map<std::uint64_t, sim::Ref<const ExecCommand>>
+      relay_cache_;
+
+  std::uint64_t changes_ = 0;         // hint deltas since last plan
+  std::uint64_t create_round_robin_ = 0;
+  std::uint64_t relays_emitted_ = 0;  // uid counter for group multicasts
+};
+
+class OracleCore : private OracleState {
  public:
-  /// A full copy of an oracle replica's volatile state at a slot boundary:
-  /// multicast + Paxos position, the plan sender's outbox, the location map,
-  /// the workload graph, and the relay (at-most-once) cache.
-  struct Snapshot;
+  /// An oracle replica's durable state at a slot boundary: the multicast +
+  /// Paxos position, the plan sender's outbox, and one copy of OracleState
+  /// (location map, workload graph, relay cache). Immutable once captured.
+  struct Snapshot {
+    multicast::MemberCore::State member;
+    multicast::McastClient::State plan_sender;
+    OracleState state;
+  };
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
   OracleCore(sim::Env& env, const paxos::Topology& topology,
@@ -54,10 +81,12 @@ class OracleCore {
     checkpoint_sink_ = std::move(sink);
   }
 
-  /// Captures the complete volatile state.
+  /// Captures the durable state: one OracleState copy plus each
+  /// sub-object's own capture().
   [[nodiscard]] SnapshotPtr capture_snapshot() const;
 
-  /// Replaces all volatile state with a snapshot's contents.
+  /// Replaces the durable state with a snapshot's contents and resets the
+  /// volatile-by-design plan latch and cooldown anchor.
   void restore_snapshot(const Snapshot& snapshot);
 
   /// Rejoins the group after restore_snapshot() on a fresh incarnation:
@@ -132,43 +161,12 @@ class OracleCore {
   multicast::MemberCore member_;
   multicast::McastClient plan_sender_;  // per-replica sender for PlanMsg
 
-  Assignment map_;
-  Epoch epoch_ = 0;
-  partitioning::WorkloadGraph graph_;
-
-  /// Creates relayed but whose Task-2 delivery has not landed yet.
-  common::FlatMap<VertexId, PartitionId> pending_creates_;
-
-  /// Last command relayed per client. A retransmitted request whose vertices
-  /// no longer resolve (the original attempt already executed a delete) is
-  /// re-relayed with the original addressing so the target's reply cache can
-  /// answer it, instead of bouncing kNok at the client.
-  std::unordered_map<std::uint64_t, sim::Ref<const ExecCommand>>
-      relay_cache_;
-
-  std::uint64_t changes_ = 0;         // hint deltas since last plan
+  // Volatile by design (outside OracleState, never checkpointed): the
+  // replica-local plan-computation latch and cooldown anchor. A restored
+  // replica starts with no plan in flight; restore_snapshot() resets them.
   bool computing_ = false;            // a plan is being computed
   SimTime last_plan_time_ = 0;        // replica-local cooldown anchor
   bool repartition_requested_ = false;
-  std::uint64_t create_round_robin_ = 0;
-  std::uint64_t relays_emitted_ = 0;  // uid counter for group multicasts
-};
-
-/// Defined out of line so it can name the core's private bookkeeping types.
-/// Deliberately excludes the replica-local plan-computation latch and
-/// cooldown anchor: a restored replica starts with no plan in flight.
-struct OracleCore::Snapshot {
-  multicast::MemberCore::State member;
-  multicast::McastClient::State plan_sender;
-
-  Assignment map;
-  Epoch epoch = 0;
-  partitioning::WorkloadGraph graph;
-  common::FlatMap<VertexId, PartitionId> pending_creates;
-  std::unordered_map<std::uint64_t, sim::Ref<const ExecCommand>> relay_cache;
-  std::uint64_t changes = 0;
-  std::uint64_t create_round_robin = 0;
-  std::uint64_t relays_emitted = 0;
 };
 
 /// Carrier for an oracle snapshot travelling as an InstallSnapshotResp
@@ -178,7 +176,7 @@ struct OracleSnapshotMsg final : sim::Message {
       : state(std::move(s)) {}
   const char* type_name() const override { return "core.OracleSnapshot"; }
   std::size_t size_bytes() const override {
-    return 256 + (state ? state->map.size() * 16 : 0);
+    return 256 + (state ? state->state.map_.size() * 16 : 0);
   }
   OracleCore::SnapshotPtr state;
 };

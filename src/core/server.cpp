@@ -184,100 +184,28 @@ PartitionServerCore::SnapshotPtr PartitionServerCore::capture_snapshot()
   auto snap = std::make_shared<Snapshot>();
   snap->member = member_.capture_state();
   snap->reliable = reliable_.capture();
-  snap->reply_cache = reply_cache_;
-  snap->store = store_.deep_copy();
-  snap->map = map_;
-  snap->epoch = epoch_;
-  snap->queue = queue_;
-  snap->blocked = blocked_;
-  snap->future = future_;
-  snap->transfers = transfers_;
-  snap->lends = lends_;
-  snap->lent_objects = lent_objects_;
-  snap->lent_vertex_count = lent_vertex_count_;
-  snap->returns_seen = returns_seen_;
-  snap->early_returns = early_returns_;
-  snap->sent_transfers = sent_transfers_;
-  snap->ssmr_sent = ssmr_sent_;
-  snap->resolved = resolved_;
-  // Per-command lease-grant coordination is snapshotted like transfers_ (a
-  // restored target blocked at the queue head on already-acked grants would
-  // otherwise wait forever). Version counters are captured so they stay
-  // monotone across recovery (see the member comment in server.h); the
-  // leased copies and holder records are volatile by design and
-  // deliberately absent here.
-  snap->lease_grants = lease_grants_;
-  snap->lease_versions = lease_versions_;
-  snap->awaited = awaited_;
-  snap->obligations = obligations_;
-  snap->fetch_requested = fetch_requested_;
-  snap->fetch_wanted = fetch_wanted_;
-  snap->handoffs_seen = handoffs_seen_;
-  snap->handoff_buffer = handoff_buffer_;
-  snap->handoff_assembly = handoff_assembly_;
-  snap->hint_vertices = hint_vertices_;
-  snap->hint_edges = hint_edges_;
-  snap->commands_since_hint = commands_since_hint_;
-  snap->hint_emissions = hint_emissions_;
-  snap->location_updates_emitted = location_updates_emitted_;
-  snap->dssmr_moves = dssmr_moves_;
   snap->star_sender = star_sender_.capture();
-  snap->star_epoch = star_epoch_;
-  snap->star_deferred = star_deferred_;
-  snap->star_updates = star_updates_;
+  snap->state = *this;
   return snap;
 }
 
 void PartitionServerCore::restore_snapshot(const Snapshot& snapshot) {
   member_.restore_state(snapshot.member);
   reliable_.restore(snapshot.reliable, reliable_peers());
-  reply_cache_ = snapshot.reply_cache;
-  store_ = snapshot.store.deep_copy();
-  map_ = snapshot.map;
-  epoch_ = snapshot.epoch;
-  queue_ = snapshot.queue;
-  blocked_ = snapshot.blocked;
-  future_ = snapshot.future;
-  transfers_ = snapshot.transfers;
-  lends_ = snapshot.lends;
-  lent_objects_ = snapshot.lent_objects;
-  lent_vertex_count_ = snapshot.lent_vertex_count;
-  returns_seen_ = snapshot.returns_seen;
-  early_returns_ = snapshot.early_returns;
-  sent_transfers_ = snapshot.sent_transfers;
-  ssmr_sent_ = snapshot.ssmr_sent;
-  resolved_ = snapshot.resolved;
-  lease_grants_ = snapshot.lease_grants;
-  lease_versions_ = snapshot.lease_versions;
+  star_sender_.restore(snapshot.star_sender);
+  ServerState::operator=(snapshot.state);
   // Leases are volatile: installed copies and holder records die with the
   // incarnation (a regression test pins that they are not in the snapshot).
   // Restored data-less grants then fail validation, fall back to kRetry,
   // and the retry is served fresh full grants.
   leases_.clear();
   lease_holders_.clear();
-  awaited_ = snapshot.awaited;
-  obligations_ = snapshot.obligations;
-  fetch_requested_ = snapshot.fetch_requested;
-  fetch_wanted_ = snapshot.fetch_wanted;
-  handoffs_seen_ = snapshot.handoffs_seen;
-  handoff_buffer_ = snapshot.handoff_buffer;
-  handoff_assembly_ = snapshot.handoff_assembly;
   // The adopted state's checkpoint history belongs to the peer; our next
   // boundary (forced right after install) repopulates the stable snapshot.
   stable_snapshot_ = nullptr;
-  hint_vertices_ = snapshot.hint_vertices;
-  hint_edges_ = snapshot.hint_edges;
-  commands_since_hint_ = snapshot.commands_since_hint;
-  hint_emissions_ = snapshot.hint_emissions;
-  location_updates_emitted_ = snapshot.location_updates_emitted;
-  dssmr_moves_ = snapshot.dssmr_moves;
-  star_sender_.restore(snapshot.star_sender);
-  star_epoch_ = snapshot.star_epoch;
-  star_deferred_ = snapshot.star_deferred;
-  star_updates_ = snapshot.star_updates;
   // Replica-local marker throttle: any marker in flight at the crash died
   // with the old incarnation's timer; the next timer tick may re-emit.
-  star_marker_inflight_ = snapshot.star_epoch;
+  star_marker_inflight_ = star_epoch_;
   // Live snapshot install: a pending executor batch refers to log positions
   // the installed state already covers (the peer executed those slots), so
   // applying it now would double-execute. Drop it; the peer's replies stand.

@@ -42,56 +42,13 @@ inline GroupId group_of(PartitionId p) { return GroupId{p.value() + 1}; }
 inline PartitionId partition_of(GroupId g) { return PartitionId{g.value() - 1}; }
 constexpr GroupId kOracleGroup{0};
 
-class PartitionServerCore {
- public:
-  /// A full copy of the replica's volatile state at a slot boundary: the
-  /// multicast + Paxos position, retained reliable sends, object store
-  /// (deep-copied), borrow/lend bookkeeping, and the at-most-once reply
-  /// cache. Immutable once captured; shared between the node's durable
-  /// checkpoint slot and in-flight snapshot transfers.
-  struct Snapshot;
-  using SnapshotPtr = std::shared_ptr<const Snapshot>;
-
-  PartitionServerCore(sim::Env& env, const paxos::Topology& topology,
-                      PartitionId partition, const SystemConfig& config,
-                      std::unique_ptr<AppStateMachine> app,
-                      MetricsRegistry* metrics, bool record_metrics,
-                      TraceCollector* trace = nullptr);
-
-  void start();
-
-  /// Receives the snapshot captured at each checkpoint boundary; the owning
-  /// node stores it as the replica's durable checkpoint.
-  void set_checkpoint_sink(std::function<void(SnapshotPtr)> sink) {
-    checkpoint_sink_ = std::move(sink);
-  }
-
-  /// Captures the complete volatile state (deep-copying mutable objects).
-  [[nodiscard]] SnapshotPtr capture_snapshot() const;
-
-  /// Replaces all volatile state with a snapshot's contents. Used both when
-  /// a recovering node restores its durable checkpoint and when a live
-  /// replica installs a peer snapshot.
-  void restore_snapshot(const Snapshot& snapshot);
-
-  /// Rejoins the group after restore_snapshot() on a fresh incarnation:
-  /// re-arms timers and proactively pulls the missing log suffix.
-  void start_recovered();
-
-  /// Handles multicast/paxos traffic and the direct coordination messages.
-  bool handle(ProcessId from, const sim::MessagePtr& msg);
-
-  // --- pre-run state loading (benchmark setup; not part of the protocol) ---
-  void preload_object(ObjectId id, VertexId vertex, ObjectPtr object);
-  void preload_assignment(AssignmentPtr assignment, Epoch epoch);
-
-  [[nodiscard]] PartitionId partition() const { return partition_; }
-  [[nodiscard]] Epoch epoch() const { return epoch_; }
-  [[nodiscard]] const ObjectStore& store() const { return store_; }
-  multicast::MemberCore& member() { return member_; }
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-
- private:
+/// Everything a partition replica makes durable. PartitionServerCore
+/// inherits it privately and a checkpoint holds one copy of it, so a field
+/// added here is captured and restored with no further edit. Copies are deep:
+/// ObjectStore clones its objects, and the ref-counted messages are
+/// immutable. State that is volatile by design stays in the core, outside
+/// this struct, and restore_snapshot() resets it explicitly.
+struct ServerState {
   /// Dedupe key for per-command coordination: (cmd_id, attempt).
   using CmdKey = std::pair<std::uint64_t, std::uint32_t>;
   struct CmdKeyHash {
@@ -115,6 +72,178 @@ class PartitionServerCore {
     sim::Ref<const StarEpochMsg> star;
   };
 
+  // At-most-once execution: the latest authoritative (kOk/kNok) reply per
+  // client. One entry per client — the closed-loop client has at most one
+  // outstanding command, and per-client cmd_ids increase monotonically, so
+  // the latest reply is the only one a retransmission can still ask for.
+  struct CachedReply {
+    std::uint64_t cmd_id = 0;
+    ReplyStatus status = ReplyStatus::kOk;
+    sim::MessagePtr payload;
+  };
+  std::unordered_map<std::uint64_t, CachedReply> reply_cache_;
+
+  ObjectStore store_;
+  Assignment map_;
+  Epoch epoch_ = 0;
+
+  // FIFO execution queue in a-delivery order; `blocked_` true while the head
+  // waits for transfers / returns / handoffs.
+  std::deque<QueueItem> queue_;
+  bool blocked_ = false;
+
+  // Commands delivered before the plan their addressing was computed
+  // against; re-enqueued when that plan is applied.
+  std::deque<ExecCommandPtr> future_;
+
+  // Target-side: transfers received per command (may arrive early).
+  struct TransferState {
+    std::map<PartitionId, std::vector<ObjectEnvelope>> received;
+    std::set<PartitionId> aborted;
+  };
+  CmdMap<TransferState> transfers_;
+
+  // Source-side: objects currently lent out, per command.
+  struct LendRecord {
+    PartitionId borrower;
+    std::vector<VertexId> vertices;
+  };
+  CmdMap<LendRecord> lends_;
+  std::unordered_set<ObjectId> lent_objects_;
+  std::unordered_map<VertexId, int> lent_vertex_count_;
+  CmdSet returns_seen_;
+  // A return can outrun this replica's own processing of the command: the
+  // peer source replica's transfer drives the target, whose return lands
+  // here before we lent anything. Hold it until the lend record exists.
+  CmdMap<sim::Ref<const VarReturn>> early_returns_;
+  CmdSet sent_transfers_;  // non-target: vars already shipped
+  CmdSet ssmr_sent_;
+  // Target-side: commands already executed or rejected, with the sources
+  // whose transfers were consumed (or already bounced). A late transfer
+  // from any *other* source is bounced straight back; duplicates from an
+  // already-consumed source are dropped (bouncing those would resurrect
+  // pre-execution object state at the source).
+  CmdMap<std::set<PartitionId>> resolved_;
+
+  // Plan-application state.
+  std::unordered_map<VertexId, PartitionId> awaited_;      // inbound moves
+  std::unordered_map<VertexId, PartitionId> obligations_;  // outbound moves
+  std::unordered_set<VertexId> fetch_requested_;  // on-demand: asked sources
+  std::unordered_set<VertexId> fetch_wanted_;     // on-demand src: send when free
+  std::set<std::pair<Epoch, std::uint64_t>> handoffs_seen_;
+  std::vector<sim::Ref<const ObjectHandoff>> handoff_buffer_;
+  /// Reassembly of chunked handoffs, keyed by (epoch, vertex). Durable:
+  /// the reliable link acks each chunk on processing, so a partial assembly
+  /// alive at checkpoint time must survive restore or the acked-but-unspliced
+  /// chunks would never be retransmitted.
+  struct HandoffAssembly {
+    std::uint32_t total_chunks = 0;
+    std::set<std::uint32_t> have;
+    sim::MessagePtr handoff;  // full ObjectHandoff, spliced at completion
+  };
+  std::map<std::pair<Epoch, std::uint64_t>, HandoffAssembly> handoff_assembly_;
+
+  // Workload-graph hints accumulated since the last report (deterministic
+  // across replicas: driven purely by executed commands). Raw observations,
+  // one per vertex / edge per command; maybe_emit_hints sorts them and sums
+  // each run into its weight.
+  std::vector<std::uint64_t> hint_vertices_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> hint_edges_;
+  std::uint64_t commands_since_hint_ = 0;
+  std::uint64_t hint_emissions_ = 0;
+
+  std::uint64_t location_updates_emitted_ = 0;  // DS-SMR uid counter
+
+  // Read-lease state that is durable, for two different reasons (the leased
+  // copies and holder records are volatile; see PartitionServerCore):
+  //  * lease_grants_ is per-command coordination like transfers_ (a target
+  //    blocked at the queue head on already-acked grants would deadlock
+  //    without it);
+  //  * lease_versions_ must stay MONOTONE across a recovery within an
+  //    epoch. Checkpointing makes it a pure function of the applied log, so
+  //    all replicas of a group agree on every version number; a recovered
+  //    replica restarting its counters at zero could re-issue a version the
+  //    group already used for different data, and a stale installed copy
+  //    would then validate spuriously.
+  /// Lender side: mutation counter per owned vertex (absent = 0).
+  std::unordered_map<VertexId, std::uint64_t> lease_versions_;
+  /// Target side: grants received per command (may arrive early).
+  CmdMap<std::map<PartitionId, sim::Ref<const LeaseGrant>>> lease_grants_;
+
+  // DS-SMR: state needed to roll an aborted permanent move back. Entries
+  // for committed moves are never revisited (the target commits exactly
+  // once) and are retained for the run's lifetime.
+  struct MoveRecord {
+    std::vector<std::pair<VertexId, PartitionId>> previous_owner;
+  };
+  CmdMap<MoveRecord> dssmr_moves_;
+
+  // STAR state (the marker sender and its throttle live in the core).
+  Epoch star_epoch_ = 0;
+  /// Master: multi-partition commands awaiting the next epoch switch, in
+  /// delivery order. Non-masters never queue here (they are not addressed).
+  std::deque<ExecCommandPtr> star_deferred_;
+  /// Non-master: per-epoch updates that arrived before (or while blocked at)
+  /// the epoch's marker. First sender wins; monotone epochs only.
+  std::map<Epoch, sim::Ref<const StarEpochUpdate>> star_updates_;
+};
+
+class PartitionServerCore : private ServerState {
+ public:
+  /// The replica's durable state at a slot boundary: the multicast + Paxos
+  /// position, retained reliable sends, the STAR marker sender's outbox, and
+  /// one copy of ServerState. Immutable once captured; shared between the
+  /// node's durable checkpoint slot and in-flight snapshot transfers.
+  struct Snapshot {
+    multicast::MemberCore::State member;
+    sim::ReliableLink::State reliable;
+    multicast::McastClient::State star_sender;
+    ServerState state;
+  };
+  using SnapshotPtr = std::shared_ptr<const Snapshot>;
+
+  PartitionServerCore(sim::Env& env, const paxos::Topology& topology,
+                      PartitionId partition, const SystemConfig& config,
+                      std::unique_ptr<AppStateMachine> app,
+                      MetricsRegistry* metrics, bool record_metrics,
+                      TraceCollector* trace = nullptr);
+
+  void start();
+
+  /// Receives the snapshot captured at each checkpoint boundary; the owning
+  /// node stores it as the replica's durable checkpoint.
+  void set_checkpoint_sink(std::function<void(SnapshotPtr)> sink) {
+    checkpoint_sink_ = std::move(sink);
+  }
+
+  /// Captures the durable state: one ServerState copy (objects cloned) plus
+  /// each sub-object's own capture().
+  [[nodiscard]] SnapshotPtr capture_snapshot() const;
+
+  /// Replaces the durable state with a snapshot's contents and resets the
+  /// volatile-by-design fields. Used both when a recovering node restores
+  /// its durable checkpoint and when a live replica installs a peer
+  /// snapshot.
+  void restore_snapshot(const Snapshot& snapshot);
+
+  /// Rejoins the group after restore_snapshot() on a fresh incarnation:
+  /// re-arms timers and proactively pulls the missing log suffix.
+  void start_recovered();
+
+  /// Handles multicast/paxos traffic and the direct coordination messages.
+  bool handle(ProcessId from, const sim::MessagePtr& msg);
+
+  // --- pre-run state loading (benchmark setup; not part of the protocol) ---
+  void preload_object(ObjectId id, VertexId vertex, ObjectPtr object);
+  void preload_assignment(AssignmentPtr assignment, Epoch epoch);
+
+  [[nodiscard]] PartitionId partition() const { return partition_; }
+  [[nodiscard]] Epoch epoch() const { return epoch_; }
+  [[nodiscard]] const ObjectStore& store() const { return store_; }
+  multicast::MemberCore& member() { return member_; }
+  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
+
+ private:
   enum class Classification { kReady, kBlocked, kFuture, kStale, kInvalid };
 
   // Delivery / queue pump.
@@ -258,113 +387,31 @@ class PartitionServerCore {
   /// messages; a lost VarTransfer/VarReturn/ObjectHandoff would otherwise
   /// block a partition's queue head forever.
   sim::ReliableLink reliable_;
+  // STAR: the epoch-switch markers are emitted by master replicas via a
+  // per-replica McastClient (timer emission is replica-local, like the
+  // oracle's plan_sender_) and deduplicated by epoch at every receiver, so
+  // the first delivered marker defines each group's switch position.
+  multicast::McastClient star_sender_;
 
-  // At-most-once execution: the latest authoritative (kOk/kNok) reply per
-  // client. One entry per client — the closed-loop client has at most one
-  // outstanding command, and per-client cmd_ids increase monotonically, so
-  // the latest reply is the only one a retransmission can still ask for.
-  struct CachedReply {
-    std::uint64_t cmd_id = 0;
-    ReplyStatus status = ReplyStatus::kOk;
-    sim::MessagePtr payload;
-  };
-  std::unordered_map<std::uint64_t, CachedReply> reply_cache_;
-
-  ObjectStore store_;
-  Assignment map_;
-  Epoch epoch_ = 0;
-
-  // FIFO execution queue in a-delivery order; `blocked_` true while the head
-  // waits for transfers / returns / handoffs.
-  std::deque<QueueItem> queue_;
-  bool blocked_ = false;
+  // The three sub-objects above checkpoint through their own capture().
+  // Everything below is volatile by design: outside ServerState, never
+  // checkpointed, and reset by restore_snapshot().
 
   // Parallel-executor state (null / empty when exec_lanes <= 1). Pending
   // commands were popped from queue_ but not yet applied; every checkpoint
   // capture and snapshot hand-off flushes first, so the batch is never part
-  // of durable state (Snapshot deliberately has no counterpart fields).
+  // of durable state, and a restore drops it.
   std::unique_ptr<ParallelExecutor> exec_;
   std::deque<ExecCommandPtr> exec_pending_;
   std::unordered_set<std::uint64_t> exec_pending_clients_;
   bool exec_flush_armed_ = false;
   std::shared_mutex exec_store_mutex_;  // installed only during thread batches
 
-  // Commands delivered before the plan their addressing was computed
-  // against; re-enqueued when that plan is applied.
-  std::deque<ExecCommandPtr> future_;
-
-  // Target-side: transfers received per command (may arrive early).
-  struct TransferState {
-    std::map<PartitionId, std::vector<ObjectEnvelope>> received;
-    std::set<PartitionId> aborted;
-  };
-  CmdMap<TransferState> transfers_;
-
-  // Source-side: objects currently lent out, per command.
-  struct LendRecord {
-    PartitionId borrower;
-    std::vector<VertexId> vertices;
-  };
-  CmdMap<LendRecord> lends_;
-  std::unordered_set<ObjectId> lent_objects_;
-  std::unordered_map<VertexId, int> lent_vertex_count_;
-  CmdSet returns_seen_;
-  // A return can outrun this replica's own processing of the command: the
-  // peer source replica's transfer drives the target, whose return lands
-  // here before we lent anything. Hold it until the lend record exists.
-  CmdMap<sim::Ref<const VarReturn>> early_returns_;
-  CmdSet sent_transfers_;  // non-target: vars already shipped
-  CmdSet ssmr_sent_;
-  // Target-side: commands already executed or rejected, with the sources
-  // whose transfers were consumed (or already bounced). A late transfer
-  // from any *other* source is bounced straight back; duplicates from an
-  // already-consumed source are dropped (bouncing those would resurrect
-  // pre-execution object state at the source).
-  CmdMap<std::set<PartitionId>> resolved_;
-
-  // Plan-application state.
-  std::unordered_map<VertexId, PartitionId> awaited_;      // inbound moves
-  std::unordered_map<VertexId, PartitionId> obligations_;  // outbound moves
-  std::unordered_set<VertexId> fetch_requested_;  // on-demand: asked sources
-  std::unordered_set<VertexId> fetch_wanted_;     // on-demand src: send when free
-  std::set<std::pair<Epoch, std::uint64_t>> handoffs_seen_;
-  std::vector<sim::Ref<const ObjectHandoff>> handoff_buffer_;
-  /// Reassembly of chunked handoffs, keyed by (epoch, vertex). Snapshotted:
-  /// the reliable link acks each chunk on processing, so a partial assembly
-  /// alive at checkpoint time must survive restore or the acked-but-unspliced
-  /// chunks would never be retransmitted.
-  struct HandoffAssembly {
-    std::uint32_t total_chunks = 0;
-    std::set<std::uint32_t> have;
-    sim::MessagePtr handoff;  // full ObjectHandoff, spliced at completion
-  };
-  std::map<std::pair<Epoch, std::uint64_t>, HandoffAssembly> handoff_assembly_;
-
-  // Workload-graph hints accumulated since the last report (deterministic
-  // across replicas: driven purely by executed commands). Raw observations,
-  // one per vertex / edge per command; maybe_emit_hints sorts them and sums
-  // each run into its weight.
-  std::vector<std::uint64_t> hint_vertices_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> hint_edges_;
-  std::uint64_t commands_since_hint_ = 0;
-  std::uint64_t hint_emissions_ = 0;
-
-  std::uint64_t location_updates_emitted_ = 0;  // DS-SMR uid counter
-
-  // Read-lease state. The leased copies and holder records are *volatile by
-  // design*: a lease is only ever trusted after epoch+version validation, so
-  // losing them costs one fallback round-trip, never correctness. They are
-  // deliberately absent from Snapshot and cleared on restore (a regression
-  // test pins this). Two maps are snapshotted, for different reasons:
-  //  * lease_grants_ is per-command coordination like transfers_ (a target
-  //    blocked at the queue head on already-acked grants would deadlock
-  //    without it);
-  //  * lease_versions_ must stay MONOTONE across a recovery within an
-  //    epoch. Snapshotting makes it a pure function of the applied log, so
-  //    all replicas of a group agree on every version number; a recovered
-  //    replica restarting its counters at zero could re-issue a version the
-  //    group already used for different data, and a stale installed copy
-  //    would then validate spuriously.
+  // Read leases: the leased copies and holder records are volatile by
+  // design. A lease is only ever trusted after epoch+version validation, so
+  // losing them costs one fallback round-trip, never correctness. A restore
+  // clears them (a regression test pins this); the durable lease state is
+  // in ServerState.
   struct InstalledLease {
     PartitionId lender;
     Epoch epoch = 0;
@@ -373,88 +420,23 @@ class PartitionServerCore {
   };
   /// Reader side: installed lease copy per remote vertex.
   std::unordered_map<VertexId, InstalledLease> leases_;
-  /// Lender side: mutation counter per owned vertex (absent = 0).
-  std::unordered_map<VertexId, std::uint64_t> lease_versions_;
   /// Lender side: partitions believed to hold a live copy of the vertex.
   std::unordered_map<VertexId, std::set<PartitionId>> lease_holders_;
-  /// Target side: grants received per command (may arrive early).
-  CmdMap<std::map<PartitionId, sim::Ref<const LeaseGrant>>> lease_grants_;
 
-  // DS-SMR: state needed to roll an aborted permanent move back. Entries
-  // for committed moves are never revisited (the target commits exactly
-  // once) and are retained for the run's lifetime.
-  struct MoveRecord {
-    std::vector<std::pair<VertexId, PartitionId>> previous_owner;
-  };
-  CmdMap<MoveRecord> dssmr_moves_;
-
-  // STAR state. The epoch-switch markers are emitted by master replicas via
-  // a per-replica McastClient (timer emission is replica-local, like the
-  // oracle's plan_sender_) and deduplicated by epoch at every receiver, so
-  // the first delivered marker defines each group's switch position.
-  multicast::McastClient star_sender_;
-  Epoch star_epoch_ = 0;
-  /// Highest epoch this replica has emitted a marker for; replica-local
-  /// (deliberately not snapshotted) — it only throttles duplicate emission.
+  /// Highest epoch this replica has emitted a marker for; it only throttles
+  /// duplicate emission, so a restore resets it to the restored star_epoch_.
   Epoch star_marker_inflight_ = 0;
-  /// Master: multi-partition commands awaiting the next epoch switch, in
-  /// delivery order. Non-masters never queue here (they are not addressed).
-  std::deque<ExecCommandPtr> star_deferred_;
-  /// Non-master: per-epoch updates that arrived before (or while blocked at)
-  /// the epoch's marker. First sender wins; monotone epochs only.
-  std::map<Epoch, sim::Ref<const StarEpochUpdate>> star_updates_;
-};
-
-/// Defined out of line so it can name the core's private bookkeeping types.
-struct PartitionServerCore::Snapshot {
-  multicast::MemberCore::State member;
-  sim::ReliableLink::State reliable;
-
-  std::unordered_map<std::uint64_t, CachedReply> reply_cache;
-  ObjectStore store;  // deep-copied on capture AND restore
-  Assignment map;
-  Epoch epoch = 0;
-  std::deque<QueueItem> queue;
-  bool blocked = false;
-  std::deque<ExecCommandPtr> future;
-  CmdMap<TransferState> transfers;
-  CmdMap<LendRecord> lends;
-  std::unordered_set<ObjectId> lent_objects;
-  std::unordered_map<VertexId, int> lent_vertex_count;
-  CmdSet returns_seen;
-  CmdMap<sim::Ref<const VarReturn>> early_returns;
-  CmdSet sent_transfers;
-  CmdSet ssmr_sent;
-  CmdMap<std::set<PartitionId>> resolved;
-  CmdMap<std::map<PartitionId, sim::Ref<const LeaseGrant>>> lease_grants;
-  std::unordered_map<VertexId, std::uint64_t> lease_versions;
-  std::unordered_map<VertexId, PartitionId> awaited;
-  std::unordered_map<VertexId, PartitionId> obligations;
-  std::unordered_set<VertexId> fetch_requested;
-  std::unordered_set<VertexId> fetch_wanted;
-  std::set<std::pair<Epoch, std::uint64_t>> handoffs_seen;
-  std::vector<sim::Ref<const ObjectHandoff>> handoff_buffer;
-  std::map<std::pair<Epoch, std::uint64_t>, HandoffAssembly> handoff_assembly;
-  std::vector<std::uint64_t> hint_vertices;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> hint_edges;
-  std::uint64_t commands_since_hint = 0;
-  std::uint64_t hint_emissions = 0;
-  std::uint64_t location_updates_emitted = 0;
-  CmdMap<MoveRecord> dssmr_moves;
-  multicast::McastClient::State star_sender;
-  Epoch star_epoch = 0;
-  std::deque<ExecCommandPtr> star_deferred;
-  std::map<Epoch, sim::Ref<const StarEpochUpdate>> star_updates;
 };
 
 /// Carrier for a server snapshot travelling as an InstallSnapshotResp
-/// payload. The snapshot is immutable; receivers deep-copy on install.
+/// payload. The snapshot is immutable; installing it copies the ServerState,
+/// whose ObjectStore copy clones every object.
 struct ServerSnapshotMsg final : sim::Message {
   explicit ServerSnapshotMsg(PartitionServerCore::SnapshotPtr s)
       : state(std::move(s)) {}
   const char* type_name() const override { return "core.ServerSnapshot"; }
   std::size_t size_bytes() const override {
-    return 256 + (state ? state->store.total_bytes() : 0);
+    return 256 + (state ? state->state.store_.total_bytes() : 0);
   }
   PartitionServerCore::SnapshotPtr state;
 };

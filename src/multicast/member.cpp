@@ -35,19 +35,7 @@ void MemberCore::start() {
 }
 
 MemberCore::State MemberCore::capture_state() const {
-  State s;
-  s.clock = clock_;
-  s.pending = pending_;
-  s.seen = seen_;
-  s.delivered_count = delivered_count_;
-  s.early_proposals = early_proposals_;
-  s.final_submitted = final_submitted_;
-  s.channels = channels_;
-  s.unstarted = unstarted_;
-  s.outbox = outbox_;
-  s.group_sender_seq = group_sender_seq_;
-  s.replica = replica_.checkpoint_state();
-  return s;
+  return State{*this, replica_.checkpoint_state()};
 }
 
 void MemberCore::restore_state(const State& s) {
@@ -58,18 +46,9 @@ void MemberCore::restore_state(const State& s) {
   // deduplicated through seen_. (After a crash the map starts empty — no-op.)
   std::map<Uid, Unstarted> carried;
   for (const auto& [uid, entry] : unstarted_)
-    if (!s.seen.contains(uid)) carried.emplace(uid, entry);
-  clock_ = s.clock;
-  pending_ = s.pending;
-  seen_ = s.seen;
-  delivered_count_ = s.delivered_count;
-  early_proposals_ = s.early_proposals;
-  final_submitted_ = s.final_submitted;
-  channels_ = s.channels;
-  unstarted_ = s.unstarted;
-  for (const auto& [uid, entry] : carried) unstarted_.emplace(uid, entry);
-  outbox_ = s.outbox;
-  group_sender_seq_ = s.group_sender_seq;
+    if (!s.member.seen_.contains(uid)) carried.emplace(uid, entry);
+  MemberState::operator=(s.member);
+  unstarted_.merge(carried);  // installed entries win on a shared uid
   replica_.restore(s.replica);
 }
 

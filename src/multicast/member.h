@@ -24,21 +24,10 @@
 
 namespace dynastar::multicast {
 
-class MemberCore {
- public:
-  /// Called exactly once per a-delivered message, in the group's delivery
-  /// order.
-  using DeliverFn = std::function<void(const McastData&)>;
-
-  /// Admission gate consulted by the *leader* before ordering a single-group
-  /// message. Returning true sheds the message: it is still ordered (as a
-  /// shed-flagged Start entry, so every replica advances the sender's FIFO
-  /// channel and clock identically) but delivery routes to the shed handler
-  /// instead of the application. Multi-group messages are never gated —
-  /// shedding at one group would wedge peer groups waiting on timestamp
-  /// proposals.
-  using GateFn = std::function<bool(const McastData&)>;
-
+/// Everything a group member makes durable, apart from the Paxos position.
+/// MemberCore inherits it privately and its State holds one copy of it, so
+/// a field added here is captured and restored with no further edit.
+struct MemberState {
   struct Pending {
     McastDataPtr data;
     Timestamp local_ts = 0;
@@ -70,19 +59,59 @@ class MemberCore {
     SimTime since = 0;  // last submission attempt (age-gates resubmits)
   };
 
-  /// The complete multicast protocol state captured into a checkpoint. Plain
-  /// value copies; McastData payloads are immutable and shared by pointer.
+  Timestamp clock_ = 0;
+  std::unordered_map<Uid, Pending> pending_;
+  // Started or delivered uids (dedupe for Start), each with the group-local
+  // timestamp assigned at admission. The timestamp outlives the pending_
+  // entry on purpose: after this group delivers, a peer group whose copy of
+  // our proposal was lost still repair-polls with its own proposal, and we
+  // must be able to answer (see on_ts_proposal) or that group wedges.
+  // Uids are (sender << 32) | seq, so the table needs the mixing hash.
+  common::FlatMap<Uid, Timestamp, common::Mix64Hash> seen_;
+  std::uint64_t delivered_count_ = 0;
+
+  // Timestamp proposals that arrived before the Start entry was processed.
+  std::unordered_map<Uid, std::map<GroupId, Timestamp>> early_proposals_;
+  // Finals already submitted (leader-side dedupe; log-side dedupe also holds).
+  std::unordered_set<Uid> final_submitted_;
+
+  std::unordered_map<std::uint64_t, SenderChannel> channels_;
+
+  // McastSends received but not yet seen as Start entries; every replica
+  // retains (and periodically re-submits) them until started, so a send that
+  // reached only a follower — or whose leader died — still gets ordered.
+  std::map<Uid, Unstarted> unstarted_;
+
+  // Group-sender outbox: multicasts this group emitted (deterministically).
+  // The leader retransmits entries to destination groups that have not acked
+  // yet; fully-acked entries are pruned.
+  std::vector<OutEntry> outbox_;
+
+  // Deterministic per-destination-group fifo sequence counters for
+  // amcast_as_group (replicated state: identical at all replicas).
+  std::map<GroupId, std::uint64_t> group_sender_seq_;
+};
+
+class MemberCore : private MemberState {
+ public:
+  /// Called exactly once per a-delivered message, in the group's delivery
+  /// order.
+  using DeliverFn = std::function<void(const McastData&)>;
+
+  /// Admission gate consulted by the *leader* before ordering a single-group
+  /// message. Returning true sheds the message: it is still ordered (as a
+  /// shed-flagged Start entry, so every replica advances the sender's FIFO
+  /// channel and clock identically) but delivery routes to the shed handler
+  /// instead of the application. Multi-group messages are never gated —
+  /// shedding at one group would wedge peer groups waiting on timestamp
+  /// proposals.
+  using GateFn = std::function<bool(const McastData&)>;
+
+  /// A checkpoint of the member: the multicast protocol state plus the
+  /// Paxos position. Plain value copies; McastData payloads are immutable
+  /// and shared by pointer.
   struct State {
-    Timestamp clock = 0;
-    std::unordered_map<Uid, Pending> pending;
-    common::FlatMap<Uid, Timestamp, common::Mix64Hash> seen;
-    std::uint64_t delivered_count = 0;
-    std::unordered_map<Uid, std::map<GroupId, Timestamp>> early_proposals;
-    std::unordered_set<Uid> final_submitted;
-    std::unordered_map<std::uint64_t, SenderChannel> channels;
-    std::map<Uid, Unstarted> unstarted;
-    std::vector<OutEntry> outbox;
-    std::map<GroupId, std::uint64_t> group_sender_seq;
+    MemberState member;
     paxos::ReplicaRestart replica;
   };
 
@@ -109,8 +138,10 @@ class MemberCore {
   void start();
 
   /// Captures/restores the full multicast + Paxos-position state for
-  /// checkpoints. restore_state() leaves timers untouched; pair it with
-  /// start_recovered() when rejoining after a crash.
+  /// checkpoints. restore_state() assigns the whole MemberState, keeping
+  /// only the local unstarted_ entries the installed seen_ lacks; it leaves
+  /// timers untouched, so pair it with start_recovered() when rejoining
+  /// after a crash.
   [[nodiscard]] State capture_state() const;
   void restore_state(const State& s);
 
@@ -167,38 +198,6 @@ class MemberCore {
   GateFn gate_;
   DeliverFn shed_deliver_;
   TraceCollector* trace_ = nullptr;
-
-  Timestamp clock_ = 0;
-  std::unordered_map<Uid, Pending> pending_;
-  // Started or delivered uids (dedupe for Start), each with the group-local
-  // timestamp assigned at admission. The timestamp outlives the pending_
-  // entry on purpose: after this group delivers, a peer group whose copy of
-  // our proposal was lost still repair-polls with its own proposal, and we
-  // must be able to answer (see on_ts_proposal) or that group wedges.
-  // Uids are (sender << 32) | seq, so the table needs the mixing hash.
-  common::FlatMap<Uid, Timestamp, common::Mix64Hash> seen_;
-  std::uint64_t delivered_count_ = 0;
-
-  // Timestamp proposals that arrived before the Start entry was processed.
-  std::unordered_map<Uid, std::map<GroupId, Timestamp>> early_proposals_;
-  // Finals already submitted (leader-side dedupe; log-side dedupe also holds).
-  std::unordered_set<Uid> final_submitted_;
-
-  std::unordered_map<std::uint64_t, SenderChannel> channels_;
-
-  // McastSends received but not yet seen as Start entries; every replica
-  // retains (and periodically re-submits) them until started, so a send that
-  // reached only a follower — or whose leader died — still gets ordered.
-  std::map<Uid, Unstarted> unstarted_;
-
-  // Group-sender outbox: multicasts this group emitted (deterministically).
-  // The leader retransmits entries to destination groups that have not acked
-  // yet; fully-acked entries are pruned.
-  std::vector<OutEntry> outbox_;
-
-  // Deterministic per-destination-group fifo sequence counters for
-  // amcast_as_group (replicated state: identical at all replicas).
-  std::map<GroupId, std::uint64_t> group_sender_seq_;
 };
 
 }  // namespace dynastar::multicast

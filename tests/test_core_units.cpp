@@ -110,27 +110,89 @@ TEST(ObjectStore, ChurnKeepsIndexesExact) {
   check();
 }
 
-TEST(ObjectStore, DeepCopyDoesNotAliasLiveObjects) {
+/// 20 objects, four per vertex 0..4, with id 3 taken (a tombstone).
+ObjectStore sample_store() {
   ObjectStore store;
   for (std::uint64_t i = 0; i < 20; ++i)
     store.put(ObjectId{i}, VertexId{i / 4}, std::make_shared<KvObject>(i));
-  store.take(ObjectId{3});  // leave a tombstone behind
-  const ObjectStore copy = store.deep_copy();
-  ASSERT_EQ(copy.size(), store.size());
+  store.take(ObjectId{3});
+  return store;
+}
+
+void expect_sample(const ObjectStore& store) {
+  ASSERT_EQ(store.size(), 19u);
   for (std::uint64_t i = 0; i < 20; ++i) {
     if (i == 3) {
-      EXPECT_FALSE(copy.contains(ObjectId{i}));
+      EXPECT_FALSE(store.contains(ObjectId{i}));
       continue;
     }
-    ASSERT_NE(copy.find(ObjectId{i}), store.find(ObjectId{i}));
-    dynamic_cast<KvObject*>(store.find(ObjectId{i}))->value = 1000;
-    EXPECT_EQ(dynamic_cast<const KvObject*>(copy.find(ObjectId{i}))->value, i);
-    EXPECT_EQ(copy.vertex_of(ObjectId{i}), VertexId{i / 4});
+    const auto* kv = dynamic_cast<const KvObject*>(store.find(ObjectId{i}));
+    ASSERT_NE(kv, nullptr);
+    EXPECT_EQ(kv->value, i);
+    EXPECT_EQ(store.vertex_of(ObjectId{i}), VertexId{i / 4});
   }
-  store.take(ObjectId{0});
-  store.put(ObjectId{1}, VertexId{9}, nullptr);
-  EXPECT_EQ(copy.objects_of_vertex(VertexId{0}).size(), 3u);
-  EXPECT_TRUE(copy.objects_of_vertex(VertexId{9}).empty());
+  EXPECT_EQ(store.objects_of_vertex(VertexId{0}),
+            (std::vector<ObjectId>{ObjectId{0}, ObjectId{1}, ObjectId{2}}));
+  EXPECT_TRUE(store.objects_of_vertex(VertexId{9}).empty());
+}
+
+/// Mutates, takes and re-homes objects of `changed` and refills its
+/// tombstone; `other` must still hold exactly the sample.
+void expect_independent(ObjectStore& changed, const ObjectStore& other) {
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    if (i == 3) continue;
+    EXPECT_NE(changed.find(ObjectId{i}), other.find(ObjectId{i}));
+  }
+  dynamic_cast<KvObject*>(changed.find(ObjectId{1}))->value = 1000;
+  changed.take(ObjectId{0});
+  changed.put(ObjectId{2}, VertexId{9}, changed.take(ObjectId{2}));
+  changed.put(ObjectId{3}, VertexId{0}, std::make_shared<KvObject>(33));
+  expect_sample(other);
+}
+
+TEST(ObjectStore, CopiesDoNotAliasEitherSide) {
+  for (const bool mutate_copy : {false, true}) {
+    SCOPED_TRACE(mutate_copy ? "mutate copy" : "mutate source");
+    {
+      ObjectStore source = sample_store();
+      ObjectStore copy(source);
+      if (mutate_copy)
+        expect_independent(copy, source);
+      else
+        expect_independent(source, copy);
+    }
+    {
+      ObjectStore source = sample_store();
+      ObjectStore copy;
+      copy.put(ObjectId{99}, VertexId{9}, std::make_shared<KvObject>(99));
+      copy = source;  // replaces the previous contents entirely
+      if (mutate_copy)
+        expect_independent(copy, source);
+      else
+        expect_independent(source, copy);
+    }
+  }
+}
+
+TEST(ObjectStore, SelfAssignmentIsNoOp) {
+  ObjectStore store = sample_store();
+  const PRObject* before = store.find(ObjectId{1});
+  const ObjectStore& alias = store;
+  store = alias;
+  expect_sample(store);
+  EXPECT_EQ(store.find(ObjectId{1}), before);  // nothing was re-cloned
+}
+
+TEST(ObjectStore, MoveKeepsObjectsAndVertexIndex) {
+  ObjectStore store = sample_store();
+  const PRObject* before = store.find(ObjectId{1});
+  ObjectStore moved(std::move(store));
+  expect_sample(moved);
+  ObjectStore assigned;
+  assigned.put(ObjectId{99}, VertexId{9}, std::make_shared<KvObject>(99));
+  assigned = std::move(moved);
+  expect_sample(assigned);
+  EXPECT_EQ(assigned.find(ObjectId{1}), before);  // moved, not cloned
 }
 
 TEST(ChooseTarget, MostObjectsWins) {

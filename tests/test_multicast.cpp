@@ -255,5 +255,64 @@ TEST(Multicast, LeaderCrashDoesNotLoseMessages) {
                           mw.members[1][0]->delivered);
 }
 
+TEST(Multicast, RestoreCarriesUnstartedSendsTheInstalledStateLacks) {
+  // A live follower installs the leader's checkpoint. It holds McastSends
+  // for A and B in unstarted_; the installed state started B but never saw
+  // A. A must survive the install, be resubmitted and end up delivered; B
+  // must not be delivered twice. Both steps run as simulator events, so
+  // everything they send is ordered with the rest of the run.
+  MulticastWorld mw(1);
+  const ProcessId origin =
+      mw.world.spawn<SenderNode>(mw.topology, std::vector<SenderNode::Item>{},
+                                 0)
+          .id();
+  MemberNode& leader = *mw.members[0][0];
+  MemberNode& follower = *mw.members[0][1];
+  const auto send = [&](std::uint64_t sender, std::uint64_t tag) {
+    return sim::make_message<McastSend>(sim::make_message<McastData>(
+        (sender << 32) | 1, sender, origin, std::vector<GroupId>{GroupId{0}},
+        std::vector<std::pair<GroupId, std::uint64_t>>{{GroupId{0}, 1}},
+        sim::make_message<Tagged>(tag)));
+  };
+  const Uid uid_a = (Uid{7} << 32) | 1;
+  const Uid uid_b = (Uid{8} << 32) | 1;
+
+  bool leader_led = false;
+  mw.world.sim().schedule_at(milliseconds(200), [&] {
+    leader_led = leader.core().is_leader();
+    // Cut the follower off, so it sees neither the log nor its resubmits.
+    for (std::uint64_t p = 0; p < 5; ++p) {  // the group's replicas+acceptors
+      if (ProcessId{p} == follower.id()) continue;
+      mw.world.network().block_link(ProcessId{p}, follower.id());
+      mw.world.network().block_link(follower.id(), ProcessId{p});
+    }
+    const auto a = send(7, 1);
+    const auto b = send(8, 2);
+    leader.core().handle(origin, b);
+    follower.core().handle(origin, a);
+    follower.core().handle(origin, b);
+  });
+  std::vector<std::uint64_t> leader_before;
+  std::size_t follower_before = 0;
+  MemberCore::State installed;
+  mw.world.sim().schedule_at(milliseconds(400), [&] {
+    leader_before = leader.delivered_tags;
+    follower_before = follower.delivered.size();
+    installed = leader.core().capture_state();
+    follower.core().restore_state(installed);
+    mw.world.network().unblock_all();
+  });
+  mw.world.run_until(seconds(2));
+
+  ASSERT_TRUE(leader_led);
+  ASSERT_EQ(leader_before, (std::vector<std::uint64_t>{2}));
+  ASSERT_EQ(follower_before, 0u);
+  ASSERT_TRUE(installed.member.seen_.contains(uid_b));
+  ASSERT_FALSE(installed.member.seen_.contains(uid_a));
+  EXPECT_EQ(leader.delivered_tags, (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(follower.delivered_tags, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(follower.core().delivered_count(), 2u);
+}
+
 }  // namespace
 }  // namespace dynastar::multicast
