@@ -45,8 +45,8 @@ class BankApp final : public core::AppStateMachine {
                            core::ObjectStore& store) override {
     auto reply = sim::make_mutable_message<BankReply>();
     if (auto* transfer = dynamic_cast<const Transfer*>(cmd.payload.get())) {
-      auto* from = dynamic_cast<Account*>(store.find(cmd.objects[0]));
-      auto* to = dynamic_cast<Account*>(store.find(cmd.objects[1]));
+      auto* from = dynamic_cast<Account*>(store.get_mut(cmd.objects[0]));
+      auto* to = dynamic_cast<Account*>(store.get_mut(cmd.objects[1]));
       if (from == nullptr || to == nullptr || from->balance < transfer->amount) {
         reply->ok = false;
       } else {
@@ -57,7 +57,7 @@ class BankApp final : public core::AppStateMachine {
     }
     if (dynamic_cast<const Audit*>(cmd.payload.get()) != nullptr) {
       for (ObjectId id : cmd.objects) {
-        if (auto* account = dynamic_cast<Account*>(store.find(id)))
+        if (const auto* account = dynamic_cast<const Account*>(store.find(id)))
           reply->total += account->balance;
       }
       return {reply, microseconds(5)};

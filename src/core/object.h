@@ -1,8 +1,11 @@
 // PRObject and ObjectStore: the replicated data items a partition holds.
 //
 // PRObject is the paper's common interface for replicated data items
-// (§5.2). Objects move between partitions as immutable-in-flight clones;
-// the store indexes them by id and by home vertex so partitioning plans can
+// (§5.2). The store holds each object as an immutable, reference-counted
+// version: a borrow, a return, a lease grant, a STAR update and a checkpoint
+// all share the stored pointer, and a write clones the version first if
+// anyone else holds it (copy-on-write, ObjectStore::get_mut). The store
+// indexes objects by id and by home vertex so partitioning plans can
 // relocate a whole vertex at once.
 #pragma once
 
@@ -24,8 +27,8 @@ class PRObject {
  public:
   virtual ~PRObject() = default;
 
-  /// Deep copy; used when objects are shipped between partitions (S-SMR
-  /// sends copies, DynaStar moves the original and keeps none).
+  /// Deep copy; ObjectStore::get_mut calls it to write a version that is
+  /// shared (with a checkpoint, an in-flight envelope or another replica).
   [[nodiscard]] virtual std::unique_ptr<PRObject> clone() const = 0;
 
   /// Approximate serialized size, for network cost accounting.
@@ -49,7 +52,10 @@ inline std::uint64_t digest_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-using ObjectPtr = std::shared_ptr<PRObject>;
+/// One immutable version of an object. Versions are shared freely; only
+/// ObjectStore::get_mut writes one, and only while the store holds the sole
+/// reference.
+using ObjectPtr = std::shared_ptr<const PRObject>;
 
 /// A partition replica's local object storage with a vertex index.
 ///
@@ -58,29 +64,33 @@ using ObjectPtr = std::shared_ptr<PRObject>;
 /// (and its capacity) while its objects are lent out; objects_of_vertex
 /// lists ids in insertion order.
 ///
+/// Reads go through find(), writes through get_mut(), which clones a
+/// version only when it is shared (use_count() > 1) and is the one place
+/// that turns a stored version writable. No version is ever written while
+/// shared, so a copy of the store (a checkpoint, or a restore from one)
+/// shares every object with its source and still never observes a later
+/// write on either side.
+///
 /// Single-threaded by default. The parallel executor's real-thread backend
 /// installs a concurrency guard for the duration of a batch
 /// (set_concurrency_guard): index lookups take it shared, structural
-/// mutations (put/take) take it exclusive. Objects returned by find() are
-/// only written by one lane at a time — the conflict graph guarantees no
-/// two in-flight commands share a vertex unless both are read-only.
+/// mutations (put/take) take it exclusive. get_mut takes it shared: it
+/// rewrites only the pointer of the entry it is asked for, and the conflict
+/// graph guarantees that entry belongs to the calling lane — no two
+/// in-flight commands share a vertex unless both are read-only, and a
+/// read-only command never calls get_mut.
 class ObjectStore {
  public:
   ObjectStore() = default;
 
-  /// Copies are deep: every object is cloned, so a copy (a checkpoint, or a
-  /// restore from one) never aliases the source's mutable objects. The
+  /// Copies share every version with the source (see above). The
   /// concurrency guard is never copied.
   ObjectStore(const ObjectStore& other)
-      : objects_(other.objects_), by_vertex_(other.by_vertex_) {
-    for (auto& [id, entry] : objects_)
-      if (entry.object) entry.object = ObjectPtr(entry.object->clone());
-  }
+      : objects_(other.objects_), by_vertex_(other.by_vertex_) {}
   ObjectStore& operator=(const ObjectStore& other) {
     if (this != &other) {
-      ObjectStore copy(other);
-      objects_ = std::move(copy.objects_);
-      by_vertex_ = std::move(copy.by_vertex_);
+      objects_ = other.objects_;
+      by_vertex_ = other.by_vertex_;
     }
     return *this;
   }
@@ -105,8 +115,8 @@ class ObjectStore {
     return objects_.contains(id);
   }
 
-  /// Mutable access for command execution; nullptr when absent.
-  [[nodiscard]] PRObject* find(ObjectId id) {
+  /// Read access; nullptr when absent.
+  [[nodiscard]] const PRObject* find(ObjectId id) const {
     if (guard_ != nullptr) {
       std::shared_lock<std::shared_mutex> lock(*guard_);
       return find_unlocked(id);
@@ -114,12 +124,25 @@ class ObjectStore {
     return find_unlocked(id);
   }
 
-  [[nodiscard]] const PRObject* find(ObjectId id) const {
+  /// Write access for command execution; nullptr when absent. Clones the
+  /// version first when anyone else holds it, so the pointer returned is
+  /// the store's own until the store is next copied or the object shipped.
+  [[nodiscard]] PRObject* get_mut(ObjectId id) {
     if (guard_ != nullptr) {
       std::shared_lock<std::shared_mutex> lock(*guard_);
-      return find_unlocked(id);
+      return get_mut_unlocked(id);
     }
-    return find_unlocked(id);
+    return get_mut_unlocked(id);
+  }
+
+  /// The stored version itself (nullptr when absent), for shipping it
+  /// without a copy.
+  [[nodiscard]] ObjectPtr share(ObjectId id) const {
+    if (guard_ != nullptr) {
+      std::shared_lock<std::shared_mutex> lock(*guard_);
+      return share_unlocked(id);
+    }
+    return share_unlocked(id);
   }
 
   [[nodiscard]] VertexId vertex_of(ObjectId id) const {
@@ -188,14 +211,24 @@ class ObjectStore {
     if (pos != ids.end()) ids.erase(pos);
   }
 
-  [[nodiscard]] PRObject* find_unlocked(ObjectId id) {
+  [[nodiscard]] const PRObject* find_unlocked(ObjectId id) const {
     auto it = objects_.find(id);
     return it == objects_.end() ? nullptr : it->second.object.get();
   }
 
-  [[nodiscard]] const PRObject* find_unlocked(ObjectId id) const {
+  [[nodiscard]] PRObject* get_mut_unlocked(ObjectId id) {
     auto it = objects_.find(id);
-    return it == objects_.end() ? nullptr : it->second.object.get();
+    if (it == objects_.end() || !it->second.object) return nullptr;
+    ObjectPtr& object = it->second.object;
+    if (object.use_count() > 1) object = object->clone();
+    // Sole owner: every version is created writable (make_shared<T> or
+    // clone()) and only shared as const, so dropping const here is sound.
+    return const_cast<PRObject*>(object.get());
+  }
+
+  [[nodiscard]] ObjectPtr share_unlocked(ObjectId id) const {
+    auto it = objects_.find(id);
+    return it == objects_.end() ? nullptr : it->second.object;
   }
 
   [[nodiscard]] VertexId vertex_of_unlocked(ObjectId id) const {

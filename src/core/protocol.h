@@ -18,12 +18,14 @@
 
 namespace dynastar::core {
 
-/// An object in flight between partitions. `object` is an immutable clone;
-/// a null object means "the id was requested but does not exist".
+/// An object in flight between partitions. `object` is the sender's stored
+/// version, shared rather than copied (ObjectStore's copy-on-write keeps it
+/// immutable); a null object means "the id was requested but does not
+/// exist".
 struct ObjectEnvelope {
   ObjectId id;
   VertexId vertex;
-  std::shared_ptr<const PRObject> object;
+  ObjectPtr object;
 };
 
 inline std::size_t envelopes_bytes(const std::vector<ObjectEnvelope>& objs) {
@@ -306,8 +308,8 @@ struct StarEpochUpdate final : sim::Message {
 
 /// One leased vertex inside a LeaseGrant. `objects` empty means the lender
 /// believes the reader already holds a live lease on `vertex` at `version`
-/// (data-less refresh); non-empty carries a full cloned copy and installs or
-/// refreshes the reader-side lease.
+/// (data-less refresh); non-empty carries the lender's object versions
+/// (shared, not copied) and installs or refreshes the reader-side lease.
 struct LeaseEntry {
   VertexId vertex;
   /// Lender-side mutation counter for the vertex at grant time. A reader

@@ -31,12 +31,6 @@ ScenarioBuilder& ScenarioBuilder::repartitioning(bool enabled) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::preload_kv(std::uint64_t keys,
-                                             const PRObject& prototype) {
-  kv_preloads_.push_back(KvPreload{keys, ObjectPtr(prototype.clone())});
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::preload(std::function<void(System&)> fn) {
   preload_fns_.push_back(std::move(fn));
   return *this;
@@ -71,7 +65,7 @@ std::unique_ptr<System> ScenarioBuilder::build() const {
     for (std::uint64_t k = 0; k < preload.keys; ++k) {
       const PartitionId p{k % config_.num_partitions};
       assignment[VertexId{k}] = p;
-      system->preload_object(ObjectId{k}, VertexId{k}, p, *preload.prototype);
+      system->preload_object(ObjectId{k}, VertexId{k}, p, preload.prototype);
     }
     system->preload_assignment(assignment);
   }

@@ -18,6 +18,7 @@
 // drive and inspect a run; the builder only removes setup boilerplate.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -114,10 +115,16 @@ class ScenarioBuilder {
     return *this;
   }
 
-  /// Preloads `keys` clones of `prototype` as objects 0..keys-1 (vertex k =
-  /// object k) placed round-robin across partitions, and installs the
-  /// matching epoch-0 assignment.
-  ScenarioBuilder& preload_kv(std::uint64_t keys, const PRObject& prototype);
+  /// Preloads `keys` objects 0..keys-1 (vertex k = object k) placed
+  /// round-robin across partitions, and installs the matching epoch-0
+  /// assignment. Every key starts as one shared version of `prototype`; the
+  /// first write to a key clones it (ObjectStore::get_mut).
+  template <std::derived_from<PRObject> Object>
+  ScenarioBuilder& preload_kv(std::uint64_t keys, Object prototype) {
+    kv_preloads_.push_back(
+        KvPreload{keys, std::make_shared<Object>(std::move(prototype))});
+    return *this;
+  }
 
   /// Custom preload hook (Chirper/TPC-C style setup); runs after
   /// preload_kv, in registration order, before clients are added.

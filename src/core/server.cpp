@@ -769,10 +769,7 @@ bool PartitionServerCore::transfers_ready_for_ssmr(const ExecCommand& ec) {
     for (std::size_t i = 0; i < ec.cmd->objects.size(); ++i) {
       if (ec.owners[i] != partition_) continue;
       const ObjectId id = ec.cmd->objects[i];
-      const PRObject* obj = store_.find(id);
-      mine.push_back(ObjectEnvelope{
-          id, ec.cmd->vertices[i],
-          obj ? std::shared_ptr<const PRObject>(obj->clone()) : nullptr});
+      mine.push_back(ObjectEnvelope{id, ec.cmd->vertices[i], store_.share(id)});
     }
     env_.consume_cpu(kPerObjectMoveCost *
                      static_cast<SimTime>(mine.size() + 1));
@@ -986,9 +983,7 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
     if (ec.owners[i] != partition_) continue;
     const ObjectId id = ec.cmd->objects[i];
     const VertexId v = ec.cmd->vertices[i];
-    ObjectPtr obj = store_.take(id);
-    mine.push_back(ObjectEnvelope{
-        id, v, std::shared_ptr<const PRObject>(std::move(obj))});
+    mine.push_back(ObjectEnvelope{id, v, store_.take(id)});
     lend.vertices.push_back(v);
   }
   std::sort(lend.vertices.begin(), lend.vertices.end());
@@ -1087,10 +1082,7 @@ void PartitionServerCore::grant_lease(const ExecCommand& ec) {
     }
     LeaseEntry entry{v, version, {}};
     for (ObjectId id : store_.objects_of_vertex(v)) {
-      const PRObject* obj = store_.find(id);
-      entry.objects.push_back(ObjectEnvelope{
-          id, v,
-          obj ? std::shared_ptr<const PRObject>(obj->clone()) : nullptr});
+      entry.objects.push_back(ObjectEnvelope{id, v, store_.share(id)});
       ++copied;
     }
     holders.insert(ec.target);
@@ -1191,7 +1183,7 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
     if (lease == leases_.end()) continue;  // validated above; defensive
     for (const ObjectEnvelope& env : lease->second.objects) {
       if (!env.object) continue;
-      store_.put(env.id, env.vertex, ObjectPtr(env.object->clone()));
+      store_.put(env.id, env.vertex, env.object);
       spliced.push_back(env.id);
     }
   }
@@ -1426,12 +1418,8 @@ void PartitionServerCore::star_execute_batch(Epoch epoch) {
       vertices.reserve(it->second.size());
       for (VertexId v : it->second) {
         std::vector<ObjectEnvelope> envs;
-        for (ObjectId id : store_.objects_of_vertex(v)) {
-          const PRObject* obj = store_.find(id);
-          envs.push_back(ObjectEnvelope{
-              id, v,
-              obj ? std::shared_ptr<const PRObject>(obj->clone()) : nullptr});
-        }
+        for (ObjectId id : store_.objects_of_vertex(v))
+          envs.push_back(ObjectEnvelope{id, v, store_.share(id)});
         shipped += envs.size();
         vertices.emplace_back(v, std::move(envs));
       }
@@ -1780,7 +1768,7 @@ void PartitionServerCore::insert_envelopes(
     const std::vector<ObjectEnvelope>& envelopes) {
   for (const auto& env : envelopes) {
     if (!env.object) continue;  // the object did not exist at the source
-    store_.put(env.id, env.vertex, ObjectPtr(env.object->clone()));
+    store_.put(env.id, env.vertex, env.object);
   }
 }
 
@@ -1788,9 +1776,7 @@ std::vector<ObjectEnvelope> PartitionServerCore::extract_vertex(
     VertexId vertex) {
   std::vector<ObjectEnvelope> envelopes;
   for (ObjectId id : store_.objects_of_vertex(vertex)) {
-    ObjectPtr obj = store_.take(id);
-    envelopes.push_back(ObjectEnvelope{
-        id, vertex, std::shared_ptr<const PRObject>(std::move(obj))});
+    envelopes.push_back(ObjectEnvelope{id, vertex, store_.take(id)});
   }
   return envelopes;
 }

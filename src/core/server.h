@@ -44,10 +44,11 @@ constexpr GroupId kOracleGroup{0};
 
 /// Everything a partition replica makes durable. PartitionServerCore
 /// inherits it privately and a checkpoint holds one copy of it, so a field
-/// added here is captured and restored with no further edit. Copies are deep:
-/// ObjectStore clones its objects, and the ref-counted messages are
-/// immutable. State that is volatile by design stays in the core, outside
-/// this struct, and restore_snapshot() resets it explicitly.
+/// added here is captured and restored with no further edit. Copies share
+/// what is immutable: ObjectStore shares its object versions (copy-on-write),
+/// and the ref-counted messages are immutable. State that is volatile by
+/// design stays in the core, outside this struct, and restore_snapshot()
+/// resets it explicitly.
 struct ServerState {
   /// Dedupe key for per-command coordination: (cmd_id, attempt).
   using CmdKey = std::pair<std::uint64_t, std::uint32_t>;
@@ -216,8 +217,8 @@ class PartitionServerCore : private ServerState {
     checkpoint_sink_ = std::move(sink);
   }
 
-  /// Captures the durable state: one ServerState copy (objects cloned) plus
-  /// each sub-object's own capture().
+  /// Captures the durable state: one ServerState copy (object versions
+  /// shared, not cloned) plus each sub-object's own capture().
   [[nodiscard]] SnapshotPtr capture_snapshot() const;
 
   /// Replaces the durable state with a snapshot's contents and resets the
@@ -430,7 +431,7 @@ class PartitionServerCore : private ServerState {
 
 /// Carrier for a server snapshot travelling as an InstallSnapshotResp
 /// payload. The snapshot is immutable; installing it copies the ServerState,
-/// whose ObjectStore copy clones every object.
+/// whose ObjectStore copy shares every object version with the snapshot.
 struct ServerSnapshotMsg final : sim::Message {
   explicit ServerSnapshotMsg(PartitionServerCore::SnapshotPtr s)
       : state(std::move(s)) {}

@@ -122,16 +122,16 @@ ClientNode& System::add_client(std::unique_ptr<ClientDriver> driver,
 }
 
 void System::preload_object(ObjectId id, VertexId vertex, PartitionId partition,
-                            const PRObject& object) {
+                            ObjectPtr object) {
   for (ServerNode* node : server_nodes_[partition.value()])
-    node->core().preload_object(id, vertex, ObjectPtr(object.clone()));
+    node->core().preload_object(id, vertex, object);
   // STAR: the master partition is a full replica, so preloaded state must
   // exist there too (the run keeps it fresh by addressing every command to
   // the master as well).
   const PartitionId master{config_.star_master_partition};
   if (config_.mode == ExecutionMode::kStar && partition != master) {
     for (ServerNode* node : server_nodes_[master.value()])
-      node->core().preload_object(id, vertex, ObjectPtr(object.clone()));
+      node->core().preload_object(id, vertex, object);
   }
 }
 

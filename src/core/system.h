@@ -3,6 +3,7 @@
 // pre-run state loading the benchmarks use.
 #pragma once
 
+#include <concepts>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -33,9 +34,17 @@ class System {
                          bool surge_only = false);
 
   // --- pre-run state loading (must happen before run_until) ---
-  /// Installs `object` (cloned per replica) at `partition` under `vertex`.
+  /// Installs one version of `object`, shared by every replica of
+  /// `partition` (and by the STAR master), under `vertex`. The first write
+  /// at a replica clones it there (ObjectStore::get_mut).
   void preload_object(ObjectId id, VertexId vertex, PartitionId partition,
-                      const PRObject& object);
+                      ObjectPtr object);
+  template <std::derived_from<PRObject> Object>
+  void preload_object(ObjectId id, VertexId vertex, PartitionId partition,
+                      Object object) {
+    preload_object(id, vertex, partition,
+                   std::make_shared<Object>(std::move(object)));
+  }
   /// Installs the initial vertex -> partition map at the oracle and every
   /// server (epoch 0).
   void preload_assignment(const Assignment& assignment);

@@ -1,6 +1,39 @@
 #include "paxos/acceptor.h"
 
+#include <stdexcept>
+
 namespace dynastar::paxos {
+
+const AcceptedEntry& VoteWindow::at(Slot slot) const {
+  if (!contains(slot)) throw std::out_of_range("VoteWindow::at");
+  return entries_[slot - base_];
+}
+
+void VoteWindow::record(AcceptedEntry entry) {
+  const Slot slot = entry.slot;
+  const AcceptedEntry gap{0, kNoBallot, nullptr};
+  if (entries_.empty()) {
+    base_ = slot;
+    entries_.push_back(gap);
+  } else if (slot < base_) {
+    entries_.insert(entries_.begin(), base_ - slot, gap);
+    base_ = slot;
+  } else if (slot - base_ >= entries_.size()) {
+    entries_.resize(slot - base_ + 1, gap);
+  }
+  AcceptedEntry& cell = entries_[slot - base_];
+  if (cell.ballot == kNoBallot) ++votes_;
+  cell = std::move(entry);
+}
+
+void VoteWindow::trim_below(Slot slot) {
+  while (!entries_.empty() &&
+         (base_ < slot || entries_.front().ballot == kNoBallot)) {
+    if (entries_.front().ballot != kNoBallot) --votes_;
+    entries_.pop_front();
+    ++base_;
+  }
+}
 
 bool AcceptorCore::handle(ProcessId from, const sim::MessagePtr& msg) {
   if (auto* prepare = dynamic_cast<const Prepare*>(msg.get())) {
@@ -24,10 +57,9 @@ void AcceptorCore::on_prepare(ProcessId from, const Prepare& msg) {
   }
   storage_.promised = msg.ballot;
   std::vector<AcceptedEntry> accepted;
-  for (auto it = storage_.votes.lower_bound(msg.from_slot);
-       it != storage_.votes.end(); ++it) {
-    accepted.push_back(it->second);
-  }
+  storage_.votes.for_each_from(msg.from_slot, [&](const AcceptedEntry& e) {
+    accepted.push_back(e);
+  });
   env_.send_message(
       from, sim::make_message<Promise>(group_, msg.ballot, std::move(accepted)));
 }
@@ -39,7 +71,7 @@ void AcceptorCore::on_accept(ProcessId from, const Accept& msg) {
     return;
   }
   storage_.promised = msg.ballot;
-  storage_.votes[msg.slot] = AcceptedEntry{msg.slot, msg.ballot, msg.value};
+  storage_.votes.record(AcceptedEntry{msg.slot, msg.ballot, msg.value});
   // Trim votes far below the leader's applied prefix. The window covers a
   // prospective new leader whose own applied prefix lags the old leader's:
   // its phase-1 recovery still finds every vote it can need. A replica
@@ -48,9 +80,7 @@ void AcceptorCore::on_accept(ProcessId from, const Accept& msg) {
   // below this bound.
   constexpr Slot kVoteWindow = 4096;
   if (msg.committed > kVoteWindow)
-    storage_.votes.erase(
-        storage_.votes.begin(),
-        storage_.votes.lower_bound(msg.committed - kVoteWindow));
+    storage_.votes.trim_below(msg.committed - kVoteWindow);
   env_.send_message(from, sim::make_message<Accepted>(group_, msg.ballot, msg.slot));
 }
 

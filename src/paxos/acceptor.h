@@ -3,7 +3,8 @@
 // keeps across crashes — modeling stable storage.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <deque>
 #include <memory>
 
 #include "paxos/messages.h"
@@ -12,10 +13,46 @@
 
 namespace dynastar::paxos {
 
+/// The acceptor's votes as a slot-indexed window: entry i holds slot
+/// base + i, and an entry whose ballot is kNoBallot is a gap (no vote).
+/// Slots are dense and arrive nearly in order, so an accept is an append or
+/// an overwrite in place, and trimming pops from the front. The window's
+/// first and last entries are always votes, so a stray slot far from the
+/// rest costs at most the gap between them until the next trim.
+class VoteWindow {
+ public:
+  [[nodiscard]] bool contains(Slot slot) const {
+    return slot >= base_ && slot - base_ < entries_.size() &&
+           entries_[slot - base_].ballot != kNoBallot;
+  }
+  /// The vote at `slot`; throws std::out_of_range when there is none.
+  [[nodiscard]] const AcceptedEntry& at(Slot slot) const;
+  /// Number of votes (gaps excluded).
+  [[nodiscard]] std::size_t size() const { return votes_; }
+
+  /// Records (or overwrites) the vote at entry.slot.
+  void record(AcceptedEntry entry);
+  /// Drops every vote below `slot`.
+  void trim_below(Slot slot);
+
+  /// Calls fn(entry) for every vote at a slot >= `from`, in slot order.
+  template <typename Fn>
+  void for_each_from(Slot from, Fn&& fn) const {
+    for (std::size_t i = from > base_ ? from - base_ : 0; i < entries_.size();
+         ++i)
+      if (entries_[i].ballot != kNoBallot) fn(entries_[i]);
+  }
+
+ private:
+  Slot base_ = 0;
+  std::deque<AcceptedEntry> entries_;
+  std::size_t votes_ = 0;
+};
+
 /// Durable acceptor state; survives process crashes.
 struct AcceptorStorage {
   Ballot promised = kNoBallot;  // kNoBallot == never promised
-  std::map<Slot, AcceptedEntry> votes;
+  VoteWindow votes;
 };
 
 class AcceptorCore {

@@ -19,7 +19,7 @@ core::ExecResult ChirperApp::execute(const core::Command& cmd,
   switch (op->kind) {
     case ChirperOp::Kind::kPost: {
       for (std::size_t i = 0; i < cmd.objects.size(); ++i) {
-        auto* user = dynamic_cast<UserObject*>(store.find(cmd.objects[i]));
+        auto* user = dynamic_cast<UserObject*>(store.get_mut(cmd.objects[i]));
         if (user == nullptr) continue;
         if (cmd.objects[i].value() == op->author) {
           user->posts += 1;
@@ -32,7 +32,8 @@ core::ExecResult ChirperApp::execute(const core::Command& cmd,
                              static_cast<SimTime>(cmd.objects.size())};
     }
     case ChirperOp::Kind::kTimeline: {
-      auto* user = dynamic_cast<UserObject*>(store.find(cmd.objects.front()));
+      const auto* user =
+          dynamic_cast<const UserObject*>(store.find(cmd.objects.front()));
       if (user == nullptr) {
         reply->ok = false;
       } else {
@@ -46,14 +47,14 @@ core::ExecResult ChirperApp::execute(const core::Command& cmd,
       const int delta = op->kind == ChirperOp::Kind::kFollow ? 1 : -1;
       // objects[0] = follower, objects[1] = followee.
       if (auto* follower =
-              dynamic_cast<UserObject*>(store.find(cmd.objects[0]))) {
+              dynamic_cast<UserObject*>(store.get_mut(cmd.objects[0]))) {
         follower->following_count =
             static_cast<std::uint32_t>(
                 std::max(0, static_cast<int>(follower->following_count) + delta));
       }
       if (cmd.objects.size() > 1) {
         if (auto* followee =
-                dynamic_cast<UserObject*>(store.find(cmd.objects[1]))) {
+                dynamic_cast<UserObject*>(store.get_mut(cmd.objects[1]))) {
           followee->followers_count = static_cast<std::uint32_t>(std::max(
               0, static_cast<int>(followee->followers_count) + delta));
         }

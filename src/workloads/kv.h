@@ -59,17 +59,19 @@ class KvApp final : public core::AppStateMachine {
     const auto* op = dynamic_cast<const KvOp*>(cmd.payload.get());
     std::vector<std::optional<std::uint64_t>> observed;
     observed.reserve(cmd.objects.size());
+    const bool put = op != nullptr && op->kind == KvOp::Kind::kPut;
     for (std::size_t i = 0; i < cmd.objects.size(); ++i) {
-      auto* obj = dynamic_cast<KvObject*>(store.find(cmd.objects[i]));
+      const auto* obj =
+          dynamic_cast<const KvObject*>(store.find(cmd.objects[i]));
       observed.push_back(obj ? std::optional<std::uint64_t>(obj->value)
                              : std::nullopt);
-      if (op != nullptr && op->kind == KvOp::Kind::kPut) {
-        if (obj == nullptr) {
-          store.put(cmd.objects[i], cmd.vertices[i],
-                    std::make_shared<KvObject>(op->value));
-        } else {
-          obj->value = op->value;
-        }
+      if (!put) continue;
+      if (obj == nullptr) {
+        store.put(cmd.objects[i], cmd.vertices[i],
+                  std::make_shared<KvObject>(op->value));
+      } else {
+        static_cast<KvObject*>(store.get_mut(cmd.objects[i]))->value =
+            op->value;
       }
     }
     return core::ExecResult{sim::make_message<KvReply>(std::move(observed)),

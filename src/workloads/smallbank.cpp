@@ -4,7 +4,7 @@ namespace dynastar::workloads::smallbank {
 
 namespace {
 CustomerAccounts* account(core::ObjectStore& store, ObjectId id) {
-  return dynamic_cast<CustomerAccounts*>(store.find(id));
+  return dynamic_cast<CustomerAccounts*>(store.get_mut(id));
 }
 }  // namespace
 
@@ -16,6 +16,16 @@ core::ExecResult SmallBankApp::execute(const core::Command& cmd,
     reply->ok = false;
     return {reply, microseconds(2)};
   }
+  if (op->kind == Op::Kind::kBalance) {  // read-only: never get_mut
+    const auto* a =
+        dynamic_cast<const CustomerAccounts*>(store.find(cmd.objects[0]));
+    if (a == nullptr) {
+      reply->ok = false;
+      return {reply, microseconds(2)};
+    }
+    reply->balance = a->checking + a->savings;
+    return {reply, microseconds(4)};
+  }
   CustomerAccounts* a = account(store, cmd.objects[0]);
   CustomerAccounts* b =
       cmd.objects.size() > 1 ? account(store, cmd.objects[1]) : nullptr;
@@ -26,8 +36,7 @@ core::ExecResult SmallBankApp::execute(const core::Command& cmd,
 
   switch (op->kind) {
     case Op::Kind::kBalance:
-      reply->balance = a->checking + a->savings;
-      return {reply, microseconds(4)};
+      break;  // answered above
     case Op::Kind::kDepositChecking:
       if (op->amount < 0) {
         reply->ok = false;
@@ -83,7 +92,9 @@ void setup(core::System& system, std::uint32_t customers,
            double initial_checking, double initial_savings) {
   core::Assignment assignment;
   const std::uint32_t k = system.config().num_partitions;
-  CustomerAccounts prototype(initial_checking, initial_savings);
+  // One shared version; the first write to an account clones it.
+  const core::ObjectPtr prototype =
+      std::make_shared<CustomerAccounts>(initial_checking, initial_savings);
   for (std::uint32_t c = 0; c < customers; ++c) {
     const PartitionId p{c % k};
     assignment[customer_vertex(c)] = p;

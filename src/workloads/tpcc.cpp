@@ -14,9 +14,17 @@ double item_price(std::uint32_t item) {
   return 1.0 + static_cast<double>((item * 2654435761u) % 9900) / 100.0;
 }
 
+/// Rows are read through row() and written through row_mut(), which goes
+/// through ObjectStore::get_mut (copy-on-write); read-only transactions use
+/// row() only.
 template <typename T>
-T* row(core::ObjectStore& store, ObjectId id) {
-  return dynamic_cast<T*>(store.find(id));
+const T* row(const core::ObjectStore& store, ObjectId id) {
+  return dynamic_cast<const T*>(store.find(id));
+}
+
+template <typename T>
+T* row_mut(core::ObjectStore& store, ObjectId id) {
+  return dynamic_cast<T*>(store.get_mut(id));
 }
 
 }  // namespace
@@ -31,10 +39,11 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
   SimTime cost = microseconds(10);
 
   if (auto* args = dynamic_cast<const NewOrderArgs*>(cmd.payload.get())) {
-    auto* warehouse = row<WarehouseRow>(store, oid(Table::kWarehouse, args->w, 0, 0));
+    const auto* warehouse =
+        row<WarehouseRow>(store, oid(Table::kWarehouse, args->w, 0, 0));
     auto* district =
-        row<DistrictRow>(store, oid(Table::kDistrict, args->w, args->d, 0));
-    auto* customer = row<CustomerRow>(
+        row_mut<DistrictRow>(store, oid(Table::kDistrict, args->w, args->d, 0));
+    const auto* customer = row<CustomerRow>(
         store, oid(Table::kCustomer, args->w, args->d, args->c));
     if (warehouse == nullptr || district == nullptr || customer == nullptr) {
       reply->ok = false;
@@ -45,7 +54,7 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
     order->c_id = args->c;
     double total = 0;
     for (const OrderLine& line : args->lines) {
-      auto* stock = row<StockRow>(
+      auto* stock = row_mut<StockRow>(
           store, oid(Table::kStock, line.supply_w, 0, line.item));
       if (stock != nullptr) {
         if (stock->quantity >= line.quantity + 10) {
@@ -76,13 +85,14 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
   }
 
   if (auto* args = dynamic_cast<const PaymentArgs*>(cmd.payload.get())) {
-    auto* warehouse = row<WarehouseRow>(store, oid(Table::kWarehouse, args->w, 0, 0));
+    auto* warehouse =
+        row_mut<WarehouseRow>(store, oid(Table::kWarehouse, args->w, 0, 0));
     auto* district =
-        row<DistrictRow>(store, oid(Table::kDistrict, args->w, args->d, 0));
-    auto* customer = row<CustomerRow>(
+        row_mut<DistrictRow>(store, oid(Table::kDistrict, args->w, args->d, 0));
+    auto* customer = row_mut<CustomerRow>(
         store, oid(Table::kCustomer, args->c_w, args->c_d, args->c));
     auto* history =
-        row<HistoryRow>(store, oid(Table::kHistory, args->w, args->d, 0));
+        row_mut<HistoryRow>(store, oid(Table::kHistory, args->w, args->d, 0));
     if (warehouse == nullptr || district == nullptr || customer == nullptr) {
       reply->ok = false;
       return {reply, cost};
@@ -101,7 +111,7 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
   }
 
   if (auto* args = dynamic_cast<const OrderStatusArgs*>(cmd.payload.get())) {
-    auto* customer = row<CustomerRow>(
+    const auto* customer = row<CustomerRow>(
         store, oid(Table::kCustomer, args->w, args->d, args->c));
     if (customer == nullptr) {
       reply->ok = false;
@@ -109,7 +119,7 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
     }
     reply->balance = customer->balance;
     if (args->o_id != 0) {
-      auto* order =
+      const auto* order =
           row<OrderRow>(store, oid(Table::kOrder, args->w, args->d, args->o_id));
       if (order != nullptr) reply->o_id = args->o_id;
     }
@@ -120,15 +130,15 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
     // Oldest undelivered order of this district; all rows are co-homed with
     // the district vertex, so they are local at the executing partition.
     auto* district =
-        row<DistrictRow>(store, oid(Table::kDistrict, args->w, args->d, 0));
+        row_mut<DistrictRow>(store, oid(Table::kDistrict, args->w, args->d, 0));
     if (district == nullptr) {
       reply->ok = false;
       return {reply, cost};
     }
     while (district->next_delivery_o_id < district->next_o_id) {
       const std::uint32_t o_id = district->next_delivery_o_id;
-      auto* order =
-          row<OrderRow>(store, oid(Table::kOrder, args->w, args->d, o_id));
+      const ObjectId order_id = oid(Table::kOrder, args->w, args->d, o_id);
+      const auto* order = row<OrderRow>(store, order_id);
       if (order == nullptr) {
         // Created under a borrowed vertex and not yet visible here — this
         // cannot happen thanks to head-of-line blocking; skip defensively.
@@ -139,11 +149,12 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
         district->next_delivery_o_id += 1;
         continue;
       }
-      order->carrier = args->carrier;
+      auto* delivered = row_mut<OrderRow>(store, order_id);
+      delivered->carrier = args->carrier;
       double total = 0;
-      for (const OrderLine& line : order->lines) total += line.amount;
-      auto* customer = row<CustomerRow>(
-          store, oid(Table::kCustomer, args->w, args->d, order->c_id));
+      for (const OrderLine& line : delivered->lines) total += line.amount;
+      auto* customer = row_mut<CustomerRow>(
+          store, oid(Table::kCustomer, args->w, args->d, delivered->c_id));
       if (customer != nullptr) {
         customer->balance += total;
         customer->delivery_cnt += 1;
@@ -156,7 +167,7 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
   }
 
   if (auto* args = dynamic_cast<const StockScanArgs*>(cmd.payload.get())) {
-    auto* district =
+    const auto* district =
         row<DistrictRow>(store, oid(Table::kDistrict, args->w, args->d, 0));
     if (district == nullptr) {
       reply->ok = false;
@@ -166,7 +177,7 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
                             ? district->recent_orders.size() - args->last_n
                             : 0;
     for (std::size_t i = start; i < district->recent_orders.size(); ++i) {
-      auto* order = row<OrderRow>(
+      const auto* order = row<OrderRow>(
           store,
           oid(Table::kOrder, args->w, args->d, district->recent_orders[i]));
       if (order == nullptr) continue;
@@ -181,7 +192,7 @@ core::ExecResult TpccApp::execute(const core::Command& cmd,
   if (auto* args = dynamic_cast<const StockCheckArgs*>(cmd.payload.get())) {
     std::uint32_t low = 0;
     for (std::size_t i = 0; i < cmd.objects.size(); ++i) {
-      auto* stock = row<StockRow>(store, cmd.objects[i]);
+      const auto* stock = row<StockRow>(store, cmd.objects[i]);
       if (stock != nullptr && stock->quantity < args->threshold) ++low;
     }
     reply->low_stock = low;
@@ -218,11 +229,14 @@ void setup(core::System& system, const Scale& scale,
     return p;
   };
 
+  // Every stock row and every customer row starts as one shared version;
+  // the first write to a row clones it (ObjectStore::get_mut).
+  const core::ObjectPtr stock = std::make_shared<StockRow>();
+  const core::ObjectPtr customer = std::make_shared<CustomerRow>();
   for (std::uint32_t w = 1; w <= num_warehouses; ++w) {
     const PartitionId wp = place(warehouse_vertex(w), w);
     system.preload_object(oid(Table::kWarehouse, w, 0, 0), warehouse_vertex(w),
                           wp, WarehouseRow{});
-    StockRow stock;
     for (std::uint32_t i = 1; i <= scale.items; ++i) {
       system.preload_object(oid(Table::kStock, w, 0, i), warehouse_vertex(w),
                             wp, stock);
@@ -233,7 +247,6 @@ void setup(core::System& system, const Scale& scale,
                             district_vertex(w, d), dp, DistrictRow{});
       system.preload_object(oid(Table::kHistory, w, d, 0),
                             district_vertex(w, d), dp, HistoryRow{});
-      CustomerRow customer;
       for (std::uint32_t c = 1; c <= scale.customers_per_district; ++c) {
         system.preload_object(oid(Table::kCustomer, w, d, c),
                               district_vertex(w, d), dp, customer);

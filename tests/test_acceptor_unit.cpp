@@ -3,8 +3,11 @@
 // monotonicity, vote recording, nacks, and durable-state semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
+#include "common/rng.h"
 #include "paxos/acceptor.h"
 #include "paxos/messages.h"
 
@@ -160,6 +163,88 @@ TEST_F(AcceptorUnit, StorageSurvivesCoreRebuild) {
   env_.sent.clear();
   recovered.handle(ProcessId{2}, sim::make_message<Prepare>(GroupId{0}, 2, 0));
   EXPECT_NE(env_.last_as<Nack>(), nullptr);  // remembers promised=4
+}
+
+TEST_F(AcceptorUnit, VoteWindowMatchesMapModel) {
+  // The map the slot-indexed window replaced, driven by the same rules:
+  // reject below the promise, record the vote, then drop every vote below
+  // committed - 4096. Random accepts arrive out of order, leave gaps,
+  // revisit slots at higher ballots, straggle in far below the trim line
+  // and carry non-monotone commit points; every Promise, size() and
+  // contains() must match the model's.
+  constexpr Slot kWindow = 4096;
+  Ballot promised = kNoBallot;
+  std::map<Slot, AcceptedEntry> model;
+  Rng rng(20190707);
+  Slot frontier = 0;
+  Ballot ballot = 1;
+  std::size_t promises_checked = 0;
+  std::size_t trims = 0;
+
+  for (int step = 0; step < 40'000; ++step) {
+    if (rng.chance(0.8)) ++frontier;
+    const double roll = rng.uniform01();
+    if (roll < 0.03) {
+      // Phase 1 at a fresh ballot, from a random slot.
+      const Slot from = rng.uniform(0, frontier + 16);
+      ballot = (promised == kNoBallot ? ballot : promised) + 1;
+      env_.sent.clear();
+      core_.handle(ProcessId{1},
+                   sim::make_message<Prepare>(GroupId{0}, ballot, from));
+      promised = ballot;
+      const auto* promise = env_.last_as<Promise>();
+      ASSERT_NE(promise, nullptr);
+      std::vector<AcceptedEntry> expected;
+      for (auto it = model.lower_bound(from); it != model.end(); ++it)
+        expected.push_back(it->second);
+      ASSERT_EQ(promise->accepted.size(), expected.size()) << "step " << step;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(promise->accepted[i].slot, expected[i].slot);
+        EXPECT_EQ(promise->accepted[i].ballot, expected[i].ballot);
+        EXPECT_EQ(promise->accepted[i].value, expected[i].value);
+      }
+      ++promises_checked;
+      continue;
+    }
+    Slot slot;
+    if (roll < 0.08) {
+      slot = rng.uniform(0, frontier);  // a straggler, maybe below the trim
+    } else {
+      slot = frontier + rng.uniform(0, 16);
+      slot = slot >= 8 ? slot - 8 : 0;  // out of order, gaps, re-votes
+    }
+    if (rng.chance(0.02)) ++ballot;  // a new leader re-votes at a higher ballot
+    Ballot b = ballot;
+    if (rng.chance(0.05) && b > 1) b -= 1;  // stale: nacked once superseded
+    Slot committed = frontier >= 64 ? frontier - rng.uniform(0, 64) : 0;
+    if (rng.chance(0.1)) committed = rng.uniform(0, frontier);
+    const sim::MessagePtr value = sim::make_message<Noop>();
+    core_.handle(ProcessId{1}, sim::make_message<Accept>(GroupId{0}, b, slot,
+                                                         committed, value));
+    if (promised == kNoBallot || b >= promised) {
+      promised = b;
+      model[slot] = AcceptedEntry{slot, b, value};
+      if (committed > kWindow) {
+        const auto end = model.lower_bound(committed - kWindow);
+        if (end != model.begin()) ++trims;
+        model.erase(model.begin(), end);
+      }
+    }
+    ASSERT_EQ(storage_.promised, promised) << "step " << step;
+    ASSERT_EQ(storage_.votes.size(), model.size()) << "step " << step;
+    for (int probe = 0; probe < 4; ++probe) {
+      const Slot s = rng.uniform(0, frontier + 16);
+      const auto it = model.find(s);
+      ASSERT_EQ(storage_.votes.contains(s), it != model.end()) << "slot " << s;
+      if (it != model.end()) {
+        EXPECT_EQ(storage_.votes.at(s).ballot, it->second.ballot);
+        EXPECT_EQ(storage_.votes.at(s).value, it->second.value);
+      }
+    }
+  }
+  EXPECT_GT(promises_checked, 1000u);
+  EXPECT_GT(trims, 1000u);
+  EXPECT_GT(frontier, 4 * kWindow);
 }
 
 }  // namespace

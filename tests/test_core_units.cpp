@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "core/object.h"
 #include "core/protocol.h"
 #include "core/server.h"
+#include "core/system.h"
+#include "workloads/chirper.h"
 #include "workloads/kv.h"
+#include "workloads/smallbank.h"
+#include "workloads/tpcc.h"
 
 namespace dynastar::core {
 namespace {
@@ -20,7 +26,7 @@ TEST(ObjectStore, PutFindTake) {
   ObjectStore store;
   store.put(ObjectId{1}, VertexId{10}, std::make_shared<KvObject>(5));
   ASSERT_TRUE(store.contains(ObjectId{1}));
-  auto* obj = dynamic_cast<KvObject*>(store.find(ObjectId{1}));
+  const auto* obj = dynamic_cast<const KvObject*>(store.find(ObjectId{1}));
   ASSERT_NE(obj, nullptr);
   EXPECT_EQ(obj->value, 5u);
   EXPECT_EQ(store.vertex_of(ObjectId{1}), VertexId{10});
@@ -136,14 +142,26 @@ void expect_sample(const ObjectStore& store) {
   EXPECT_TRUE(store.objects_of_vertex(VertexId{9}).empty());
 }
 
-/// Mutates, takes and re-homes objects of `changed` and refills its
-/// tombstone; `other` must still hold exactly the sample.
+/// Writes (through get_mut), takes and re-homes objects of `changed` and
+/// refills its tombstone; `other` must still hold exactly the sample. The
+/// two stores start out sharing every version; a write clones the shared
+/// version once, and leaves the other side's pointer and digest alone.
 void expect_independent(ObjectStore& changed, const ObjectStore& other) {
   for (std::uint64_t i = 0; i < 20; ++i) {
     if (i == 3) continue;
-    EXPECT_NE(changed.find(ObjectId{i}), other.find(ObjectId{i}));
+    EXPECT_EQ(changed.find(ObjectId{i}), other.find(ObjectId{i}));
   }
-  dynamic_cast<KvObject*>(changed.find(ObjectId{1}))->value = 1000;
+  const PRObject* shared = other.find(ObjectId{1});
+  const std::uint64_t shared_digest = shared->digest();
+  auto* written = dynamic_cast<KvObject*>(changed.get_mut(ObjectId{1}));
+  ASSERT_NE(written, nullptr);
+  EXPECT_NE(written, shared);  // cloned, not written in place
+  written->value = 1000;
+  EXPECT_EQ(other.find(ObjectId{1}), shared);
+  EXPECT_EQ(shared->digest(), shared_digest);
+  EXPECT_EQ(changed.find(ObjectId{1}), written);
+  // The clone is now the changed side's own: no second clone.
+  EXPECT_EQ(changed.get_mut(ObjectId{1}), written);
   changed.take(ObjectId{0});
   changed.put(ObjectId{2}, VertexId{9}, changed.take(ObjectId{2}));
   changed.put(ObjectId{3}, VertexId{0}, std::make_shared<KvObject>(33));
@@ -193,6 +211,255 @@ TEST(ObjectStore, MoveKeepsObjectsAndVertexIndex) {
   assigned = std::move(moved);
   expect_sample(assigned);
   EXPECT_EQ(assigned.find(ObjectId{1}), before);  // moved, not cloned
+}
+
+// ---------------------------------------------------------------------------
+// Copy-on-write object versions
+// ---------------------------------------------------------------------------
+
+CommandPtr make_cmd(std::vector<std::pair<ObjectId, VertexId>> objs,
+                    sim::MessagePtr payload) {
+  std::vector<ObjectId> ids;
+  std::vector<VertexId> vertices;
+  for (const auto& [id, vertex] : objs) {
+    ids.push_back(id);
+    vertices.push_back(vertex);
+  }
+  return sim::make_message<Command>(1, ProcessId{0}, CommandType::kAccess,
+                                    std::move(ids), std::move(vertices),
+                                    std::move(payload));
+}
+
+/// Pointer of every object homed at the command's vertices.
+std::vector<std::pair<ObjectId, const PRObject*>> versions_under(
+    const ObjectStore& store, const Command& cmd) {
+  std::vector<std::pair<ObjectId, const PRObject*>> versions;
+  for (VertexId v : cmd.vertices)
+    for (ObjectId id : store.objects_of_vertex(v))
+      versions.emplace_back(id, store.find(id));
+  return versions;
+}
+
+/// Executes `cmd` while a checkpoint copy shares every version of `store`,
+/// and expects no object under the command's vertices to change pointer.
+void expect_no_clone(AppStateMachine& app, const Command& cmd,
+                     ObjectStore& store) {
+  const ObjectStore checkpoint(store);
+  const auto before = versions_under(store, cmd);
+  ASSERT_FALSE(before.empty());
+  const ExecResult result = app.execute(cmd, store);
+  EXPECT_NE(result.reply, nullptr);
+  EXPECT_EQ(versions_under(store, cmd), before);
+  for (const auto& [id, version] : before)
+    EXPECT_EQ(checkpoint.find(id), version) << "object " << id.value();
+}
+
+TEST(CopyOnWrite, ReadOnlyCommandsNeverClone) {
+  namespace ch = workloads::chirper;
+  namespace sb = workloads::smallbank;
+  namespace tp = workloads::tpcc;
+  {
+    SCOPED_TRACE("kv get");
+    workloads::KvApp app;
+    ObjectStore store;
+    for (std::uint64_t k = 0; k < 2; ++k)
+      store.put(ObjectId{k}, VertexId{k}, std::make_shared<KvObject>(k));
+    auto get = make_cmd({{ObjectId{0}, VertexId{0}}, {ObjectId{1}, VertexId{1}}},
+                        sim::make_message<workloads::KvOp>(
+                            workloads::KvOp::Kind::kGet, 0));
+    expect_no_clone(app, *get, store);
+
+    // Control: a put through the same path does clone the shared version.
+    const ObjectStore checkpoint(store);
+    auto put = make_cmd({{ObjectId{0}, VertexId{0}}},
+                        sim::make_message<workloads::KvOp>(
+                            workloads::KvOp::Kind::kPut, 7));
+    app.execute(*put, store);
+    EXPECT_NE(store.find(ObjectId{0}), checkpoint.find(ObjectId{0}));
+  }
+  {
+    SCOPED_TRACE("smallbank balance");
+    sb::SmallBankApp app;
+    ObjectStore store;
+    store.put(sb::customer_object(0), sb::customer_vertex(0),
+              std::make_shared<sb::CustomerAccounts>(100.0, 10.0));
+    auto op = sim::make_mutable_message<sb::Op>();
+    op->kind = sb::Op::Kind::kBalance;
+    auto cmd = make_cmd({{sb::customer_object(0), sb::customer_vertex(0)}}, op);
+    expect_no_clone(app, *cmd, store);
+  }
+  {
+    tp::Scale scale;
+    tp::TpccApp app(scale);
+    ObjectStore store;
+    const VertexId district = tp::district_vertex(1, 1);
+    store.put(tp::oid(tp::Table::kWarehouse, 1, 0, 0), tp::warehouse_vertex(1),
+              std::make_shared<tp::WarehouseRow>());
+    store.put(tp::oid(tp::Table::kDistrict, 1, 1, 0), district,
+              std::make_shared<tp::DistrictRow>());
+    store.put(tp::oid(tp::Table::kCustomer, 1, 1, 1), district,
+              std::make_shared<tp::CustomerRow>());
+    for (std::uint32_t i = 1; i <= 3; ++i)
+      store.put(tp::oid(tp::Table::kStock, 1, 0, i), tp::warehouse_vertex(1),
+                std::make_shared<tp::StockRow>());
+    // One order, so the reads below have an order row and recent orders.
+    auto new_order = sim::make_mutable_message<tp::NewOrderArgs>();
+    new_order->w = 1;
+    new_order->d = 1;
+    new_order->c = 1;
+    new_order->lines = {{1, 1, 5, 0}, {2, 1, 3, 0}};
+    app.execute(*make_cmd({{tp::oid(tp::Table::kWarehouse, 1, 0, 0),
+                            tp::warehouse_vertex(1)}},
+                          new_order),
+                store);
+    ASSERT_TRUE(store.contains(tp::oid(tp::Table::kOrder, 1, 1, 1)));
+    {
+      SCOPED_TRACE("tpcc order status");
+      auto args = sim::make_mutable_message<tp::OrderStatusArgs>();
+      args->w = 1;
+      args->d = 1;
+      args->c = 1;
+      args->o_id = 1;
+      auto cmd = make_cmd({{tp::oid(tp::Table::kCustomer, 1, 1, 1), district},
+                           {tp::oid(tp::Table::kOrder, 1, 1, 1), district}},
+                          args);
+      expect_no_clone(app, *cmd, store);
+    }
+    {
+      SCOPED_TRACE("tpcc stock scan");
+      auto args = sim::make_mutable_message<tp::StockScanArgs>();
+      args->w = 1;
+      args->d = 1;
+      auto cmd =
+          make_cmd({{tp::oid(tp::Table::kDistrict, 1, 1, 0), district}}, args);
+      expect_no_clone(app, *cmd, store);
+    }
+    {
+      SCOPED_TRACE("tpcc stock check");
+      auto args = sim::make_mutable_message<tp::StockCheckArgs>();
+      args->w = 1;
+      auto cmd = make_cmd({{tp::oid(tp::Table::kStock, 1, 0, 1),
+                            tp::warehouse_vertex(1)},
+                           {tp::oid(tp::Table::kStock, 1, 0, 2),
+                            tp::warehouse_vertex(1)}},
+                          args);
+      expect_no_clone(app, *cmd, store);
+    }
+  }
+  {
+    SCOPED_TRACE("chirper timeline");
+    ch::ChirperApp app;
+    ObjectStore store;
+    auto user = std::make_shared<ch::UserObject>();
+    user->append(42);
+    store.put(ch::user_object(0), ch::user_vertex(0), std::move(user));
+    auto op = sim::make_mutable_message<ch::ChirperOp>();
+    op->kind = ch::ChirperOp::Kind::kTimeline;
+    auto cmd = make_cmd({{ch::user_object(0), ch::user_vertex(0)}}, op);
+    expect_no_clone(app, *cmd, store);
+  }
+}
+
+/// Issues queued specs one at a time and idles while the queue is empty.
+class ScriptedDriver final : public ClientDriver {
+ public:
+  std::optional<CommandSpec> next(Rng& /*rng*/, SimTime /*now*/) override {
+    if (queue.empty()) return CommandSpec::pause_for(milliseconds(5));
+    CommandSpec spec = std::move(queue.front());
+    queue.pop_front();
+    return spec;
+  }
+  void on_result(const CommandSpec& /*spec*/, ReplyStatus status,
+                 const sim::MessagePtr& /*payload*/, SimTime /*issued_at*/,
+                 SimTime /*completed_at*/) override {
+    statuses.push_back(status);
+  }
+
+  std::deque<CommandSpec> queue;
+  std::vector<ReplyStatus> statuses;
+};
+
+TEST(CopyOnWrite, ReplicasShareReturnedVersion) {
+  namespace ch = workloads::chirper;
+  SystemConfig config;
+  config.mode = ExecutionMode::kDynaStar;
+  config.num_partitions = 4;
+  config.replicas_per_partition = 3;
+  config.repartitioning_enabled = false;
+  config.repartition_hint_threshold = UINT64_MAX;
+  // Every target replica returns its own written version and an owner
+  // replica installs whichever return reaches it first. Without jitter the
+  // first target replica to execute is first at every owner replica, so
+  // each owner's replicas install the same message's version.
+  config.network.jitter = 0;
+  System system(config, ch::chirper_app_factory());
+  // Users 0, 4 and 8 live on partition 0 and user p on partition p, so a
+  // post by user 0 to 4, 8, 1, 2 and 3 executes at partition 0 and borrows
+  // one user from each of partitions 1..3.
+  const std::vector<std::uint32_t> users{0, 1, 2, 3, 4, 8};
+  Assignment assignment;
+  for (std::uint32_t u : users) {
+    const PartitionId p{u % 4};
+    assignment[ch::user_vertex(u)] = p;
+    system.preload_object(ch::user_object(u), ch::user_vertex(u), p,
+                          ch::UserObject{});
+  }
+  system.preload_assignment(assignment);
+  auto owned = std::make_unique<ScriptedDriver>();
+  ScriptedDriver& driver = *owned;
+  system.add_client(std::move(owned));
+
+  CommandSpec post;
+  for (std::uint32_t u : {0u, 4u, 8u, 1u, 2u, 3u})
+    post.objects.emplace_back(ch::user_object(u), ch::user_vertex(u));
+  auto post_op = sim::make_mutable_message<ch::ChirperOp>();
+  post_op->kind = ch::ChirperOp::Kind::kPost;
+  post_op->author = 0;
+  post_op->post_ref = 0xfeed;
+  post.payload = std::move(post_op);
+  driver.queue.push_back(std::move(post));
+  system.run_until(seconds(1));
+  ASSERT_EQ(driver.statuses, std::vector<ReplyStatus>{ReplyStatus::kOk});
+
+  // Every replica of each owner installed the one returned version.
+  std::vector<ObjectPtr> returned;
+  for (std::uint32_t p = 1; p < 4; ++p) {
+    SCOPED_TRACE(testing::Message() << "owner " << p);
+    const ObjectId id = ch::user_object(p);
+    returned.push_back(system.server(PartitionId{p}, 0).store().share(id));
+    const auto* user = dynamic_cast<const ch::UserObject*>(returned.back().get());
+    ASSERT_NE(user, nullptr);
+    EXPECT_EQ(user->timeline, std::vector<std::uint64_t>{0xfeed});
+    for (std::size_t r = 1; r < config.replicas_per_partition; ++r) {
+      const ObjectStore& store = system.server(PartitionId{p}, r).store();
+      EXPECT_EQ(store.find(id), user);
+    }
+  }
+
+  // A write at owner 1 clones the shared version at each replica: the
+  // replicas agree with each other, and the returned version is untouched.
+  const std::uint64_t returned_digest = returned[0]->digest();
+  CommandSpec follow;
+  follow.objects.emplace_back(ch::user_object(1), ch::user_vertex(1));
+  auto follow_op = sim::make_mutable_message<ch::ChirperOp>();
+  follow_op->kind = ch::ChirperOp::Kind::kFollow;
+  follow.payload = std::move(follow_op);
+  driver.queue.push_back(std::move(follow));
+  system.run_until(seconds(2));
+  ASSERT_EQ(driver.statuses.size(), 2u);
+  EXPECT_EQ(driver.statuses[1], ReplyStatus::kOk);
+  EXPECT_EQ(returned[0]->digest(), returned_digest);
+  const PRObject* first = system.server(PartitionId{1}, 0).store().find(
+      ch::user_object(1));
+  ASSERT_NE(first, nullptr);
+  EXPECT_NE(first->digest(), returned_digest);
+  for (std::size_t r = 0; r < config.replicas_per_partition; ++r) {
+    const PRObject* version =
+        system.server(PartitionId{1}, r).store().find(ch::user_object(1));
+    ASSERT_NE(version, nullptr);
+    EXPECT_NE(version, returned[0].get());
+    EXPECT_EQ(version->digest(), first->digest());
+  }
 }
 
 TEST(ChooseTarget, MostObjectsWins) {

@@ -219,7 +219,8 @@ std::vector<std::vector<std::optional<std::uint64_t>>> run_batch(
 std::vector<std::uint64_t> final_values(core::ObjectStore& store) {
   std::vector<std::uint64_t> values;
   for (std::uint64_t k = 0; k < kReplayKeys; ++k) {
-    auto* obj = dynamic_cast<workloads::KvObject*>(store.find(ObjectId{k}));
+    const auto* obj =
+        dynamic_cast<const workloads::KvObject*>(store.find(ObjectId{k}));
     values.push_back(obj ? obj->value : UINT64_MAX);
   }
   return values;

@@ -42,8 +42,9 @@ class SmallBankUnit : public ::testing::Test {
     return dynamic_cast<const Reply*>(last_.get());
   }
 
-  CustomerAccounts* account(std::uint32_t c) {
-    return dynamic_cast<CustomerAccounts*>(store_.find(customer_object(c)));
+  const CustomerAccounts* account(std::uint32_t c) const {
+    return dynamic_cast<const CustomerAccounts*>(
+        store_.find(customer_object(c)));
   }
 
   SmallBankApp app_;

@@ -87,7 +87,7 @@ TEST_F(TpccAppTest, NewOrderAssignsIncreasingOrderIds) {
 
 TEST_F(TpccAppTest, NewOrderUpdatesStock) {
   run_new_order(1, {{5, 1, 7, 0}});
-  auto* stock = dynamic_cast<tp::StockRow*>(
+  auto* stock = dynamic_cast<const tp::StockRow*>(
       store_.find(tp::oid(tp::Table::kStock, 1, 0, 5)));
   ASSERT_NE(stock, nullptr);
   EXPECT_EQ(stock->quantity, 43u);  // 50 - 7
@@ -98,7 +98,7 @@ TEST_F(TpccAppTest, NewOrderUpdatesStock) {
 
 TEST_F(TpccAppTest, StockRefillsBelowThreshold) {
   for (int i = 0; i < 5; ++i) run_new_order(1, {{5, 1, 9, 0}});
-  auto* stock = dynamic_cast<tp::StockRow*>(
+  auto* stock = dynamic_cast<const tp::StockRow*>(
       store_.find(tp::oid(tp::Table::kStock, 1, 0, 5)));
   // Quantity must never go negative; the spec's +91 refill kicks in.
   EXPECT_GT(stock->quantity, 0u);
@@ -121,10 +121,10 @@ TEST_F(TpccAppTest, PaymentMovesMoney) {
   ASSERT_NE(reply, nullptr);
   EXPECT_TRUE(reply->ok);
   EXPECT_NEAR(reply->balance, -110.0, 1e-9);  // initial -10 minus 100
-  auto* warehouse = dynamic_cast<tp::WarehouseRow*>(
+  auto* warehouse = dynamic_cast<const tp::WarehouseRow*>(
       store_.find(tp::oid(tp::Table::kWarehouse, 1, 0, 0)));
   EXPECT_NEAR(warehouse->ytd, 100.0, 1e-9);
-  auto* history = dynamic_cast<tp::HistoryRow*>(
+  auto* history = dynamic_cast<const tp::HistoryRow*>(
       store_.find(tp::oid(tp::Table::kHistory, 1, 1, 0)));
   EXPECT_EQ(history->entries, 1u);
 }
@@ -143,11 +143,11 @@ TEST_F(TpccAppTest, DeliveryProcessesOldestUndelivered) {
   auto* reply = dynamic_cast<const tp::TpccReply*>(result.reply.get());
   ASSERT_NE(reply, nullptr);
   EXPECT_EQ(reply->o_id, 1u);  // oldest first
-  auto* order = dynamic_cast<tp::OrderRow*>(
+  auto* order = dynamic_cast<const tp::OrderRow*>(
       store_.find(tp::oid(tp::Table::kOrder, 1, 1, 1)));
   EXPECT_EQ(order->carrier, 7u);
   // Customer 1's balance got credited.
-  auto* customer = dynamic_cast<tp::CustomerRow*>(
+  auto* customer = dynamic_cast<const tp::CustomerRow*>(
       store_.find(tp::oid(tp::Table::kCustomer, 1, 1, 1)));
   EXPECT_GT(customer->balance, -10.0);
   EXPECT_EQ(customer->delivery_cnt, 1u);
@@ -206,12 +206,13 @@ TEST(ChirperApp, PostAppendsToFollowerTimelinesOnly) {
                       op);
   app.execute(*cmd, store);
 
-  auto* author = dynamic_cast<ch::UserObject*>(store.find(ch::user_object(0)));
+  auto* author =
+      dynamic_cast<const ch::UserObject*>(store.find(ch::user_object(0)));
   EXPECT_EQ(author->posts, 1u);
   EXPECT_TRUE(author->timeline.empty());
   for (std::uint32_t u = 1; u < 3; ++u) {
     auto* follower =
-        dynamic_cast<ch::UserObject*>(store.find(ch::user_object(u)));
+        dynamic_cast<const ch::UserObject*>(store.find(ch::user_object(u)));
     ASSERT_EQ(follower->timeline.size(), 1u);
     EXPECT_EQ(follower->timeline[0], 0xfeedu);
   }
@@ -238,8 +239,10 @@ TEST(ChirperApp, FollowAdjustsCounters) {
                        {ch::user_object(2), ch::user_vertex(2)}},
                       op);
   app.execute(*cmd, store);
-  auto* follower = dynamic_cast<ch::UserObject*>(store.find(ch::user_object(1)));
-  auto* followee = dynamic_cast<ch::UserObject*>(store.find(ch::user_object(2)));
+  auto* follower =
+      dynamic_cast<const ch::UserObject*>(store.find(ch::user_object(1)));
+  auto* followee =
+      dynamic_cast<const ch::UserObject*>(store.find(ch::user_object(2)));
   EXPECT_EQ(follower->following_count, 1u);
   EXPECT_EQ(followee->followers_count, 1u);
 
