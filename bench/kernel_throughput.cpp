@@ -28,13 +28,11 @@
 #include <functional>
 #include <random>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "common/metric_names.h"
-#include "core/parallel_exec.h"
 #include "core/scenario.h"
 #include "sim/message.h"
 #include "sim/simulator.h"
@@ -302,38 +300,6 @@ double run_sim_lanes(bool conflict_free, std::uint32_t lanes) {
   return system->metrics().series(metric::kCompleted).total() / 2.0;
 }
 
-/// Thread-backend section: the executor alone (no simulator), 512 spin
-/// tasks of ~30 us each, disjoint write sets (conflict-free: one wave, all
-/// lanes busy) or one shared vertex (conflict-heavy: 512 waves of one —
-/// pure barrier overhead). Returns wall seconds; speedup is the within-run
-/// serial/lanes ratio, so the gate is machine-independent.
-double run_thread_harness(bool conflict_free, std::uint32_t lanes) {
-  constexpr std::size_t kTasks = 512;
-  constexpr int kSpin = 60'000;
-  std::vector<core::ExecIntent> intents;
-  intents.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    core::ExecIntent intent;
-    intent.writes.emplace_back(conflict_free ? i : 0);
-    intents.push_back(std::move(intent));
-  }
-  std::vector<std::uint64_t> sinks(kTasks, 0);
-  core::ParallelExecutor exec(lanes, /*real_threads=*/lanes > 1);
-  const auto start = std::chrono::steady_clock::now();
-  exec.run(intents, [&](std::size_t i) -> SimTime {
-    std::uint64_t x = 0x9e3779b97f4a7c15ULL + i;
-    for (int k = 0; k < kSpin; ++k)
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    sinks[i] = x;  // keeps the spin observable
-    return microseconds(30);
-  });
-  const double elapsed = wall_seconds_since(start);
-  std::uint64_t mix = 0;
-  for (std::uint64_t s : sinks) mix ^= s;
-  if (mix == 0xdeadbeef) std::printf("(unlikely sink)\n");
-  return elapsed;
-}
-
 }  // namespace
 }  // namespace dynastar
 
@@ -406,28 +372,6 @@ int main(int argc, char** argv) {
               sim_heavy_serial, kExecLanes, sim_heavy_lanes,
               sim_heavy_lanes / sim_heavy_serial);
 
-  std::printf("kernel_throughput: parallel executor, thread lanes "
-              "(512 spin tasks, best of %d)...\n", kRounds);
-  auto min_wall = [](int rounds, auto&& fn) {
-    double best = fn();
-    for (int i = 1; i < rounds; ++i) best = std::min(best, fn());
-    return best;
-  };
-  const double thr_free_serial =
-      min_wall(kRounds, [] { return run_thread_harness(true, 1); });
-  const double thr_free_lanes =
-      min_wall(kRounds, [] { return run_thread_harness(true, kExecLanes); });
-  const double thr_heavy_serial =
-      min_wall(kRounds, [] { return run_thread_harness(false, 1); });
-  const double thr_heavy_lanes =
-      min_wall(kRounds, [] { return run_thread_harness(false, kExecLanes); });
-  std::printf("  conflict-free   : serial %.3fs, %u lanes %.3fs (%.2fx)\n",
-              thr_free_serial, kExecLanes, thr_free_lanes,
-              thr_free_serial / thr_free_lanes);
-  std::printf("  conflict-heavy  : serial %.3fs, %u lanes %.3fs (%.2fx)\n",
-              thr_heavy_serial, kExecLanes, thr_heavy_lanes,
-              thr_heavy_serial / thr_heavy_lanes);
-
   Json report = Json::Object{};
   report["schema"] = "dynastar-bench-kernel-v2";
   report["kernel"] = Json::Object{
@@ -459,10 +403,6 @@ int main(int argc, char** argv) {
   };
   Json parallel = Json::Object{};
   parallel["lanes"] = static_cast<std::uint64_t>(kExecLanes);
-  // The thread-backend speedup gate only makes sense with real cores to run
-  // the lanes on; check_report.py skips it when this is below `lanes`.
-  parallel["hardware_concurrency"] =
-      static_cast<std::uint64_t>(std::thread::hardware_concurrency());
   parallel["sim_conflict_free"] = Json::Object{
       {"serial_cps", sim_free_serial},
       {"lanes_cps", sim_free_lanes},
@@ -472,16 +412,6 @@ int main(int argc, char** argv) {
       {"serial_cps", sim_heavy_serial},
       {"lanes_cps", sim_heavy_lanes},
       {"speedup", sim_heavy_lanes / sim_heavy_serial},
-  };
-  parallel["threads_conflict_free"] = Json::Object{
-      {"serial_wall_s", thr_free_serial},
-      {"lanes_wall_s", thr_free_lanes},
-      {"speedup", thr_free_serial / thr_free_lanes},
-  };
-  parallel["threads_conflict_heavy"] = Json::Object{
-      {"serial_wall_s", thr_heavy_serial},
-      {"lanes_wall_s", thr_heavy_lanes},
-      {"speedup", thr_heavy_serial / thr_heavy_lanes},
   };
   report["parallel_exec"] = std::move(parallel);
 

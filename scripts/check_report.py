@@ -177,7 +177,6 @@ BENCH_SECTIONS = {
 # v2 adds the parallel-executor sections (bench/kernel_throughput's
 # conflict-free vs conflict-heavy lane gates).
 PARALLEL_SIM_SECTIONS = ("sim_conflict_free", "sim_conflict_heavy")
-PARALLEL_THREAD_SECTIONS = ("threads_conflict_free", "threads_conflict_heavy")
 
 
 def check_parallel_exec(report, baseline, err,
@@ -187,9 +186,6 @@ def check_parallel_exec(report, baseline, err,
     * sim_conflict_free.speedup: the deterministic modeled speedup of N
       simulated lanes over serial apply — machine-independent, so the
       1.5x floor holds everywhere.
-    * threads_conflict_free.speedup: the wall-clock speedup of the real
-      std::thread backend; only gated when the machine actually has at
-      least `lanes` hardware threads to run them on.
     * sim_conflict_heavy.lanes_cps vs baseline: simulated commands/sec are
       bit-deterministic, so a conflict-heavy regression beyond the budget
       is a real scheduling/batching change, not noise.
@@ -211,29 +207,12 @@ def check_parallel_exec(report, baseline, err,
             if not isinstance(body.get(field), (int, float)) or body[field] <= 0:
                 err(f"parallel_exec.{section}.{field} missing or non-positive")
                 return
-    for section in PARALLEL_THREAD_SECTIONS:
-        body = parallel.get(section)
-        if not isinstance(body, dict):
-            err(f"missing section parallel_exec.{section}")
-            return
-        for field in ("serial_wall_s", "lanes_wall_s", "speedup"):
-            if not isinstance(body.get(field), (int, float)) or body[field] <= 0:
-                err(f"parallel_exec.{section}.{field} missing or non-positive")
-                return
 
     sim_free = parallel["sim_conflict_free"]["speedup"]
     if sim_free < min_lane_speedup:
         err(f"simulated {lanes:.0f}-lane conflict-free speedup is "
             f"{sim_free:.2f}x, below the {min_lane_speedup:.2f}x floor — "
             f"the executor is not extracting the declared parallelism")
-
-    cores = parallel.get("hardware_concurrency", 0)
-    thr_free = parallel["threads_conflict_free"]["speedup"]
-    if isinstance(cores, (int, float)) and cores >= lanes:
-        if thr_free < min_lane_speedup:
-            err(f"thread-backend conflict-free speedup is {thr_free:.2f}x "
-                f"at {lanes:.0f} lanes on {cores:.0f} cores, below the "
-                f"{min_lane_speedup:.2f}x floor")
 
     if baseline is not None:
         base = baseline.get("parallel_exec", {}).get("sim_conflict_heavy", {})
@@ -649,9 +628,8 @@ def main():
                              "(default 1.05)")
     parser.add_argument("--min-lane-speedup", type=float, default=1.5,
                         help="kernel bench v2: conflict-free speedup floor "
-                             "for the parallel executor, simulated lanes "
-                             "always and the thread backend when the machine "
-                             "has enough cores (default 1.5)")
+                             "for the parallel executor's simulated lanes "
+                             "over serial apply (default 1.5)")
     parser.add_argument("--max-conflict-regression", type=float, default=0.05,
                         help="kernel bench v2: budget for conflict-heavy "
                              "commands/sec with lanes vs the checked-in "

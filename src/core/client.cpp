@@ -124,9 +124,7 @@ void ClientCore::route(bool force_oracle) {
   // The mode seam: the cache-hit path computes the same addressing as the
   // oracle would (STAR pins the master; the partitioned modes address the
   // distinct owners).
-  Route r = route_command(config_.mode,
-                          PartitionId{config_.star_master_partition},
-                          cmd.objects, owners);
+  Route r = route_command(config_.mode, cmd.objects, owners);
   out.multi = r.multi;
   out.target = r.target;
 

@@ -11,12 +11,15 @@
 
 namespace dynastar::core {
 
+/// Per-item part of the retry-after hint in Busy replies (servers and the
+/// oracle): base + depth * per_item.
+inline constexpr SimTime kBusyRetryAfterPerItem = microseconds(50);
+
 struct SystemConfig {
   ExecutionMode mode = ExecutionMode::kDynaStar;
 
   std::uint32_t num_partitions = 4;
   std::uint32_t replicas_per_partition = 2;   // paper §6.1
-  std::uint32_t acceptors_per_partition = 3;  // paper §6.1
 
   // --- DynaStar repartitioning ---
   /// False disables plans entirely (S-SMR always; DS-SMR has no plans).
@@ -36,18 +39,6 @@ struct SystemConfig {
   /// retried, even if its addressing is still correct (reproduces the
   /// paper's full cache invalidation on repartition, Fig. 8).
   bool strict_epoch_validation = true;
-  /// Multiplies the workload graph's weights by this factor at every plan
-  /// computation, so stale access patterns fade (1.0 = never forget).
-  double workload_graph_decay = 1.0;
-
-  // --- STAR asymmetric execution (mode == kStar only) ---
-  /// The partition holding the full replica and executing deferred
-  /// multi-partition commands at each epoch switch.
-  std::uint32_t star_master_partition = 0;
-  /// Master replicas poll their deferred queue at this interval and emit an
-  /// epoch-switch marker when work is pending. Shorter = lower multi-command
-  /// latency, more marker/update traffic.
-  SimTime star_epoch_interval = milliseconds(1);
 
   // --- Client ---
   /// Maximum entries in a client's location cache (0 = unbounded). When
@@ -77,9 +68,9 @@ struct SystemConfig {
   /// classification with a kBusy prophecy that still carries any cached
   /// locations, so a hot oracle degrades to a location cache.
   std::size_t oracle_inflight_cap = 0;
-  /// Retry-after hint carried in Busy replies: base + depth * per_item.
+  /// Retry-after hint carried in Busy replies: base + depth *
+  /// kBusyRetryAfterPerItem.
   SimTime busy_retry_after_base = milliseconds(2);
-  SimTime busy_retry_after_per_item = microseconds(50);
   /// Client retry budget for Busy replies: a token bucket holding at most
   /// `client_retry_budget` tokens, refilled one per
   /// `client_retry_token_interval`. Each Busy-triggered retry spends one
@@ -97,50 +88,23 @@ struct SystemConfig {
   /// volatile (cleared by plan epochs and crash-recovery).
   bool read_leases = false;
 
-  // --- Oracle plan computation model ---
-  /// Simulated METIS runtime: base + per (V+E) element cost.
-  SimTime plan_compute_base = milliseconds(50);
-  double plan_compute_ns_per_element = 200.0;
+  // --- Oracle plan computation ---
   partitioning::PartitionerConfig partitioner;
 
   // --- Intra-partition parallel execution (core/parallel_exec.h) ---
   // Defaults keep behavior bit-identical to the serial apply path.
-  /// Worker lanes for the deterministic conflict-graph executor; 1 disables
-  /// batching entirely (the serial path is untouched).
+  /// Simulated lanes for the deterministic conflict-graph executor; 1
+  /// disables batching entirely (the serial path is untouched).
   std::uint32_t exec_lanes = 1;
-  /// Execute batches on a real std::thread lane pool instead of simulated
-  /// lanes. State evolution and sim timing are identical; only host wall
-  /// clock changes. Meant for wall-clock bench numbers.
-  bool exec_real_threads = false;
-  /// Micro-batch window: a delivered command waits at most this long for
-  /// companions before the executor flushes.
-  SimTime exec_batch_window = microseconds(200);
-  /// Flush as soon as this many commands are pending.
-  std::size_t exec_batch_max = 64;
 
   // --- WAN topology (0 sites = the uniform latency-only LAN model, which
   // keeps every existing run bit-identical) ---
   /// Number of simulated datacenters. When > 0, System stripes each group's
   /// replicas and acceptors (and clients, in spawn order) across sites
-  /// round-robin and installs the two site-pair profiles below, so every
-  /// Paxos group spans sites — quorums and state transfers cross the WAN.
+  /// round-robin and installs the two site-pair profiles (system.cpp), so
+  /// every Paxos group spans sites — quorums and state transfers cross the
+  /// WAN.
   std::uint32_t net_sites = 0;
-  /// Links between processes in the same datacenter: fat and near.
-  /// Default 10 Gb/s, 50 us propagation, 16 MiB queue.
-  sim::LinkProfile intra_site_profile{/*bandwidth_bytes_per_sec=*/1'250'000'000,
-                                      /*propagation=*/microseconds(50),
-                                      /*queue_bytes=*/16 * 1024 * 1024};
-  /// Links between datacenters: thin and far. Default 100 Mb/s, 20 ms
-  /// propagation, 4 MiB queue.
-  sim::LinkProfile inter_site_profile{/*bandwidth_bytes_per_sec=*/12'500'000,
-                                      /*propagation=*/milliseconds(20),
-                                      /*queue_bytes=*/4 * 1024 * 1024};
-
-  // --- Node CPU costs (drive saturation / peak throughput) ---
-  SimTime server_service_time = microseconds(4);
-  SimTime oracle_service_time = microseconds(3);
-  SimTime acceptor_service_time = microseconds(2);
-  SimTime client_service_time = microseconds(1);
 
   paxos::ReplicaConfig paxos;
   sim::NetworkConfig network;

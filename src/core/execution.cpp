@@ -39,8 +39,7 @@ PartitionId choose_target([[maybe_unused]] const std::vector<ObjectId>& objects,
   return best;
 }
 
-Route route_command(ExecutionMode mode, PartitionId star_master,
-                    const std::vector<ObjectId>& objects,
+Route route_command(ExecutionMode mode, const std::vector<ObjectId>& objects,
                     const std::vector<PartitionId>& owner_per_object) {
   Route route;
   route.dests = owner_per_object;
@@ -54,12 +53,12 @@ Route route_command(ExecutionMode mode, PartitionId star_master,
       // Deferred to the master's next fully-replicated epoch; the owners
       // never see the command — they receive the master's state update at
       // the epoch switch instead.
-      route.dests.assign(1, star_master);
-      route.target = star_master;
+      route.dests.assign(1, kStarMaster);
+      route.target = kStarMaster;
     } else {
       // The owner executes and replies; the master applies silently so its
       // full replica stays fresh for the next epoch.
-      route.dests.push_back(star_master);
+      route.dests.push_back(kStarMaster);
       std::sort(route.dests.begin(), route.dests.end());
       route.dests.erase(std::unique(route.dests.begin(), route.dests.end()),
                         route.dests.end());

@@ -33,6 +33,10 @@ enum class ExecutionMode : std::uint8_t {
   kStar,
 };
 
+/// STAR: the partition holding the full replica and executing deferred
+/// multi-partition commands at each epoch switch.
+inline constexpr PartitionId kStarMaster{0};
+
 inline constexpr ExecutionMode kAllModes[] = {
     ExecutionMode::kDynaStar, ExecutionMode::kSSMR, ExecutionMode::kDSSMR,
     ExecutionMode::kStar};
@@ -78,8 +82,7 @@ inline constexpr bool mode_supports_leases(ExecutionMode mode) {
 ///    master applies silently to stay a full replica);
 ///  * STAR multi-owner:  dests = {master}, target = master (deferred there
 ///    until the next fully-replicated epoch).
-Route route_command(ExecutionMode mode, PartitionId star_master,
-                    const std::vector<ObjectId>& objects,
+Route route_command(ExecutionMode mode, const std::vector<ObjectId>& objects,
                     const std::vector<PartitionId>& owner_per_object);
 
 }  // namespace dynastar::core

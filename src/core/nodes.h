@@ -13,6 +13,11 @@
 
 namespace dynastar::core {
 
+// --- Node CPU costs (drive saturation / peak throughput) ---
+inline constexpr SimTime kServerServiceTime = microseconds(4);
+inline constexpr SimTime kOracleServiceTime = microseconds(3);
+inline constexpr SimTime kClientServiceTime = microseconds(1);
+
 /// Hosts one PartitionServerCore plus the replica's *durable* checkpoint
 /// (modeled like paxos::AcceptorStorage: the one thing that survives a
 /// crash). The core itself is volatile — on_crash destroys it, and recovery
@@ -28,7 +33,7 @@ class ServerNode final : public sim::Process {
         config_(config),
         app_factory_(std::move(app_factory)),
         record_metrics_(record_metrics) {
-    set_message_service_time(config.server_service_time);
+    set_message_service_time(kServerServiceTime);
     rebuild();
   }
 
@@ -86,7 +91,7 @@ class OracleNode final : public sim::Process {
         topology_(topology),
         config_(config),
         record_metrics_(record_metrics) {
-    set_message_service_time(config.oracle_service_time);
+    set_message_service_time(kOracleServiceTime);
     rebuild();
   }
 
@@ -136,7 +141,7 @@ class ClientNode final : public sim::Process {
       : sim::Process(id, world),
         core_(*this, topology, config, std::move(driver), &world.metrics(),
               &world.trace(), surge_only) {
-    set_message_service_time(config.client_service_time);
+    set_message_service_time(kClientServiceTime);
   }
 
   void on_start() override { core_.start(); }

@@ -12,8 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -71,125 +69,20 @@ using ObjectPtr = std::shared_ptr<const PRObject>;
 /// shares every object with its source and still never observes a later
 /// write on either side.
 ///
-/// Single-threaded by default. The parallel executor's real-thread backend
-/// installs a concurrency guard for the duration of a batch
-/// (set_concurrency_guard): index lookups take it shared, structural
-/// mutations (put/take) take it exclusive. get_mut takes it shared: it
-/// rewrites only the pointer of the entry it is asked for, and the conflict
-/// graph guarantees that entry belongs to the calling lane — no two
-/// in-flight commands share a vertex unless both are read-only, and a
-/// read-only command never calls get_mut.
+/// Single-threaded: every command, batched or not, executes on the sim
+/// thread in slot order.
 class ObjectStore {
  public:
   ObjectStore() = default;
 
-  /// Copies share every version with the source (see above). The
-  /// concurrency guard is never copied.
-  ObjectStore(const ObjectStore& other)
-      : objects_(other.objects_), by_vertex_(other.by_vertex_) {}
-  ObjectStore& operator=(const ObjectStore& other) {
-    if (this != &other) {
-      objects_ = other.objects_;
-      by_vertex_ = other.by_vertex_;
-    }
-    return *this;
-  }
+  /// Copies share every version with the source (see above).
+  ObjectStore(const ObjectStore&) = default;
+  ObjectStore& operator=(const ObjectStore&) = default;
   ObjectStore(ObjectStore&&) = default;
   ObjectStore& operator=(ObjectStore&&) = default;
 
   /// Inserts or replaces an object. The vertex is the object's home vertex.
   void put(ObjectId id, VertexId vertex, ObjectPtr object) {
-    if (guard_ != nullptr) {
-      std::unique_lock<std::shared_mutex> lock(*guard_);
-      put_unlocked(id, vertex, std::move(object));
-      return;
-    }
-    put_unlocked(id, vertex, std::move(object));
-  }
-
-  [[nodiscard]] bool contains(ObjectId id) const {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return objects_.contains(id);
-    }
-    return objects_.contains(id);
-  }
-
-  /// Read access; nullptr when absent.
-  [[nodiscard]] const PRObject* find(ObjectId id) const {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return find_unlocked(id);
-    }
-    return find_unlocked(id);
-  }
-
-  /// Write access for command execution; nullptr when absent. Clones the
-  /// version first when anyone else holds it, so the pointer returned is
-  /// the store's own until the store is next copied or the object shipped.
-  [[nodiscard]] PRObject* get_mut(ObjectId id) {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return get_mut_unlocked(id);
-    }
-    return get_mut_unlocked(id);
-  }
-
-  /// The stored version itself (nullptr when absent), for shipping it
-  /// without a copy.
-  [[nodiscard]] ObjectPtr share(ObjectId id) const {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return share_unlocked(id);
-    }
-    return share_unlocked(id);
-  }
-
-  [[nodiscard]] VertexId vertex_of(ObjectId id) const {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return vertex_of_unlocked(id);
-    }
-    return vertex_of_unlocked(id);
-  }
-
-  /// Removes and returns the object (nullptr if absent).
-  ObjectPtr take(ObjectId id) {
-    if (guard_ != nullptr) {
-      std::unique_lock<std::shared_mutex> lock(*guard_);
-      return take_unlocked(id);
-    }
-    return take_unlocked(id);
-  }
-
-  /// All object ids homed at `vertex` (copy: callers mutate the store).
-  [[nodiscard]] std::vector<ObjectId> objects_of_vertex(VertexId vertex) const {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return objects_of_vertex_unlocked(vertex);
-    }
-    return objects_of_vertex_unlocked(vertex);
-  }
-
-  [[nodiscard]] std::size_t size() const { return objects_.size(); }
-
-  /// Installs (or with nullptr removes) the reader/writer lock used while a
-  /// real-thread batch is in flight. The store does not own the mutex; the
-  /// guard is transient, and the copy constructor and copy assignment never
-  /// carry it, so no checkpoint capture or restore can pick it up.
-  void set_concurrency_guard(std::shared_mutex* guard) { guard_ = guard; }
-
-  /// Approximate serialized size of the whole store, for snapshot-transfer
-  /// network cost accounting.
-  [[nodiscard]] std::size_t total_bytes() const {
-    std::size_t total = 0;
-    for (const auto& [id, entry] : objects_)
-      total += 16 + (entry.object ? entry.object->size_bytes() : 0);
-    return total;
-  }
-
- private:
-  void put_unlocked(ObjectId id, VertexId vertex, ObjectPtr object) {
     auto [it, inserted] = objects_.try_emplace(id, Entry{vertex, nullptr});
     Entry& entry = it->second;
     entry.object = std::move(object);
@@ -202,21 +95,20 @@ class ObjectStore {
     }
   }
 
-  /// Drops `id` from its vertex's id list (order of the rest is kept).
-  void unindex(VertexId vertex, ObjectId id) {
-    auto it = by_vertex_.find(vertex);
-    if (it == by_vertex_.end()) return;
-    auto& ids = it->second;
-    auto pos = std::find(ids.begin(), ids.end(), id);
-    if (pos != ids.end()) ids.erase(pos);
+  [[nodiscard]] bool contains(ObjectId id) const {
+    return objects_.contains(id);
   }
 
-  [[nodiscard]] const PRObject* find_unlocked(ObjectId id) const {
+  /// Read access; nullptr when absent.
+  [[nodiscard]] const PRObject* find(ObjectId id) const {
     auto it = objects_.find(id);
     return it == objects_.end() ? nullptr : it->second.object.get();
   }
 
-  [[nodiscard]] PRObject* get_mut_unlocked(ObjectId id) {
+  /// Write access for command execution; nullptr when absent. Clones the
+  /// version first when anyone else holds it, so the pointer returned is
+  /// the store's own until the store is next copied or the object shipped.
+  [[nodiscard]] PRObject* get_mut(ObjectId id) {
     auto it = objects_.find(id);
     if (it == objects_.end() || !it->second.object) return nullptr;
     ObjectPtr& object = it->second.object;
@@ -226,17 +118,20 @@ class ObjectStore {
     return const_cast<PRObject*>(object.get());
   }
 
-  [[nodiscard]] ObjectPtr share_unlocked(ObjectId id) const {
+  /// The stored version itself (nullptr when absent), for shipping it
+  /// without a copy.
+  [[nodiscard]] ObjectPtr share(ObjectId id) const {
     auto it = objects_.find(id);
     return it == objects_.end() ? nullptr : it->second.object;
   }
 
-  [[nodiscard]] VertexId vertex_of_unlocked(ObjectId id) const {
+  [[nodiscard]] VertexId vertex_of(ObjectId id) const {
     auto it = objects_.find(id);
     return it == objects_.end() ? VertexId{UINT64_MAX} : it->second.vertex;
   }
 
-  ObjectPtr take_unlocked(ObjectId id) {
+  /// Removes and returns the object (nullptr if absent).
+  ObjectPtr take(ObjectId id) {
     auto it = objects_.find(id);
     if (it == objects_.end()) return nullptr;
     ObjectPtr obj = std::move(it->second.object);
@@ -245,11 +140,32 @@ class ObjectStore {
     return obj;
   }
 
-  [[nodiscard]] std::vector<ObjectId> objects_of_vertex_unlocked(
-      VertexId vertex) const {
+  /// All object ids homed at `vertex` (copy: callers mutate the store).
+  [[nodiscard]] std::vector<ObjectId> objects_of_vertex(VertexId vertex) const {
     auto it = by_vertex_.find(vertex);
     if (it == by_vertex_.end()) return {};
     return it->second;
+  }
+
+  [[nodiscard]] std::size_t size() const { return objects_.size(); }
+
+  /// Approximate serialized size of the whole store, for snapshot-transfer
+  /// network cost accounting.
+  [[nodiscard]] std::size_t total_bytes() const {
+    std::size_t total = 0;
+    for (const auto& [id, entry] : objects_)
+      total += 16 + (entry.object ? entry.object->size_bytes() : 0);
+    return total;
+  }
+
+ private:
+  /// Drops `id` from its vertex's id list (order of the rest is kept).
+  void unindex(VertexId vertex, ObjectId id) {
+    auto it = by_vertex_.find(vertex);
+    if (it == by_vertex_.end()) return;
+    auto& ids = it->second;
+    auto pos = std::find(ids.begin(), ids.end(), id);
+    if (pos != ids.end()) ids.erase(pos);
   }
 
   struct Entry {
@@ -258,7 +174,6 @@ class ObjectStore {
   };
   common::FlatMap<ObjectId, Entry> objects_;
   common::FlatMap<VertexId, std::vector<ObjectId>> by_vertex_;
-  std::shared_mutex* guard_ = nullptr;  // non-owning, transient (see above)
 };
 
 }  // namespace dynastar::core

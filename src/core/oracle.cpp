@@ -12,6 +12,10 @@ namespace dynastar::core {
 namespace {
 constexpr SimTime kRequestCost = microseconds(2);
 
+/// Simulated METIS runtime: base + per (V+E) element cost.
+constexpr SimTime kPlanComputeBase = milliseconds(50);
+constexpr double kPlanComputeNsPerElement = 200.0;
+
 std::uint64_t oracle_uid(std::uint64_t purpose, std::uint64_t counter) {
   std::uint64_t x = 0x5bd1e995ULL * (purpose + 1) + counter;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -221,7 +225,7 @@ void OracleCore::on_shed_deliver(const multicast::McastData& data) {
   }
   const SimTime retry_after =
       config_.busy_retry_after_base +
-      static_cast<SimTime>(depth) * config_.busy_retry_after_per_item;
+      static_cast<SimTime>(depth) * kBusyRetryAfterPerItem;
   if (trace_)
     trace_->record(TracePoint::kBusyReply, env_.now(), req->cmd->cmd_id,
                    req->attempt, env_.self().value(),
@@ -257,11 +261,10 @@ void OracleCore::on_request(const OracleRequest& request) {
     std::vector<PartitionId> dests{target};
     std::vector<GroupId> groups{kOracleGroup, group_of(target)};
     if (config_.mode == ExecutionMode::kStar) {
-      const PartitionId master{config_.star_master_partition};
-      if (master != target) {
-        dests.push_back(master);
+      if (kStarMaster != target) {
+        dests.push_back(kStarMaster);
         std::sort(dests.begin(), dests.end());
-        groups.push_back(group_of(master));
+        groups.push_back(group_of(kStarMaster));
       }
     }
     auto exec = sim::make_message<ExecCommand>(
@@ -319,9 +322,7 @@ void OracleCore::on_request(const OracleRequest& request) {
   }
   // The mode seam: DynaStar/S-SMR*/DS-SMR address the distinct owners; STAR
   // additionally pins the master (singles) or defers to it (multi-owner).
-  Route route =
-      route_command(config_.mode, PartitionId{config_.star_master_partition},
-                    cmd.objects, owners);
+  Route route = route_command(config_.mode, cmd.objects, owners);
 
   std::vector<GroupId> groups;
   groups.reserve(route.dests.size() + 1);
@@ -393,11 +394,6 @@ void OracleCore::maybe_trigger_repartition() {
   computing_ = true;
   last_plan_time_ = env_.now();
 
-  // Age the workload graph so the plan tracks *current* access patterns
-  // (deterministic: applied at the same log position on every replica).
-  if (config_.workload_graph_decay < 1.0)
-    graph_.decay(config_.workload_graph_decay);
-
   // Deterministic snapshot at this log position: graph + current map. The
   // partitioner itself runs "in the background" (paper §5.2): the oracle
   // keeps serving; completion is modeled as a timer proportional to the
@@ -407,9 +403,8 @@ void OracleCore::maybe_trigger_repartition() {
   const Epoch candidate = epoch_ + 1;
   const auto elements = static_cast<double>(snapshot->graph.num_vertices() +
                                             2 * snapshot->graph.num_edges());
-  SimTime delay =
-      config_.plan_compute_base +
-      static_cast<SimTime>(elements * config_.plan_compute_ns_per_element);
+  SimTime delay = kPlanComputeBase +
+                  static_cast<SimTime>(elements * kPlanComputeNsPerElement);
   delay += static_cast<SimTime>(
       env_.random().uniform(0, static_cast<std::uint64_t>(delay / 10 + 1)));
   env_.start_timer(delay, [this, candidate, snapshot] {

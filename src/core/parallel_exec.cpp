@@ -1,9 +1,6 @@
 #include "core/parallel_exec.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 
 namespace dynastar::core {
 namespace {
@@ -87,127 +84,21 @@ LaneSchedule build_schedule(const ConflictGraph& graph, std::uint32_t lanes) {
   return sched;
 }
 
-/// Persistent worker pool for the real-thread backend: lanes-1 workers plus
-/// the calling thread (which always runs lane 0). run_wave hands each worker
-/// its closure under the mutex and blocks until all of them finish, so
-/// everything a worker wrote happens-before the caller's next read.
-class ParallelExecutor::LanePool {
- public:
-  explicit LanePool(std::uint32_t lanes) {
-    assigned_.resize(lanes > 0 ? lanes - 1 : 0, nullptr);
-    for (std::size_t w = 0; w + 1 < lanes; ++w)
-      workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-
-  ~LanePool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-      ++generation_;
-    }
-    wake_cv_.notify_all();
-    for (auto& t : workers_) t.join();
-  }
-
-  /// fns[0] runs on the calling thread, fns[k>0] on worker k-1. Empty
-  /// slots (no work for that lane this wave) stay null.
-  void run_wave(std::vector<std::function<void()>>& fns) {
-    std::size_t active = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (std::size_t w = 0; w < assigned_.size(); ++w) {
-        const std::size_t lane = w + 1;
-        assigned_[w] = lane < fns.size() && fns[lane] ? &fns[lane] : nullptr;
-        if (assigned_[w] != nullptr) ++active;
-      }
-      pending_ = active;
-      ++generation_;
-    }
-    if (active > 0) wake_cv_.notify_all();
-    if (!fns.empty() && fns[0]) fns[0]();
-    if (active > 0) {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [this] { return pending_ == 0; });
-    }
-  }
-
- private:
-  void worker_loop(std::size_t index) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      std::function<void()>* fn = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        wake_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        fn = assigned_[index];
-      }
-      if (fn != nullptr) {
-        (*fn)();
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable wake_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::function<void()>*> assigned_;
-  std::size_t pending_ = 0;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
-
-ParallelExecutor::ParallelExecutor(std::uint32_t lanes, bool real_threads)
-    : lanes_(std::max<std::uint32_t>(1, lanes)), real_threads_(real_threads) {}
-
-ParallelExecutor::~ParallelExecutor() = default;
-
-BatchStats ParallelExecutor::run(
-    const std::vector<ExecIntent>& intents,
-    const std::function<SimTime(std::size_t)>& execute_item) {
+BatchStats account_batch(const std::vector<ExecIntent>& intents,
+                         const std::vector<SimTime>& costs,
+                         std::uint32_t lanes) {
   BatchStats stats;
   const std::size_t n = intents.size();
   stats.commands = n;
   if (n == 0) return stats;
 
   const ConflictGraph graph = build_conflict_graph(intents);
-  const LaneSchedule sched = build_schedule(graph, lanes_);
+  const LaneSchedule sched = build_schedule(graph, lanes);
   stats.conflict_edges = graph.edges;
   stats.waves = sched.waves;
 
-  std::vector<SimTime> costs(n, 0);
-  if (!real_threads_ || lanes_ <= 1 || n == 1) {
-    // Simulated lanes: slot-order execution is trivially serial-equivalent;
-    // the schedule only shapes the CPU-time accounting below.
-    for (std::size_t i = 0; i < n; ++i) costs[i] = execute_item(i);
-  } else {
-    if (!pool_) pool_ = std::make_unique<LanePool>(lanes_);
-    // items[wave][lane] = slot-ordered item indices.
-    std::vector<std::vector<std::vector<std::uint32_t>>> items(
-        sched.waves, std::vector<std::vector<std::uint32_t>>(lanes_));
-    for (std::size_t i = 0; i < n; ++i)
-      items[sched.wave_of[i]][sched.lane_of[i]].push_back(
-          static_cast<std::uint32_t>(i));
-    for (std::uint32_t wave = 0; wave < sched.waves; ++wave) {
-      std::vector<std::function<void()>> lane_fns(lanes_);
-      for (std::uint32_t lane = 0; lane < lanes_; ++lane) {
-        const auto& mine = items[wave][lane];
-        if (mine.empty()) continue;
-        lane_fns[lane] = [&mine, &costs, &execute_item] {
-          for (std::uint32_t i : mine) costs[i] = execute_item(i);
-        };
-      }
-      pool_->run_wave(lane_fns);
-    }
-  }
-
-  // Deterministic parallel-time accounting from the actual per-item costs:
-  // each wave costs its busiest lane; waves are sequential.
-  std::vector<SimTime> lane_time(lanes_, 0);
+  // Each wave costs its busiest lane; waves are sequential.
+  std::vector<SimTime> lane_time(sched.lanes, 0);
   for (std::uint32_t wave = 0; wave < sched.waves; ++wave) {
     std::fill(lane_time.begin(), lane_time.end(), 0);
     SimTime span = 0;
@@ -221,7 +112,7 @@ BatchStats ParallelExecutor::run(
     stats.makespan += span;
   }
   const double capacity =
-      static_cast<double>(lanes_) * static_cast<double>(stats.makespan);
+      static_cast<double>(sched.lanes) * static_cast<double>(stats.makespan);
   stats.lane_occupancy =
       capacity > 0 ? static_cast<double>(stats.serial_cost) / capacity : 1.0;
   return stats;

@@ -15,21 +15,14 @@
 // Every replica computes the same schedule from the same decided prefix, so
 // the schedule itself is replicated state — no coordination needed.
 //
-// Two backends share the scheduler:
-//  - simulated lanes (default): commands run in slot order on the sim
-//    thread (trivially serial-equivalent), and the batch charges the
-//    *schedule makespan* to the sim CPU instead of the serial sum. Runs
-//    stay bit-deterministic and replayable.
-//  - a real std::thread lane pool (`exec_real_threads`): waves execute with
-//    a barrier between them; within a wave commands are pairwise
-//    non-conflicting, so the result is equivalent to slot order. Used for
-//    wall-clock bench numbers.
+// Commands execute one at a time, in slot order, on the sim thread
+// (trivially serial-equivalent). The schedule shapes only the CPU-time
+// accounting: a batch charges its *schedule makespan* to the sim CPU instead
+// of the serial sum, so runs stay bit-deterministic and replayable.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -83,32 +76,11 @@ struct BatchStats {
   double lane_occupancy = 1.0;
 };
 
-/// Batch executor: owns the lane count, the backend choice, and (lazily)
-/// the real-thread pool. `run` executes every item exactly once and returns
-/// the deterministic schedule accounting.
-class ParallelExecutor {
- public:
-  ParallelExecutor(std::uint32_t lanes, bool real_threads);
-  ~ParallelExecutor();
-
-  ParallelExecutor(const ParallelExecutor&) = delete;
-  ParallelExecutor& operator=(const ParallelExecutor&) = delete;
-
-  [[nodiscard]] std::uint32_t lanes() const { return lanes_; }
-  [[nodiscard]] bool real_threads() const { return real_threads_; }
-
-  /// Executes one batch. `execute_item(i)` must run item i and return its
-  /// CPU cost; with the thread backend it may be called from worker threads
-  /// (concurrently only for items with no conflict edge between them).
-  BatchStats run(const std::vector<ExecIntent>& intents,
-                 const std::function<SimTime(std::size_t)>& execute_item);
-
- private:
-  class LanePool;
-
-  std::uint32_t lanes_;
-  bool real_threads_;
-  std::unique_ptr<LanePool> pool_;  // lazily created, thread backend only
-};
+/// Parallel-time accounting for one batch that has already executed:
+/// `costs[i]` is the CPU cost item i charged. Builds the schedule for
+/// `lanes` lanes; each wave costs its busiest lane, and waves are sequential.
+[[nodiscard]] BatchStats account_batch(const std::vector<ExecIntent>& intents,
+                                       const std::vector<SimTime>& costs,
+                                       std::uint32_t lanes);
 
 }  // namespace dynastar::core

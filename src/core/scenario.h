@@ -69,12 +69,9 @@ class ScenarioBuilder {
     return *this;
   }
   /// Enables the deterministic intra-partition parallel executor with
-  /// `lanes` worker lanes (1 = serial apply, the default). With
-  /// `real_threads`, batches execute on a std::thread lane pool for
-  /// wall-clock numbers; state evolution is identical either way.
-  ScenarioBuilder& exec_lanes(std::uint32_t lanes, bool real_threads = false) {
+  /// `lanes` simulated lanes (1 = serial apply, the default).
+  ScenarioBuilder& exec_lanes(std::uint32_t lanes) {
     config_.exec_lanes = lanes;
-    config_.exec_real_threads = real_threads;
     return *this;
   }
   /// Network topology preset: "lan" (the default uniform latency-only

@@ -12,6 +12,17 @@ namespace {
 /// CPU charged for packing/unpacking one relocated object.
 constexpr SimTime kPerObjectMoveCost = nanoseconds(500);
 
+/// STAR: master replicas poll their deferred queue at this interval and emit
+/// an epoch-switch marker when work is pending. Shorter = lower
+/// multi-command latency, more marker/update traffic.
+constexpr SimTime kStarEpochInterval = milliseconds(1);
+
+/// Parallel executor micro-batch window: a delivered command waits at most
+/// this long for companions before the executor flushes.
+constexpr SimTime kExecBatchWindow = microseconds(200);
+/// Flush as soon as this many commands are pending.
+constexpr std::size_t kExecBatchMax = 64;
+
 /// Deterministic uid for group-emitted multicasts, namespaced by purpose.
 std::uint64_t group_uid(GroupId g, std::uint64_t purpose,
                         std::uint64_t counter) {
@@ -135,9 +146,6 @@ PartitionServerCore::PartitionServerCore(
     return sim::make_message<ServerSnapshotMsg>(stable_snapshot_);
   });
   member_.replica().set_metrics(metrics_);
-  if (config_.exec_lanes > 1)
-    exec_ = std::make_unique<ParallelExecutor>(config_.exec_lanes,
-                                               config_.exec_real_threads);
 }
 
 void PartitionServerCore::start() {
@@ -347,7 +355,7 @@ void PartitionServerCore::on_shed_deliver(const multicast::McastData& data) {
   if (serve_cached_duplicate(*exec)) return;
   const SimTime retry_after =
       config_.busy_retry_after_base +
-      static_cast<SimTime>(depth) * config_.busy_retry_after_per_item;
+      static_cast<SimTime>(depth) * kBusyRetryAfterPerItem;
   trace_cmd(TracePoint::kBusyReply, *exec,
             static_cast<std::uint64_t>(retry_after));
   env_.send_message(exec->cmd->client, sim::make_message<CommandReply>(
@@ -470,7 +478,7 @@ void PartitionServerCore::pump() {
         break;
     }
 
-    if (exec_ && exec_batchable(*ec)) {
+    if (config_.exec_lanes > 1 && exec_batchable(*ec)) {
       exec_enqueue(ec);
       queue_.pop_front();
       continue;
@@ -544,13 +552,13 @@ bool PartitionServerCore::exec_batchable(const ExecCommand& ec) const {
 void PartitionServerCore::exec_enqueue(const ExecCommandPtr& ec) {
   exec_pending_.push_back(ec);
   exec_pending_clients_.insert(ec->cmd->client.value());
-  if (exec_pending_.size() >= config_.exec_batch_max) {
+  if (exec_pending_.size() >= kExecBatchMax) {
     flush_exec_batch();
     return;
   }
   if (!exec_flush_armed_) {
     exec_flush_armed_ = true;
-    env_.start_timer(config_.exec_batch_window, [this] {
+    env_.start_timer(kExecBatchWindow, [this] {
       exec_flush_armed_ = false;
       flush_exec_batch();
     });
@@ -562,20 +570,15 @@ void PartitionServerCore::run_exec_batch(const std::vector<ExecCommandPtr>& batc
   results.resize(batch.size());
   std::vector<ExecIntent> intents;
   intents.reserve(batch.size());
-  for (const ExecCommandPtr& ec : batch) intents.push_back(intent_for(*ec->cmd));
-  // Trace in slot order up front: worker lanes must not touch the
-  // collector, and consume_cpu does not advance now() within an event, so
-  // these records match what interleaved serial execution would emit.
-  for (const ExecCommandPtr& ec : batch)
-    trace_cmd(TracePoint::kExecuteStart, *ec, partition_.value());
-  const bool threaded =
-      exec_->real_threads() && exec_->lanes() > 1 && batch.size() > 1;
-  if (threaded) store_.set_concurrency_guard(&exec_store_mutex_);
-  const BatchStats stats = exec_->run(intents, [&](std::size_t i) {
-    results[i] = app_->execute(*batch[i]->cmd, store_);
-    return results[i].cpu_cost;
-  });
-  if (threaded) store_.set_concurrency_guard(nullptr);
+  std::vector<SimTime> costs(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const ExecCommand& ec = *batch[i];
+    intents.push_back(intent_for(*ec.cmd));
+    trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
+    results[i] = app_->execute(*ec.cmd, store_);
+    costs[i] = results[i].cpu_cost;
+  }
+  const BatchStats stats = account_batch(intents, costs, config_.exec_lanes);
   // The batch charges its schedule makespan, not the serial sum — this is
   // where simulated lanes model the speedup (deterministically: the
   // schedule and costs are pure functions of the decided commands).
@@ -1297,7 +1300,7 @@ void PartitionServerCore::execute_ssmr(const ExecCommand& ec) {
 // ---------------------------------------------------------------------------
 
 void PartitionServerCore::arm_star_epoch_timer() {
-  env_.start_timer(config_.star_epoch_interval, [this] {
+  env_.start_timer(kStarEpochInterval, [this] {
     maybe_emit_star_marker();
     arm_star_epoch_timer();
   });
@@ -1346,7 +1349,7 @@ void PartitionServerCore::star_execute_batch(Epoch epoch) {
   std::map<PartitionId, std::set<VertexId>> touched;
   std::uint64_t executed = 0;
   // Runnable commands accumulate into chunks the conflict-graph executor
-  // runs as one batch (serial without exec_, preserving the original
+  // runs as one batch (serial when exec_lanes <= 1, preserving the original
   // behavior). A second command from the same client — a retransmitted
   // attempt — closes the chunk, so the duplicate check below always sees
   // the first attempt's cached reply.
@@ -1365,7 +1368,7 @@ void PartitionServerCore::star_execute_batch(Epoch epoch) {
   };
   auto run_chunk = [&] {
     if (chunk.empty()) return;
-    if (exec_ && chunk.size() > 1) {
+    if (config_.exec_lanes > 1 && chunk.size() > 1) {
       std::vector<ExecResult> results;
       run_exec_batch(chunk, results);
       for (std::size_t i = 0; i < chunk.size(); ++i)

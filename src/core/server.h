@@ -14,7 +14,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -277,18 +276,15 @@ class PartitionServerCore : private ServerState {
   // mutate state in slot order flushes the batch first.
   [[nodiscard]] bool exec_batchable(const ExecCommand& ec) const;
   void exec_enqueue(const ExecCommandPtr& ec);
-  /// Schedules and executes one batch (conflict graph -> lanes), charging
-  /// the schedule makespan to the sim CPU and emitting executor metrics.
+  /// Executes one batch in slot order, charging its schedule makespan
+  /// (conflict graph -> lanes) to the sim CPU and emitting executor metrics.
   void run_exec_batch(const std::vector<ExecCommandPtr>& batch,
                       std::vector<ExecResult>& results);
   void flush_exec_batch();
 
   // STAR asymmetric execution (config_.mode == kStar).
-  [[nodiscard]] PartitionId star_master() const {
-    return PartitionId{config_.star_master_partition};
-  }
   [[nodiscard]] bool is_star_master() const {
-    return config_.mode == ExecutionMode::kStar && partition_ == star_master();
+    return config_.mode == ExecutionMode::kStar && partition_ == kStarMaster;
   }
   void arm_star_epoch_timer();
   void maybe_emit_star_marker();
@@ -398,15 +394,13 @@ class PartitionServerCore : private ServerState {
   // Everything below is volatile by design: outside ServerState, never
   // checkpointed, and reset by restore_snapshot().
 
-  // Parallel-executor state (null / empty when exec_lanes <= 1). Pending
+  // Parallel-executor state (empty when exec_lanes <= 1). Pending
   // commands were popped from queue_ but not yet applied; every checkpoint
   // capture and snapshot hand-off flushes first, so the batch is never part
   // of durable state, and a restore drops it.
-  std::unique_ptr<ParallelExecutor> exec_;
   std::deque<ExecCommandPtr> exec_pending_;
   std::unordered_set<std::uint64_t> exec_pending_clients_;
   bool exec_flush_armed_ = false;
-  std::shared_mutex exec_store_mutex_;  // installed only during thread batches
 
   // Read leases: the leased copies and holder records are volatile by
   // design. A lease is only ever trusted after epoch+version validation, so

@@ -6,6 +6,25 @@
 
 namespace dynastar::core {
 
+namespace {
+constexpr std::uint32_t kAcceptorsPerPartition = 3;  // paper §6.1
+/// Node CPU cost of an acceptor (drives saturation / peak throughput).
+constexpr SimTime kAcceptorServiceTime = microseconds(2);
+
+/// Links between processes in the same datacenter: fat and near.
+/// 10 Gb/s, 50 us propagation, 16 MiB queue.
+constexpr sim::LinkProfile kIntraSiteProfile{
+    /*bandwidth_bytes_per_sec=*/1'250'000'000,
+    /*propagation=*/microseconds(50),
+    /*queue_bytes=*/16 * 1024 * 1024};
+/// Links between datacenters: thin and far. 100 Mb/s, 20 ms propagation,
+/// 4 MiB queue.
+constexpr sim::LinkProfile kInterSiteProfile{
+    /*bandwidth_bytes_per_sec=*/12'500'000,
+    /*propagation=*/milliseconds(20),
+    /*queue_bytes=*/4 * 1024 * 1024};
+}  // namespace
+
 System::System(SystemConfig config, AppFactory app_factory)
     : config_(std::move(config)),
       world_(config_.network, config_.seed),
@@ -34,7 +53,7 @@ System::System(SystemConfig config, AppFactory app_factory)
     world_.metrics().add_counter(metric::kOracleLeaseRelays, 0.0);
   }
   const std::uint32_t replicas = config_.replicas_per_partition;
-  const std::uint32_t acceptors = config_.acceptors_per_partition;
+  const std::uint32_t acceptors = kAcceptorsPerPartition;
   const std::uint32_t groups = config_.num_partitions + 1;  // + oracle
 
   // Process ids are assigned in spawn order; lay the topology out first so
@@ -58,7 +77,7 @@ System::System(SystemConfig config, AppFactory app_factory)
   }
   for (std::uint32_t a = 0; a < acceptors; ++a) {
     auto& node = world_.spawn<paxos::AcceptorNode>(GroupId{0});
-    node.set_message_service_time(config_.acceptor_service_time);
+    node.set_message_service_time(kAcceptorServiceTime);
     acceptors_.push_back(&node);
   }
 
@@ -73,7 +92,7 @@ System::System(SystemConfig config, AppFactory app_factory)
     }
     for (std::uint32_t a = 0; a < acceptors; ++a) {
       auto& node = world_.spawn<paxos::AcceptorNode>(GroupId{p + 1});
-      node.set_message_service_time(config_.acceptor_service_time);
+      node.set_message_service_time(kAcceptorServiceTime);
       acceptors_.push_back(&node);
     }
   }
@@ -103,9 +122,9 @@ System::System(SystemConfig config, AppFactory app_factory)
     }
     for (std::uint32_t i = 0; i < config_.net_sites; ++i)
       for (std::uint32_t j = 0; j < config_.net_sites; ++j)
-        if (i != j) net.set_site_profile(i, j, config_.inter_site_profile);
+        if (i != j) net.set_site_profile(i, j, kInterSiteProfile);
     for (std::uint32_t i = 0; i < config_.net_sites; ++i)
-      net.set_site_profile(i, i, config_.intra_site_profile);
+      net.set_site_profile(i, i, kIntraSiteProfile);
   }
 }
 
@@ -128,9 +147,8 @@ void System::preload_object(ObjectId id, VertexId vertex, PartitionId partition,
   // STAR: the master partition is a full replica, so preloaded state must
   // exist there too (the run keeps it fresh by addressing every command to
   // the master as well).
-  const PartitionId master{config_.star_master_partition};
-  if (config_.mode == ExecutionMode::kStar && partition != master) {
-    for (ServerNode* node : server_nodes_[master.value()])
+  if (config_.mode == ExecutionMode::kStar && partition != kStarMaster) {
+    for (ServerNode* node : server_nodes_[kStarMaster.value()])
       node->core().preload_object(id, vertex, object);
   }
 }

@@ -21,7 +21,7 @@ class System {
  public:
   /// Constructs the full topology: group 0 = oracle, group p+1 = partition
   /// p, each with config.replicas_per_partition replicas and
-  /// config.acceptors_per_partition acceptors.
+  /// three acceptors (paper §6.1).
   System(SystemConfig config, AppFactory app_factory);
 
   System(const System&) = delete;

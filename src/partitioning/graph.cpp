@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <numeric>
 
 namespace dynastar::partitioning {
@@ -140,33 +139,6 @@ void WorkloadGraph::remove_vertex(std::uint64_t id) {
   weights_[slot] = 0;
   index_.erase(it);
   free_slots_.push_back(slot);
-}
-
-void WorkloadGraph::decay(double factor) {
-  const auto scale = [factor](std::int64_t w) {
-    return static_cast<std::int64_t>(
-        std::floor(static_cast<double>(w) * factor));
-  };
-  for (Slot s = 0; s < ids_.size(); ++s) {
-    if (alive_[s] != 0) weights_[s] = scale(weights_[s]);
-  }
-  // Both directions of an edge carry the same weight, so both copies decay
-  // identically; drop dead entries from each side and count the undirected
-  // edge once (from the lower slot).
-  for (Slot s = 0; s < adj_.size(); ++s) {
-    auto& neighbors = adj_[s];
-    for (std::size_t i = 0; i < neighbors.size();) {
-      const std::int64_t decayed = scale(neighbors[i].weight);
-      if (decayed <= 0) {
-        if (s < neighbors[i].slot) --num_edges_;
-        neighbors[i] = neighbors.back();
-        neighbors.pop_back();
-      } else {
-        neighbors[i].weight = decayed;
-        ++i;
-      }
-    }
-  }
 }
 
 WorkloadGraph::Compact WorkloadGraph::compact() const {

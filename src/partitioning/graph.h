@@ -80,10 +80,6 @@ class WorkloadGraph {
   /// Removes a vertex and its edges (delete(v) in the paper).
   void remove_vertex(std::uint64_t id);
 
-  /// Multiplies all weights by `factor` (in (0,1]) and drops edges that
-  /// decay to zero — lets the oracle forget stale access patterns.
-  void decay(double factor);
-
   [[nodiscard]] std::size_t num_vertices() const { return index_.size(); }
   [[nodiscard]] std::size_t num_edges() const { return num_edges_; }
   [[nodiscard]] bool contains(std::uint64_t id) const {

@@ -254,6 +254,9 @@ void expect_no_clone(AppStateMachine& app, const Command& cmd,
     EXPECT_EQ(checkpoint.find(id), version) << "object " << id.value();
 }
 
+// A read-only command must leave every version shared: a checkpoint holds
+// the same pointers as the live store, and a read that cloned would copy
+// the object for nothing and break that sharing.
 TEST(CopyOnWrite, ReadOnlyCommandsNeverClone) {
   namespace ch = workloads::chirper;
   namespace sb = workloads::smallbank;

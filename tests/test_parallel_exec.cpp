@@ -1,13 +1,14 @@
 // Deterministic parallel command execution: conflict-graph construction,
-// wave/lane scheduling, serial-equivalence of both backends (simulated
-// lanes and the real std::thread pool), and the full-stack properties the
-// feature must preserve — bit-determinism and linearizability with lanes
-// enabled. The thread-backend tests here are also the TSan CI target.
+// wave/lane scheduling, makespan accounting, serial-equivalence of the wave
+// schedule (wave-major execution matches slot order), and the full-stack
+// properties the feature must preserve — bit-determinism and
+// linearizability with lanes enabled.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <memory>
-#include <shared_mutex>
+#include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/linearizability.h"
@@ -112,9 +113,7 @@ TEST(ParallelExec, EmptyBatchIsANoOp) {
   EXPECT_EQ(graph.edges, 0u);
   EXPECT_EQ(core::build_schedule(graph, 4).waves, 0u);
 
-  core::ParallelExecutor exec(4, /*real_threads=*/false);
-  const auto stats =
-      exec.run({}, [](std::size_t) -> SimTime { return microseconds(1); });
+  const auto stats = core::account_batch({}, {}, 4);
   EXPECT_EQ(stats.commands, 0u);
   EXPECT_EQ(stats.makespan, 0);
 }
@@ -138,28 +137,26 @@ TEST(ParallelExec, ScheduleIsDeterministic) {
   EXPECT_EQ(a.lane_of, b.lane_of);
 }
 
-TEST(ParallelExec, ThreadPoolRunsEveryItemExactlyOnce) {
+TEST(ParallelExec, IndependentItemsPackOneWave) {
   std::vector<ExecIntent> intents;
   for (std::uint64_t i = 0; i < 32; ++i) intents.push_back(writes({i}));
-  core::ParallelExecutor exec(4, /*real_threads=*/true);
-  std::vector<std::atomic<int>> hits(32);
-  const auto stats = exec.run(intents, [&](std::size_t i) -> SimTime {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-    return microseconds(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  const std::vector<SimTime> costs(32, microseconds(1));
+  const auto stats = core::account_batch(intents, costs, 4);
   EXPECT_EQ(stats.commands, 32u);
   EXPECT_EQ(stats.conflict_edges, 0u);
   EXPECT_EQ(stats.waves, 1u);
   // 32 independent 1us items on 4 lanes: makespan is one lane's share.
   EXPECT_EQ(stats.makespan, microseconds(8));
   EXPECT_DOUBLE_EQ(stats.lane_occupancy, 1.0);
+  EXPECT_EQ(stats.serial_cost, microseconds(32));
 }
 
 // ---------------------------------------------------------------------------
-// Serial-equivalence replay: on every determinism seed, an N-lane schedule
-// (both backends) must produce bit-identical state and replies to serial
-// slot-order execution.
+// Serial-equivalence replay: on every determinism seed, executing a batch in
+// the 4-lane schedule's wave-major order must produce bit-identical state
+// and replies to slot-order execution. Wave order extends slot order on
+// conflicts, so any order that respects waves — here wave by wave, lanes in
+// reverse, each lane in slot order — is equivalent.
 
 constexpr std::uint64_t kReplayKeys = 32;
 
@@ -189,23 +186,29 @@ core::ObjectStore preloaded_store() {
   return store;
 }
 
+/// Item indices by wave, then lane (highest lane first), slot order within
+/// a lane.
+std::vector<std::size_t> wave_major_order(const std::vector<ExecIntent>& intents,
+                                          std::uint32_t lanes) {
+  const auto sched =
+      core::build_schedule(core::build_conflict_graph(intents), lanes);
+  std::vector<std::size_t> order;
+  for (std::uint32_t wave = 0; wave < sched.waves; ++wave)
+    for (std::uint32_t lane = sched.lanes; lane-- > 0;)
+      for (std::size_t i = 0; i < intents.size(); ++i)
+        if (sched.wave_of[i] == wave && sched.lane_of[i] == lane)
+          order.push_back(i);
+  return order;
+}
+
+/// Executes `cmds` in `order` and returns each command's reply values,
+/// indexed by slot.
 std::vector<std::vector<std::optional<std::uint64_t>>> run_batch(
     const std::vector<core::CommandPtr>& cmds, core::ObjectStore& store,
-    std::uint32_t lanes, bool real_threads) {
+    const std::vector<std::size_t>& order) {
   workloads::KvApp app;
-  std::vector<ExecIntent> intents;
-  intents.reserve(cmds.size());
-  for (const auto& cmd : cmds) intents.push_back(core::intent_for(*cmd));
-
   std::vector<core::ExecResult> results(cmds.size());
-  core::ParallelExecutor exec(lanes, real_threads);
-  std::shared_mutex guard;
-  if (real_threads) store.set_concurrency_guard(&guard);
-  exec.run(intents, [&](std::size_t i) -> SimTime {
-    results[i] = app.execute(*cmds[i], store);
-    return results[i].cpu_cost;
-  });
-  if (real_threads) store.set_concurrency_guard(nullptr);
+  for (std::size_t i : order) results[i] = app.execute(*cmds[i], store);
 
   std::vector<std::vector<std::optional<std::uint64_t>>> observed;
   for (const auto& r : results) {
@@ -229,20 +232,22 @@ std::vector<std::uint64_t> final_values(core::ObjectStore& store) {
 TEST(ParallelExec, LaneScheduleReplaysBitIdenticalToSerial) {
   for (const std::uint64_t seed : {42ull, 1ull, 2ull, 9ull}) {
     const auto cmds = random_batch(seed, 300);
+    std::vector<ExecIntent> intents;
+    for (const auto& cmd : cmds) intents.push_back(core::intent_for(*cmd));
+    std::vector<std::size_t> slot_order(cmds.size());
+    std::iota(slot_order.begin(), slot_order.end(), 0);
+    const auto wave_order = wave_major_order(intents, 4);
+    // The replay is only meaningful if the wave order really reorders.
+    ASSERT_NE(wave_order, slot_order) << "seed " << seed;
+
     auto serial_store = preloaded_store();
-    auto sim_store = preloaded_store();
-    auto thread_store = preloaded_store();
+    auto wave_store = preloaded_store();
+    const auto serial = run_batch(cmds, serial_store, slot_order);
+    const auto waves = run_batch(cmds, wave_store, wave_order);
 
-    const auto serial = run_batch(cmds, serial_store, 1, false);
-    const auto sim4 = run_batch(cmds, sim_store, 4, false);
-    const auto threads4 = run_batch(cmds, thread_store, 4, true);
-
-    EXPECT_EQ(serial, sim4) << "sim backend diverged, seed " << seed;
-    EXPECT_EQ(serial, threads4) << "thread backend diverged, seed " << seed;
-    EXPECT_EQ(final_values(serial_store), final_values(sim_store))
-        << "sim state diverged, seed " << seed;
-    EXPECT_EQ(final_values(serial_store), final_values(thread_store))
-        << "thread state diverged, seed " << seed;
+    EXPECT_EQ(serial, waves) << "replies diverged, seed " << seed;
+    EXPECT_EQ(final_values(serial_store), final_values(wave_store))
+        << "state diverged, seed " << seed;
   }
 }
 
@@ -269,12 +274,11 @@ Fingerprint fingerprint_of(core::System& system) {
 }
 
 std::unique_ptr<core::System> build_kv_system(std::uint64_t seed,
-                                              std::uint32_t lanes,
-                                              bool real_threads) {
+                                              std::uint32_t lanes) {
   return core::ScenarioBuilder()
       .partitions(3)
       .seed(seed)
-      .exec_lanes(lanes, real_threads)
+      .exec_lanes(lanes)
       .tune([](core::SystemConfig& c) {
         c.repartition_hint_threshold = UINT64_MAX;
       })
@@ -290,7 +294,7 @@ std::unique_ptr<core::System> build_kv_system(std::uint64_t seed,
 
 TEST(ParallelExec, FullStackDeterministicWithLanes) {
   auto run_once = [] {
-    auto system = build_kv_system(42, 4, /*real_threads=*/false);
+    auto system = build_kv_system(42, 4);
     system->run_until(seconds(3));
     // Batches must actually form — otherwise this test is vacuous.
     EXPECT_GT(system->metrics().counter(metric::kExecBatches), 0.0);
@@ -299,28 +303,15 @@ TEST(ParallelExec, FullStackDeterministicWithLanes) {
   EXPECT_TRUE(run_once() == run_once());
 }
 
-TEST(ParallelExec, ThreadBackendMatchesSimBackend) {
-  // The thread pool changes which OS thread runs a command, never the
-  // schedule or the modeled time, so the whole-run fingerprint must match
-  // the simulated-lane backend exactly.
-  auto run_with = [](bool real_threads) {
-    auto system = build_kv_system(7, 4, real_threads);
-    system->run_until(seconds(2));
-    return fingerprint_of(*system);
-  };
-  EXPECT_TRUE(run_with(false) == run_with(true));
-}
-
 TEST(ParallelExec, LinearizableWithLanes) {
-  for (const bool real_threads : {false, true}) {
+  for (const std::uint64_t seed : {11ull, 12ull}) {
     core::SystemConfig config;
     config.mode = core::ExecutionMode::kDynaStar;
     config.num_partitions = 3;
-    config.seed = real_threads ? 12 : 11;
+    config.seed = seed;
     config.repartitioning_enabled = true;
     config.repartition_hint_threshold = UINT64_MAX;
     config.exec_lanes = 4;
-    config.exec_real_threads = real_threads;
     core::System system(config, workloads::kv_app_factory());
     constexpr std::uint64_t kKeys = 10;
     core::Assignment assignment;
@@ -343,8 +334,7 @@ TEST(ParallelExec, LinearizableWithLanes) {
     const auto full = testutil::with_initial_puts(history, kKeys, 1000);
     const auto result = check_kv_linearizable(full);
     EXPECT_TRUE(result.linearizable)
-        << "non-linearizable history with lanes; real_threads="
-        << real_threads;
+        << "non-linearizable history with lanes; seed " << seed;
   }
 }
 

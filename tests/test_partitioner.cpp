@@ -168,16 +168,6 @@ TEST(WorkloadGraph, RemoveVertexDropsEdges) {
   EXPECT_FALSE(graph.contains(2));
 }
 
-TEST(WorkloadGraph, DecayForgetsColdEdges) {
-  WorkloadGraph graph;
-  graph.add_edge(1, 2, 1);    // cold
-  graph.add_edge(3, 4, 100);  // hot
-  graph.decay(0.5);
-  EXPECT_EQ(graph.num_edges(), 1u);  // cold edge decayed to zero
-  graph.decay(0.5);
-  EXPECT_EQ(graph.num_edges(), 1u);  // hot edge survives (50 -> 25)
-}
-
 TEST(WorkloadGraph, SelfEdgeCountsAsVertexWeight) {
   WorkloadGraph graph;
   graph.add_edge(7, 7, 3);

@@ -314,15 +314,11 @@ void expect_only_protocol_knobs_differ(const core::SystemConfig& c,
                                        const core::SystemConfig& common) {
   EXPECT_EQ(c.num_partitions, common.num_partitions);
   EXPECT_EQ(c.replicas_per_partition, common.replicas_per_partition);
-  EXPECT_EQ(c.acceptors_per_partition, common.acceptors_per_partition);
   EXPECT_EQ(c.repartition_hint_threshold, common.repartition_hint_threshold);
   EXPECT_EQ(c.min_repartition_interval, common.min_repartition_interval);
   EXPECT_EQ(c.hint_batch_commands, common.hint_batch_commands);
   EXPECT_EQ(c.eager_plan_transfer, common.eager_plan_transfer);
   EXPECT_EQ(c.strict_epoch_validation, common.strict_epoch_validation);
-  EXPECT_EQ(c.workload_graph_decay, common.workload_graph_decay);
-  EXPECT_EQ(c.star_master_partition, common.star_master_partition);
-  EXPECT_EQ(c.star_epoch_interval, common.star_epoch_interval);
   EXPECT_EQ(c.client_cache_capacity, common.client_cache_capacity);
   EXPECT_EQ(c.client_timeout_base, common.client_timeout_base);
   EXPECT_EQ(c.client_timeout_multiplier, common.client_timeout_multiplier);
@@ -332,12 +328,8 @@ void expect_only_protocol_knobs_differ(const core::SystemConfig& c,
   EXPECT_EQ(c.server_queue_cap, common.server_queue_cap);
   EXPECT_EQ(c.oracle_inflight_cap, common.oracle_inflight_cap);
   EXPECT_EQ(c.busy_retry_after_base, common.busy_retry_after_base);
-  EXPECT_EQ(c.busy_retry_after_per_item, common.busy_retry_after_per_item);
   EXPECT_EQ(c.client_retry_budget, common.client_retry_budget);
   EXPECT_EQ(c.client_retry_token_interval, common.client_retry_token_interval);
-  EXPECT_EQ(c.plan_compute_base, common.plan_compute_base);
-  EXPECT_EQ(c.plan_compute_ns_per_element,
-            common.plan_compute_ns_per_element);
   EXPECT_EQ(c.partitioner.imbalance, common.partitioner.imbalance);
   EXPECT_EQ(c.partitioner.coarsest_per_part,
             common.partitioner.coarsest_per_part);
@@ -345,10 +337,6 @@ void expect_only_protocol_knobs_differ(const core::SystemConfig& c,
   EXPECT_EQ(c.partitioner.refinement_passes,
             common.partitioner.refinement_passes);
   EXPECT_EQ(c.partitioner.seed, common.partitioner.seed);
-  EXPECT_EQ(c.server_service_time, common.server_service_time);
-  EXPECT_EQ(c.oracle_service_time, common.oracle_service_time);
-  EXPECT_EQ(c.acceptor_service_time, common.acceptor_service_time);
-  EXPECT_EQ(c.client_service_time, common.client_service_time);
   EXPECT_EQ(c.paxos.batch_delay, common.paxos.batch_delay);
   EXPECT_EQ(c.paxos.max_batch, common.paxos.max_batch);
   EXPECT_EQ(c.paxos.heartbeat_interval, common.paxos.heartbeat_interval);

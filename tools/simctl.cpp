@@ -59,7 +59,6 @@ struct Options {
   std::string surge_spec;                // "N@START+DUR" (empty = no surge)
   std::int64_t queue_cap = -1;           // -1 = keep preset default (off)
   std::int64_t exec_lanes = -1;          // -1 = keep preset default (serial)
-  std::string exec_backend = "sim";      // sim | threads
   std::int64_t read_leases = -1;         // -1 = keep preset default (off)
   std::string net;                       // "" = keep preset (lan) | wan:<N>dc
   std::uint64_t long_crashes = 0;        // chaos: long-downtime crash events
@@ -94,8 +93,6 @@ std::vector<Flag> flag_table(Options* o) {
       {"--workload=", "NAME", "kv | tpcc | chirper | smallbank",
        [o](const char* v) { o->workload = v; }},
       {"--system=", "NAME", baselines::baseline_names(),
-       [o](const char* v) { o->system = v; }},
-      {"--mode=", "NAME", "alias for --system",
        [o](const char* v) { o->system = v; }},
       {"--placement=", "NAME", "random | optimized initial placement",
        [o](const char* v) { o->placement = v; }},
@@ -139,11 +136,8 @@ std::vector<Flag> flag_table(Options* o) {
        "admission high-water mark for servers + oracle (0 = shedding off)",
        [o](const char* v) { o->queue_cap = std::atoll(v); }},
       {"--exec-lanes=", "N",
-       "parallel-executor worker lanes per replica (1 = serial apply)",
+       "parallel-executor simulated lanes per replica (1 = serial apply)",
        [o](const char* v) { o->exec_lanes = std::atoll(v); }},
-      {"--exec-backend=", "NAME",
-       "parallel-executor backend: sim (deterministic) | threads",
-       [o](const char* v) { o->exec_backend = v; }},
       {"--read-leases=", "0|1",
        "serve read-only multi-partition commands from epoch-validated leases "
        "(dynastar / dssmr only)",
@@ -216,13 +210,6 @@ core::SystemConfig make_config(const Options& options) {
   if (options.exec_lanes >= 0)
     config.exec_lanes = static_cast<std::uint32_t>(options.exec_lanes);
   if (options.read_leases >= 0) config.read_leases = options.read_leases != 0;
-  if (options.exec_backend == "threads") {
-    config.exec_real_threads = true;
-  } else if (options.exec_backend != "sim") {
-    std::fprintf(stderr, "unknown exec backend %s (expected sim|threads)\n",
-                 options.exec_backend.c_str());
-    std::exit(2);
-  }
   return config;
 }
 
