@@ -187,7 +187,6 @@ struct MessageStormResult {
 /// in-flight window, the way protocol messages churn through the simulator.
 MessageStormResult run_message_storm(std::uint64_t total_messages) {
   struct Payload final : sim::Message {
-    [[nodiscard]] const char* type_name() const override { return "Payload"; }
     std::uint64_t a = 0;
     std::uint64_t b = 0;
   };

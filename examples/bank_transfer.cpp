@@ -25,16 +25,12 @@ class Account final : public core::PRObject {
 
 struct Transfer final : sim::Message {
   Transfer(std::int64_t a) : amount(a) {}
-  const char* type_name() const override { return "bank.Transfer"; }
   std::int64_t amount;  // objects[0] -> objects[1]
 };
 
-struct Audit final : sim::Message {
-  const char* type_name() const override { return "bank.Audit"; }
-};
+struct Audit final : sim::Message {};
 
 struct BankReply final : sim::Message {
-  const char* type_name() const override { return "bank.Reply"; }
   bool ok = true;
   std::int64_t total = 0;
 };

@@ -189,15 +189,16 @@ void ClientCore::on_command_timeout(std::uint64_t cmd_id,
 
 bool ClientCore::handle(ProcessId /*from*/, const sim::MessagePtr& msg) {
   if (sender_.handle(msg)) return true;
-  if (auto* prophecy = dynamic_cast<const Prophecy*>(msg.get())) {
-    on_prophecy(*prophecy);
-    return true;
+  switch (msg->kind()) {
+    case sim::Kind::kProphecy:
+      on_prophecy(*sim::as<Prophecy>(msg.get()));
+      return true;
+    case sim::Kind::kCommandReply:
+      on_reply(*sim::as<CommandReply>(msg.get()));
+      return true;
+    default:
+      return false;
   }
-  if (auto* reply = dynamic_cast<const CommandReply*>(msg.get())) {
-    on_reply(*reply);
-    return true;
-  }
-  return false;
 }
 
 void ClientCore::on_prophecy(const Prophecy& msg) {

@@ -49,8 +49,7 @@ OracleCore::OracleCore(sim::Env& env, const paxos::Topology& topology,
     // messages are never gated by the member.
     member_.set_admission_gate([this](const multicast::McastData& data) {
       if (data.sender >= (1ULL << 40)) return false;
-      const auto* req =
-          dynamic_cast<const OracleRequest*>(data.payload.get());
+      const auto* req = sim::as<OracleRequest>(data.payload.get());
       if (req == nullptr) return false;
       const std::size_t depth = queue_depth();
       if (depth < config_.oracle_inflight_cap) {
@@ -69,7 +68,7 @@ OracleCore::OracleCore(sim::Env& env, const paxos::Topology& topology,
     return sim::make_message<OracleSnapshotMsg>(capture_snapshot());
   });
   member_.replica().set_snapshot_installer([this](const sim::MessagePtr& m) {
-    const auto* snap = dynamic_cast<const OracleSnapshotMsg*>(m.get());
+    const auto* snap = sim::as<OracleSnapshotMsg>(m.get());
     if (snap == nullptr || !snap->state) return false;
     restore_snapshot(*snap->state);
     if (metrics_) metrics_->add_counter(metric::kOracleSnapshotInstalls);
@@ -181,19 +180,25 @@ void OracleCore::on_adeliver(const multicast::McastData& data) {
                                               {{"replica", replica_label_}});
     queue_depth_series_->add(env_.now(), static_cast<double>(queue_depth()));
   }
-  if (auto req = sim::dyn_ref_cast<const OracleRequest>(data.payload)) {
-    on_request(*req);
-  } else if (auto exec =
-                 sim::dyn_ref_cast<const ExecCommand>(data.payload)) {
-    on_create_apply(*exec);
-  } else if (auto hint =
-                 sim::dyn_ref_cast<const HintReport>(data.payload)) {
-    on_hint(*hint);
-  } else if (auto update = sim::dyn_ref_cast<const LocationUpdate>(
-                 data.payload)) {
-    on_location_update(*update);
-  } else if (auto plan = sim::dyn_ref_cast<const PlanMsg>(data.payload)) {
-    on_plan(*plan);
+  const sim::Message* payload = data.payload.get();
+  switch (payload->kind()) {
+    case sim::Kind::kOracleRequest:
+      on_request(*sim::as<OracleRequest>(payload));
+      break;
+    case sim::Kind::kExecCommand:
+      on_create_apply(*sim::as<ExecCommand>(payload));
+      break;
+    case sim::Kind::kHintReport:
+      on_hint(*sim::as<HintReport>(payload));
+      break;
+    case sim::Kind::kLocationUpdate:
+      on_location_update(*sim::as<LocationUpdate>(payload));
+      break;
+    case sim::Kind::kPlanMsg:
+      on_plan(*sim::as<PlanMsg>(payload));
+      break;
+    default:
+      break;
   }
 }
 
@@ -208,8 +213,8 @@ void OracleCore::send_prophecy(
 }
 
 void OracleCore::on_shed_deliver(const multicast::McastData& data) {
-  auto req = sim::dyn_ref_cast<const OracleRequest>(data.payload);
-  if (!req) return;
+  const auto* req = sim::as<OracleRequest>(data.payload.get());
+  if (req == nullptr) return;
   const std::size_t depth = queue_depth();
   if (trace_)
     trace_->record(TracePoint::kShed, env_.now(), req->cmd->cmd_id,

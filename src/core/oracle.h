@@ -171,10 +171,9 @@ class OracleCore : private OracleState {
 
 /// Carrier for an oracle snapshot travelling as an InstallSnapshotResp
 /// payload.
-struct OracleSnapshotMsg final : sim::Message {
+struct OracleSnapshotMsg final : sim::Typed<sim::Kind::kOracleSnapshotMsg> {
   explicit OracleSnapshotMsg(OracleCore::SnapshotPtr s)
       : state(std::move(s)) {}
-  const char* type_name() const override { return "core.OracleSnapshot"; }
   std::size_t size_bytes() const override {
     return 256 + (state ? state->state.map_.size() * 16 : 0);
   }

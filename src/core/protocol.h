@@ -41,9 +41,8 @@ inline std::size_t envelopes_bytes(const std::vector<ObjectEnvelope>& objs) {
 
 /// Client -> oracle group: resolve and relay this command (cache miss,
 /// create, or retry path).
-struct OracleRequest final : sim::Message {
+struct OracleRequest final : sim::Typed<sim::Kind::kOracleRequest> {
   OracleRequest(CommandPtr c, std::uint32_t a) : cmd(std::move(c)), attempt(a) {}
-  const char* type_name() const override { return "core.OracleRequest"; }
   std::size_t size_bytes() const override { return cmd->size_bytes(); }
   CommandPtr cmd;
   /// Client-side resubmission counter; disambiguates retried commands in
@@ -54,7 +53,7 @@ struct OracleRequest final : sim::Message {
 /// Oracle or cache-hitting client -> involved partitions: execute `cmd` at
 /// `target`; `dests` is the full addressing the sender computed and `epoch`
 /// the plan epoch it used.
-struct ExecCommand final : sim::Message {
+struct ExecCommand final : sim::Typed<sim::Kind::kExecCommand> {
   ExecCommand(CommandPtr c, std::vector<PartitionId> d,
               std::vector<PartitionId> owners_by_vertex, PartitionId t, Epoch e,
               std::uint32_t a)
@@ -64,7 +63,6 @@ struct ExecCommand final : sim::Message {
         target(t),
         epoch(e),
         attempt(a) {}
-  const char* type_name() const override { return "core.ExecCommand"; }
   std::size_t size_bytes() const override {
     return 32 + dests.size() * 8 + owners.size() * 8 + cmd->size_bytes();
   }
@@ -80,12 +78,11 @@ struct ExecCommand final : sim::Message {
 
 /// Partition group -> oracle group: accumulated workload-graph observations
 /// (Task 4 hints): vertex access weights and co-access edge weights.
-struct HintReport final : sim::Message {
+struct HintReport final : sim::Typed<sim::Kind::kHintReport> {
   HintReport(PartitionId p,
              std::vector<std::pair<std::uint64_t, std::int64_t>> vs,
              std::vector<std::tuple<std::uint64_t, std::uint64_t, std::int64_t>> es)
       : from(p), vertex_weights(std::move(vs)), edges(std::move(es)) {}
-  const char* type_name() const override { return "core.HintReport"; }
   std::size_t size_bytes() const override {
     return 32 + vertex_weights.size() * 16 + edges.size() * 24;
   }
@@ -113,10 +110,9 @@ using MoveListPtr = std::shared_ptr<const std::vector<VertexMove>>;
 /// other oracle replicas are ignored. `moves` is the diff against the
 /// oracle's previous map — servers need the old owner explicitly because a
 /// vertex created since their last plan is absent from their local map.
-struct PlanMsg final : sim::Message {
+struct PlanMsg final : sim::Typed<sim::Kind::kPlanMsg> {
   PlanMsg(Epoch e, AssignmentPtr a, MoveListPtr m)
       : epoch(e), assignment(std::move(a)), moves(std::move(m)) {}
-  const char* type_name() const override { return "core.PlanMsg"; }
   std::size_t size_bytes() const override {
     return 32 + assignment->size() * 16 + moves->size() * 24;
   }
@@ -127,10 +123,9 @@ struct PlanMsg final : sim::Message {
 
 /// DS-SMR only: partition group -> oracle group, permanent relocations
 /// caused by a multi-partition command.
-struct LocationUpdate final : sim::Message {
+struct LocationUpdate final : sim::Typed<sim::Kind::kLocationUpdate> {
   explicit LocationUpdate(std::vector<std::pair<VertexId, PartitionId>> m)
       : moves(std::move(m)) {}
-  const char* type_name() const override { return "core.LocationUpdate"; }
   std::size_t size_bytes() const override { return 16 + moves.size() * 16; }
   std::vector<std::pair<VertexId, PartitionId>> moves;
 };
@@ -141,9 +136,8 @@ struct LocationUpdate final : sim::Message {
 /// marker for an epoch wins and duplicates are ignored, so every replica
 /// of every partition phase-switches at the same point of its delivery
 /// order.
-struct StarEpochMsg final : sim::Message {
+struct StarEpochMsg final : sim::Typed<sim::Kind::kStarEpochMsg> {
   explicit StarEpochMsg(Epoch e) : epoch(e) {}
-  const char* type_name() const override { return "core.StarEpochMsg"; }
   Epoch epoch;
 };
 
@@ -154,7 +148,7 @@ struct StarEpochMsg final : sim::Message {
 /// Oracle replica -> client: the prophecy (§4.1). On kOk the client waits
 /// for the target partition's reply; `locations` refreshes the client's
 /// cache.
-struct Prophecy final : sim::Message {
+struct Prophecy final : sim::Typed<sim::Kind::kProphecy> {
   Prophecy(std::uint64_t id, std::uint32_t a, ReplyStatus s, PartitionId t,
            Epoch e, std::vector<std::pair<VertexId, PartitionId>> locs,
            SimTime retry = 0)
@@ -165,7 +159,6 @@ struct Prophecy final : sim::Message {
         epoch(e),
         locations(std::move(locs)),
         retry_after(retry) {}
-  const char* type_name() const override { return "core.Prophecy"; }
   std::size_t size_bytes() const override {
     return 40 + locations.size() * 16;
   }
@@ -181,7 +174,7 @@ struct Prophecy final : sim::Message {
 
 /// Partition replica -> client: execution result (kOk) or kRetry when the
 /// command's addressing was computed against a stale epoch/map.
-struct CommandReply final : sim::Message {
+struct CommandReply final : sim::Typed<sim::Kind::kCommandReply> {
   CommandReply(std::uint64_t id, std::uint32_t a, ReplyStatus s,
                sim::MessagePtr p, SimTime retry = 0)
       : cmd_id(id),
@@ -189,7 +182,6 @@ struct CommandReply final : sim::Message {
         status(s),
         payload(std::move(p)),
         retry_after(retry) {}
-  const char* type_name() const override { return "core.CommandReply"; }
   std::size_t size_bytes() const override {
     return 24 + (payload ? payload->size_bytes() : 0);
   }
@@ -203,11 +195,10 @@ struct CommandReply final : sim::Message {
 
 /// Source partition replica -> target partition replicas: the omega objects
 /// the source holds, for one command (DynaStar borrow; S-SMR copy).
-struct VarTransfer final : sim::Message {
+struct VarTransfer final : sim::Typed<sim::Kind::kVarTransfer> {
   VarTransfer(std::uint64_t id, std::uint32_t a, PartitionId f,
               std::vector<ObjectEnvelope> o)
       : cmd_id(id), attempt(a), from(f), objects(std::move(o)) {}
-  const char* type_name() const override { return "core.VarTransfer"; }
   std::size_t size_bytes() const override {
     return 32 + envelopes_bytes(objects);
   }
@@ -220,11 +211,10 @@ struct VarTransfer final : sim::Message {
 /// Target partition replica -> source replicas: borrowed objects coming
 /// home after execution (includes objects the execution created for
 /// borrowed vertices).
-struct VarReturn final : sim::Message {
+struct VarReturn final : sim::Typed<sim::Kind::kVarReturn> {
   VarReturn(std::uint64_t id, std::uint32_t a, PartitionId f,
             std::vector<ObjectEnvelope> o)
       : cmd_id(id), attempt(a), from(f), objects(std::move(o)) {}
-  const char* type_name() const override { return "core.VarReturn"; }
   std::size_t size_bytes() const override {
     return 32 + envelopes_bytes(objects);
   }
@@ -235,11 +225,10 @@ struct VarReturn final : sim::Message {
 };
 
 /// Old owner -> new owner (plan application): all objects of one vertex.
-struct ObjectHandoff final : sim::Message {
+struct ObjectHandoff final : sim::Typed<sim::Kind::kObjectHandoff> {
   ObjectHandoff(Epoch e, PartitionId f, VertexId v,
                 std::vector<ObjectEnvelope> o)
       : epoch(e), from(f), vertex(v), objects(std::move(o)) {}
-  const char* type_name() const override { return "core.ObjectHandoff"; }
   std::size_t size_bytes() const override {
     return 40 + envelopes_bytes(objects);
   }
@@ -255,7 +244,7 @@ struct ObjectHandoff final : sim::Message {
 /// StateChunk, the simulator substitutes a shared ref for serialized bytes:
 /// every frame carries the full handoff while only `payload_bytes` occupy
 /// the wire, and the receiver splices it in once all frames arrived.
-struct HandoffChunk final : sim::Message {
+struct HandoffChunk final : sim::Typed<sim::Kind::kHandoffChunk> {
   HandoffChunk(Epoch e, PartitionId f, VertexId v, std::uint32_t idx,
                std::uint32_t chunks, std::uint32_t bytes, sim::MessagePtr h)
       : epoch(e),
@@ -265,7 +254,6 @@ struct HandoffChunk final : sim::Message {
         total_chunks(chunks),
         payload_bytes(bytes),
         handoff(std::move(h)) {}
-  const char* type_name() const override { return "core.HandoffChunk"; }
   std::size_t size_bytes() const override { return 48 + payload_bytes; }
   Epoch epoch;
   PartitionId from;
@@ -277,10 +265,9 @@ struct HandoffChunk final : sim::Message {
 };
 
 /// New owner -> old owner (on-demand plan mode): send me vertex `vertex`.
-struct FetchVertex final : sim::Message {
+struct FetchVertex final : sim::Typed<sim::Kind::kFetchVertex> {
   FetchVertex(Epoch e, PartitionId f, VertexId v)
       : epoch(e), from(f), vertex(v) {}
-  const char* type_name() const override { return "core.FetchVertex"; }
   Epoch epoch;
   PartitionId from;
   VertexId vertex;
@@ -291,11 +278,10 @@ struct FetchVertex final : sim::Message {
 /// deferred batch of `epoch` touched. Non-masters block at the epoch's
 /// marker until this arrives, then install it and switch — so their state
 /// at the switch equals the master's, regardless of marker/update race.
-struct StarEpochUpdate final : sim::Message {
+struct StarEpochUpdate final : sim::Typed<sim::Kind::kStarEpochUpdate> {
   StarEpochUpdate(Epoch e, PartitionId f,
                   std::vector<std::pair<VertexId, std::vector<ObjectEnvelope>>> v)
       : epoch(e), from(f), vertices(std::move(v)) {}
-  const char* type_name() const override { return "core.StarEpochUpdate"; }
   std::size_t size_bytes() const override {
     std::size_t total = 32;
     for (const auto& [vertex, objs] : vertices) total += 8 + envelopes_bytes(objs);
@@ -326,11 +312,10 @@ struct LeaseEntry {
 /// lender does not block — the grant is positioned in the lender's delivery
 /// order at the command's slot, which is what serializes the read against
 /// lender-side writes.
-struct LeaseGrant final : sim::Message {
+struct LeaseGrant final : sim::Typed<sim::Kind::kLeaseGrant> {
   LeaseGrant(std::uint64_t id, std::uint32_t a, PartitionId f, Epoch e,
              std::vector<LeaseEntry> en)
       : cmd_id(id), attempt(a), from(f), epoch(e), entries(std::move(en)) {}
-  const char* type_name() const override { return "core.LeaseGrant"; }
   std::size_t size_bytes() const override {
     std::size_t total = 40;
     for (const auto& entry : entries)
@@ -352,10 +337,9 @@ struct LeaseGrant final : sim::Message {
 /// (the lender forgets the holder, so the next grant ships full data).
 /// Purely an optimization for freshness — validation never trusts a revoke
 /// having arrived, only epoch+version agreement at execute time.
-struct LeaseRevoke final : sim::Message {
+struct LeaseRevoke final : sim::Typed<sim::Kind::kLeaseRevoke> {
   LeaseRevoke(PartitionId f, std::vector<VertexId> v)
       : from(f), vertices(std::move(v)) {}
-  const char* type_name() const override { return "core.LeaseRevoke"; }
   std::size_t size_bytes() const override { return 16 + vertices.size() * 8; }
   PartitionId from;
   std::vector<VertexId> vertices;
@@ -363,10 +347,9 @@ struct LeaseRevoke final : sim::Message {
 
 /// Involved partition -> other involved partitions: I rejected this command
 /// (stale addressing); do not wait for my variables.
-struct AbortNotice final : sim::Message {
+struct AbortNotice final : sim::Typed<sim::Kind::kAbortNotice> {
   AbortNotice(std::uint64_t id, std::uint32_t a, PartitionId f)
       : cmd_id(id), attempt(a), from(f) {}
-  const char* type_name() const override { return "core.AbortNotice"; }
   std::uint64_t cmd_id;
   std::uint32_t attempt;
   PartitionId from;

@@ -106,7 +106,7 @@ PartitionServerCore::PartitionServerCore(
     // messages are never gated by the member (see MemberCore::GateFn).
     member_.set_admission_gate([this](const multicast::McastData& data) {
       if (data.sender >= (1ULL << 40)) return false;
-      const auto* exec = dynamic_cast<const ExecCommand*>(data.payload.get());
+      const auto* exec = sim::as<ExecCommand>(data.payload.get());
       if (exec == nullptr) return false;
       const std::size_t depth = admission_depth();
       if (depth < config_.server_queue_cap) {
@@ -128,7 +128,7 @@ PartitionServerCore::PartitionServerCore(
     return sim::make_message<ServerSnapshotMsg>(capture_snapshot());
   });
   member_.replica().set_snapshot_installer([this](const sim::MessagePtr& m) {
-    const auto* snap = dynamic_cast<const ServerSnapshotMsg*>(m.get());
+    const auto* snap = sim::as<ServerSnapshotMsg>(m.get());
     if (snap == nullptr || !snap->state) return false;
     restore_snapshot(*snap->state);
     if (metrics_) metrics_->add_counter(metric::kServerSnapshotInstalls);
@@ -256,53 +256,46 @@ bool PartitionServerCore::handle(ProcessId from, const sim::MessagePtr& msg) {
     if (inner) dispatch_direct(from, inner);
     return true;
   }
-  // McastAcks for this replica's own epoch-marker sends (STAR), or for an
-  // entry the member already pruned (late duplicate).
+  // McastAcks the member does not own: acks for this replica's own
+  // epoch-marker sends (STAR), or late duplicates. star_sender_ consumes
+  // every McastAck.
   if (star_sender_.handle(msg)) return true;
-  if (dynamic_cast<const multicast::McastAck*>(msg.get()) != nullptr)
-    return true;
   return dispatch_direct(from, msg);
 }
 
 bool PartitionServerCore::dispatch_direct(ProcessId /*from*/,
                                           const sim::MessagePtr& msg) {
-  if (auto* m = dynamic_cast<const VarTransfer*>(msg.get())) {
-    on_var_transfer(*m);
-    return true;
+  switch (msg->kind()) {
+    case sim::Kind::kVarTransfer:
+      on_var_transfer(*sim::as<VarTransfer>(msg.get()));
+      return true;
+    case sim::Kind::kVarReturn:
+      on_var_return(sim::as<VarReturn>(msg));
+      return true;
+    case sim::Kind::kObjectHandoff:
+      on_handoff(*sim::as<ObjectHandoff>(msg.get()));
+      return true;
+    case sim::Kind::kHandoffChunk:
+      on_handoff_chunk(sim::as<HandoffChunk>(msg));
+      return true;
+    case sim::Kind::kFetchVertex:
+      on_fetch(*sim::as<FetchVertex>(msg.get()));
+      return true;
+    case sim::Kind::kStarEpochUpdate:
+      on_star_update(sim::as<StarEpochUpdate>(msg));
+      return true;
+    case sim::Kind::kAbortNotice:
+      on_abort(*sim::as<AbortNotice>(msg.get()));
+      return true;
+    case sim::Kind::kLeaseGrant:
+      on_lease_grant(sim::as<LeaseGrant>(msg));
+      return true;
+    case sim::Kind::kLeaseRevoke:
+      on_lease_revoke(*sim::as<LeaseRevoke>(msg.get()));
+      return true;
+    default:
+      return false;
   }
-  if (auto m = sim::dyn_ref_cast<const VarReturn>(msg)) {
-    on_var_return(m);
-    return true;
-  }
-  if (auto* m = dynamic_cast<const ObjectHandoff*>(msg.get())) {
-    on_handoff(*m);
-    return true;
-  }
-  if (auto m = sim::dyn_ref_cast<const HandoffChunk>(msg)) {
-    on_handoff_chunk(m);
-    return true;
-  }
-  if (auto* m = dynamic_cast<const FetchVertex*>(msg.get())) {
-    on_fetch(*m);
-    return true;
-  }
-  if (auto m = sim::dyn_ref_cast<const StarEpochUpdate>(msg)) {
-    on_star_update(m);
-    return true;
-  }
-  if (auto* m = dynamic_cast<const AbortNotice*>(msg.get())) {
-    on_abort(*m);
-    return true;
-  }
-  if (auto m = sim::dyn_ref_cast<const LeaseGrant>(msg)) {
-    on_lease_grant(m);
-    return true;
-  }
-  if (auto* m = dynamic_cast<const LeaseRevoke*>(msg.get())) {
-    on_lease_revoke(*m);
-    return true;
-  }
-  return false;
 }
 
 void PartitionServerCore::send_to_partition(PartitionId p,
@@ -316,18 +309,18 @@ void PartitionServerCore::send_to_partition(PartitionId p,
 // ---------------------------------------------------------------------------
 
 void PartitionServerCore::on_adeliver(const multicast::McastData& data) {
-  if (auto exec = sim::dyn_ref_cast<const ExecCommand>(data.payload)) {
-    trace_cmd(TracePoint::kServerDeliver, *exec, partition_.value());
-    queue_.push_back(QueueItem{std::move(exec), nullptr, nullptr});
-  } else if (auto plan =
-                 sim::dyn_ref_cast<const PlanMsg>(data.payload)) {
-    queue_.push_back(QueueItem{nullptr, std::move(plan), nullptr});
-  } else if (auto star =
-                 sim::dyn_ref_cast<const StarEpochMsg>(data.payload)) {
-    queue_.push_back(QueueItem{nullptr, nullptr, std::move(star)});
-  } else {
-    return;  // oracle-only payloads multicast to every group are ignored here
+  switch (data.payload->kind()) {
+    case sim::Kind::kExecCommand:
+      trace_cmd(TracePoint::kServerDeliver,
+                *sim::as<ExecCommand>(data.payload.get()), partition_.value());
+      break;
+    case sim::Kind::kPlanMsg:
+    case sim::Kind::kStarEpochMsg:
+      break;
+    default:
+      return;  // oracle-only payloads multicast to every group are ignored
   }
+  queue_.push_back(data.payload);
   if (metrics_) {
     // Admission depth sampled at each delivery; mean depth per bucket is
     // this sum divided by that bucket's delivery count (see
@@ -345,7 +338,7 @@ std::size_t PartitionServerCore::admission_depth() const {
 }
 
 void PartitionServerCore::on_shed_deliver(const multicast::McastData& data) {
-  auto exec = sim::dyn_ref_cast<const ExecCommand>(data.payload);
+  auto exec = sim::as<ExecCommand>(data.payload);
   if (!exec) return;
   const std::size_t depth = admission_depth();
   trace_cmd(TracePoint::kShed, *exec, depth);
@@ -374,17 +367,15 @@ void PartitionServerCore::on_shed_deliver(const multicast::McastData& data) {
 void PartitionServerCore::pump() {
   while (!queue_.empty()) {
     blocked_ = false;
-    QueueItem& item = queue_.front();
-    if (item.plan) {
-      PlanMsgPtr plan = item.plan;
+    const sim::MessagePtr& item = queue_.front();
+    if (auto plan = sim::as<PlanMsg>(item)) {
       queue_.pop_front();
       // Plans relocate vertices; pending accesses precede them in slot order.
       flush_exec_batch();
       apply_plan(*plan);
       continue;
     }
-    if (item.star) {
-      sim::Ref<const StarEpochMsg> marker = item.star;
+    if (auto marker = sim::as<StarEpochMsg>(item)) {
       if (marker->epoch <= star_epoch_) {
         // The other master replica's copy of an already-applied switch.
         queue_.pop_front();
@@ -412,7 +403,7 @@ void PartitionServerCore::pump() {
       star_epoch_ = marker->epoch;
       continue;
     }
-    ExecCommandPtr ec = item.exec;
+    ExecCommandPtr ec = sim::as<ExecCommand>(item);
     // A retransmission whose original still waits in the pending batch
     // would pass the duplicate check below (no cached reply yet) and
     // execute twice: flush first so the original lands in the cache.
@@ -1560,7 +1551,7 @@ void PartitionServerCore::apply_plan(const PlanMsg& plan) {
   // Re-enqueue the commands that were waiting for this epoch, ahead of
   // everything delivered after the plan.
   for (auto it = future_.rbegin(); it != future_.rend(); ++it)
-    queue_.push_front(QueueItem{*it, nullptr, nullptr});
+    queue_.push_front(*it);
   future_.clear();
 }
 
@@ -1625,7 +1616,7 @@ void PartitionServerCore::on_handoff_chunk(
   if (asmbl.have.size() < asmbl.total_chunks) return;
   sim::MessagePtr full = std::move(asmbl.handoff);
   handoff_assembly_.erase({msg->epoch, msg->vertex.value()});
-  if (auto* h = dynamic_cast<const ObjectHandoff*>(full.get())) on_handoff(*h);
+  if (const auto* h = sim::as<ObjectHandoff>(full.get())) on_handoff(*h);
 }
 
 void PartitionServerCore::on_handoff(const ObjectHandoff& msg) {

@@ -64,13 +64,6 @@ struct ServerState {
   /// Set of commands: the mapped byte is unused.
   using CmdSet = CmdMap<bool>;
   using ExecCommandPtr = sim::Ref<const ExecCommand>;
-  using PlanMsgPtr = sim::Ref<const PlanMsg>;
-
-  struct QueueItem {
-    ExecCommandPtr exec;  // exactly one of exec/plan/star set
-    PlanMsgPtr plan;
-    sim::Ref<const StarEpochMsg> star;
-  };
 
   // At-most-once execution: the latest authoritative (kOk/kNok) reply per
   // client. One entry per client — the closed-loop client has at most one
@@ -87,9 +80,10 @@ struct ServerState {
   Assignment map_;
   Epoch epoch_ = 0;
 
-  // FIFO execution queue in a-delivery order; `blocked_` true while the head
-  // waits for transfers / returns / handoffs.
-  std::deque<QueueItem> queue_;
+  // FIFO execution queue in a-delivery order, of ExecCommand, PlanMsg and
+  // StarEpochMsg payloads; `blocked_` true while the head waits for
+  // transfers / returns / handoffs.
+  std::deque<sim::MessagePtr> queue_;
   bool blocked_ = false;
 
   // Commands delivered before the plan their addressing was computed
@@ -426,10 +420,9 @@ class PartitionServerCore : private ServerState {
 /// Carrier for a server snapshot travelling as an InstallSnapshotResp
 /// payload. The snapshot is immutable; installing it copies the ServerState,
 /// whose ObjectStore copy shares every object version with the snapshot.
-struct ServerSnapshotMsg final : sim::Message {
+struct ServerSnapshotMsg final : sim::Typed<sim::Kind::kServerSnapshotMsg> {
   explicit ServerSnapshotMsg(PartitionServerCore::SnapshotPtr s)
       : state(std::move(s)) {}
-  const char* type_name() const override { return "core.ServerSnapshot"; }
   std::size_t size_bytes() const override {
     return 256 + (state ? state->state.store_.total_bytes() : 0);
   }

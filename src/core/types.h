@@ -28,7 +28,7 @@ enum class CommandType : std::uint8_t {
 /// One client command. Immutable once multicast; the `objects`/`vertices`
 /// arrays are parallel (vertices[i] is the home vertex of objects[i]) and
 /// together describe omega, the command's read/write set.
-struct Command final : sim::Message {
+struct Command final : sim::Typed<sim::Kind::kCommand> {
   Command(std::uint64_t id, ProcessId client_process, CommandType t,
           std::vector<ObjectId> objs, std::vector<VertexId> verts,
           sim::MessagePtr app_payload, bool read_only_hint = false)
@@ -39,8 +39,6 @@ struct Command final : sim::Message {
         vertices(std::move(verts)),
         payload(std::move(app_payload)),
         read_only(read_only_hint) {}
-
-  const char* type_name() const override { return "core.Command"; }
   std::size_t size_bytes() const override {
     return 64 + objects.size() * 16 +
            (payload ? payload->size_bytes() : 0);

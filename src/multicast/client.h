@@ -71,7 +71,7 @@ class McastClient {
   /// Consumes McastAcks addressed to this sender; returns false for any
   /// other message type.
   bool handle(const sim::MessagePtr& msg) {
-    const auto* ack = dynamic_cast<const McastAck*>(msg.get());
+    const auto* ack = sim::as<McastAck>(msg.get());
     if (ack == nullptr) return false;
     auto it = outbox_.find(ack->uid);
     if (it != outbox_.end()) {

@@ -89,18 +89,18 @@ void MemberCore::arm_repair_timer() {
 
 bool MemberCore::handle(ProcessId from, const sim::MessagePtr& msg) {
   if (replica_.handle(from, msg)) return true;
-  if (auto* send = dynamic_cast<const McastSend*>(msg.get())) {
-    on_send(from, *send);
-    return true;
+  switch (msg->kind()) {
+    case sim::Kind::kMcastSend:
+      on_send(from, *sim::as<McastSend>(msg.get()));
+      return true;
+    case sim::Kind::kMcastAck:
+      return on_ack(*sim::as<McastAck>(msg.get()));
+    case sim::Kind::kTsProposal:
+      on_ts_proposal(*sim::as<TsProposal>(msg.get()));
+      return true;
+    default:
+      return false;
   }
-  if (auto* ack = dynamic_cast<const McastAck*>(msg.get())) {
-    return on_ack(*ack);
-  }
-  if (auto* prop = dynamic_cast<const TsProposal*>(msg.get())) {
-    on_ts_proposal(*prop);
-    return true;
-  }
-  return false;
 }
 
 void MemberCore::on_send(ProcessId from, const McastSend& msg) {
@@ -166,15 +166,20 @@ void MemberCore::on_ts_proposal(const TsProposal& msg) {
 
 void MemberCore::on_log_entry(const sim::MessagePtr& value) {
   env_.consume_cpu(kEntryCost);
-  if (auto* start = dynamic_cast<const StartEntry*>(value.get())) {
-    process_start(start->data, start->shed);
-    return;
+  switch (value->kind()) {
+    case sim::Kind::kStartEntry: {
+      const auto& start = *sim::as<StartEntry>(value.get());
+      process_start(start.data, start.shed);
+      return;
+    }
+    case sim::Kind::kFinalEntry: {
+      const auto& final_entry = *sim::as<FinalEntry>(value.get());
+      process_final(final_entry.uid, final_entry.ts);
+      return;
+    }
+    default:
+      return;  // unknown entries are no-ops
   }
-  if (auto* final_entry = dynamic_cast<const FinalEntry*>(value.get())) {
-    process_final(final_entry->uid, final_entry->ts);
-    return;
-  }
-  // Unknown entries are no-ops (e.g., gap-filling empty batches).
 }
 
 void MemberCore::process_start(const McastDataPtr& data, bool shed) {

@@ -29,7 +29,7 @@ using Timestamp = std::uint64_t;
 /// opaque payload. `fifo_seq` carries one per-(sender, group) sequence
 /// number per destination so each group can process a sender's messages in
 /// submission order.
-struct McastData final : sim::Message {
+struct McastData final : sim::Typed<sim::Kind::kMcastData> {
   McastData(Uid u, std::uint64_t sender_key, ProcessId orig,
             std::vector<GroupId> gs,
             std::vector<std::pair<GroupId, std::uint64_t>> seqs,
@@ -40,7 +40,6 @@ struct McastData final : sim::Message {
         groups(std::move(gs)),
         fifo_seq(std::move(seqs)),
         payload(std::move(p)) {}
-  const char* type_name() const override { return "mcast.Data"; }
   std::size_t size_bytes() const override {
     return 64 + groups.size() * 8 + payload->size_bytes();
   }
@@ -65,9 +64,8 @@ struct McastData final : sim::Message {
 using McastDataPtr = sim::Ref<const McastData>;
 
 /// Sender -> replicas of each destination group.
-struct McastSend final : sim::Message {
+struct McastSend final : sim::Typed<sim::Kind::kMcastSend> {
   explicit McastSend(McastDataPtr d) : data(std::move(d)) {}
-  const char* type_name() const override { return "mcast.Send"; }
   std::size_t size_bytes() const override { return data->size_bytes(); }
   McastDataPtr data;
 };
@@ -76,9 +74,8 @@ struct McastSend final : sim::Message {
 /// multicast `uid`". Positive acknowledgement driving sender-side
 /// retransmission — without it, a McastSend lost on every link to a
 /// destination group would leave that group's FIFO channel waiting forever.
-struct McastAck final : sim::Message {
+struct McastAck final : sim::Typed<sim::Kind::kMcastAck> {
   McastAck(Uid u, GroupId g) : uid(u), group(g) {}
-  const char* type_name() const override { return "mcast.Ack"; }
   Uid uid;
   GroupId group;
 };
@@ -88,10 +85,9 @@ struct McastAck final : sim::Message {
 /// an answer to another group's (re-)broadcast from a group that already
 /// ordered the message; replies must never trigger counter-replies, or two
 /// groups that both delivered would answer each other forever.
-struct TsProposal final : sim::Message {
+struct TsProposal final : sim::Typed<sim::Kind::kTsProposal> {
   TsProposal(Uid u, GroupId g, Timestamp t, bool r = false)
       : uid(u), from_group(g), ts(t), reply(r) {}
-  const char* type_name() const override { return "mcast.TsProposal"; }
   Uid uid;
   GroupId from_group;
   Timestamp ts;
@@ -104,10 +100,9 @@ struct TsProposal final : sim::Message {
 /// channel and the group clock at every replica, but delivery routes to the
 /// shed handler instead of the application — so shedding is replicated
 /// state, never a replica-local divergence.
-struct StartEntry final : sim::Message {
+struct StartEntry final : sim::Typed<sim::Kind::kStartEntry> {
   explicit StartEntry(McastDataPtr d, bool s = false)
       : data(std::move(d)), shed(s) {}
-  const char* type_name() const override { return "mcast.Start"; }
   std::size_t size_bytes() const override { return data->size_bytes(); }
   McastDataPtr data;
   bool shed;
@@ -115,9 +110,8 @@ struct StartEntry final : sim::Message {
 
 /// Log entry: the final (max) timestamp for `uid` is known; bump the group
 /// clock and make the message deliverable.
-struct FinalEntry final : sim::Message {
+struct FinalEntry final : sim::Typed<sim::Kind::kFinalEntry> {
   FinalEntry(Uid u, Timestamp t) : uid(u), ts(t) {}
-  const char* type_name() const override { return "mcast.Final"; }
   Uid uid;
   Timestamp ts;
 };

@@ -36,17 +36,16 @@ void VoteWindow::trim_below(Slot slot) {
 }
 
 bool AcceptorCore::handle(ProcessId from, const sim::MessagePtr& msg) {
-  if (auto* prepare = dynamic_cast<const Prepare*>(msg.get())) {
-    if (prepare->group != group_) return false;
-    on_prepare(from, *prepare);
-    return true;
+  switch (msg->kind()) {
+    case sim::Kind::kPrepare:
+      return for_group<Prepare>(
+          *msg, group_, [&](const Prepare& m) { on_prepare(from, m); });
+    case sim::Kind::kAccept:
+      return for_group<Accept>(
+          *msg, group_, [&](const Accept& m) { on_accept(from, m); });
+    default:
+      return false;
   }
-  if (auto* accept = dynamic_cast<const Accept*>(msg.get())) {
-    if (accept->group != group_) return false;
-    on_accept(from, *accept);
-    return true;
-  }
-  return false;
 }
 
 void AcceptorCore::on_prepare(ProcessId from, const Prepare& msg) {

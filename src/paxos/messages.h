@@ -26,27 +26,24 @@ struct AcceptedEntry {
 };
 
 /// Client/replica -> leader: please order this value.
-struct ProposeReq final : sim::Message {
+struct ProposeReq final : sim::Typed<sim::Kind::kProposeReq> {
   explicit ProposeReq(sim::MessagePtr v) : value(std::move(v)) {}
-  const char* type_name() const override { return "paxos.ProposeReq"; }
   std::size_t size_bytes() const override { return 64 + value->size_bytes(); }
   sim::MessagePtr value;
 };
 
 /// Phase 1a: leader -> acceptors.
-struct Prepare final : sim::Message {
+struct Prepare final : sim::Typed<sim::Kind::kPrepare> {
   Prepare(GroupId g, Ballot b, Slot from) : group(g), ballot(b), from_slot(from) {}
-  const char* type_name() const override { return "paxos.Prepare"; }
   GroupId group;
   Ballot ballot;
   Slot from_slot;
 };
 
 /// Phase 1b: acceptor -> leader, with every vote at slot >= from_slot.
-struct Promise final : sim::Message {
+struct Promise final : sim::Typed<sim::Kind::kPromise> {
   Promise(GroupId g, Ballot b, std::vector<AcceptedEntry> acc)
       : group(g), ballot(b), accepted(std::move(acc)) {}
-  const char* type_name() const override { return "paxos.Promise"; }
   std::size_t size_bytes() const override { return 64 + accepted.size() * 64; }
   GroupId group;
   Ballot ballot;
@@ -54,10 +51,9 @@ struct Promise final : sim::Message {
 };
 
 /// Acceptor -> proposer: your ballot is stale (promised is higher).
-struct Nack final : sim::Message {
+struct Nack final : sim::Typed<sim::Kind::kNack> {
   Nack(GroupId g, Ballot b, Ballot promised_b)
       : group(g), ballot(b), promised(promised_b) {}
-  const char* type_name() const override { return "paxos.Nack"; }
   GroupId group;
   Ballot ballot;
   Ballot promised;
@@ -65,14 +61,13 @@ struct Nack final : sim::Message {
 
 /// Phase 2a: leader -> acceptors. `committed` piggybacks the leader's
 /// applied prefix so acceptors can trim votes below it.
-struct Accept final : sim::Message {
+struct Accept final : sim::Typed<sim::Kind::kAccept> {
   Accept(GroupId g, Ballot b, Slot s, Slot committed_prefix, sim::MessagePtr v)
       : group(g),
         ballot(b),
         slot(s),
         committed(committed_prefix),
         value(std::move(v)) {}
-  const char* type_name() const override { return "paxos.Accept"; }
   std::size_t size_bytes() const override { return 64 + value->size_bytes(); }
   GroupId group;
   Ballot ballot;
@@ -82,19 +77,17 @@ struct Accept final : sim::Message {
 };
 
 /// Phase 2b: acceptor -> leader.
-struct Accepted final : sim::Message {
+struct Accepted final : sim::Typed<sim::Kind::kAccepted> {
   Accepted(GroupId g, Ballot b, Slot s) : group(g), ballot(b), slot(s) {}
-  const char* type_name() const override { return "paxos.Accepted"; }
   GroupId group;
   Ballot ballot;
   Slot slot;
 };
 
 /// Leader -> other replicas: slot is chosen.
-struct Decision final : sim::Message {
+struct Decision final : sim::Typed<sim::Kind::kDecision> {
   Decision(GroupId g, Slot s, sim::MessagePtr v)
       : group(g), slot(s), value(std::move(v)) {}
-  const char* type_name() const override { return "paxos.Decision"; }
   std::size_t size_bytes() const override { return 64 + value->size_bytes(); }
   GroupId group;
   Slot slot;
@@ -104,10 +97,9 @@ struct Decision final : sim::Message {
 /// Leader -> replicas: liveness heartbeat (suppresses elections).
 /// `floor_slot` advertises the leader's log floor: slots below it have been
 /// truncated and can only be recovered via snapshot transfer.
-struct Heartbeat final : sim::Message {
+struct Heartbeat final : sim::Typed<sim::Kind::kHeartbeat> {
   Heartbeat(GroupId g, Ballot b, Slot next, Slot floor)
       : group(g), ballot(b), next_slot(next), floor_slot(floor) {}
-  const char* type_name() const override { return "paxos.Heartbeat"; }
   GroupId group;
   Ballot ballot;
   Slot next_slot;
@@ -115,18 +107,16 @@ struct Heartbeat final : sim::Message {
 };
 
 /// Lagging replica -> leader: resend decisions starting at from_slot.
-struct CatchupReq final : sim::Message {
+struct CatchupReq final : sim::Typed<sim::Kind::kCatchupReq> {
   CatchupReq(GroupId g, Slot from) : group(g), from_slot(from) {}
-  const char* type_name() const override { return "paxos.CatchupReq"; }
   GroupId group;
   Slot from_slot;
 };
 
 /// Lagging replica -> leader: my gap starts below your log floor; send a
 /// full snapshot instead of decisions.
-struct InstallSnapshotReq final : sim::Message {
+struct InstallSnapshotReq final : sim::Typed<sim::Kind::kInstallSnapshotReq> {
   InstallSnapshotReq(GroupId g, Slot have) : group(g), have_slot(have) {}
-  const char* type_name() const override { return "paxos.InstallSnapshotReq"; }
   GroupId group;
   Slot have_slot;
 };
@@ -135,10 +125,9 @@ struct InstallSnapshotReq final : sim::Message {
 /// slot below `next_slot`. The payload is produced by the upper layer's
 /// snapshot provider and installed by its snapshot installer; Paxos itself
 /// only transports it.
-struct InstallSnapshotResp final : sim::Message {
+struct InstallSnapshotResp final : sim::Typed<sim::Kind::kInstallSnapshotResp> {
   InstallSnapshotResp(GroupId g, Slot next, sim::MessagePtr st)
       : group(g), next_slot(next), state(std::move(st)) {}
-  const char* type_name() const override { return "paxos.InstallSnapshotResp"; }
   std::size_t size_bytes() const override {
     return 64 + (state ? state->size_bytes() : 0);
   }
@@ -164,10 +153,9 @@ struct InstallSnapshotResp final : sim::Message {
 
 /// Peer -> lagging replica: my stable snapshot covers slots < next_slot, cut
 /// into total_chunks pieces of chunk_bytes (the last one possibly shorter).
-struct ChunkManifest final : sim::Message {
+struct ChunkManifest final : sim::Typed<sim::Kind::kChunkManifest> {
   ChunkManifest(GroupId g, Slot next, std::uint32_t chunks, std::uint32_t bytes)
       : group(g), next_slot(next), total_chunks(chunks), chunk_bytes(bytes) {}
-  const char* type_name() const override { return "paxos.ChunkManifest"; }
   GroupId group;
   Slot next_slot;
   std::uint32_t total_chunks;
@@ -175,10 +163,9 @@ struct ChunkManifest final : sim::Message {
 };
 
 /// Receiver -> peer: send chunk `index` of the manifest at `next_slot`.
-struct StateChunkReq final : sim::Message {
+struct StateChunkReq final : sim::Typed<sim::Kind::kStateChunkReq> {
   StateChunkReq(GroupId g, Slot next, std::uint32_t idx)
       : group(g), next_slot(next), index(idx) {}
-  const char* type_name() const override { return "paxos.StateChunkReq"; }
   GroupId group;
   Slot next_slot;
   std::uint32_t index;
@@ -188,7 +175,7 @@ struct StateChunkReq final : sim::Message {
 /// serialized bytes, so the chunk carries the whole snapshot object while
 /// only `payload_bytes` occupy the wire; the receiver reads the payload
 /// exclusively at manifest completion (the splice point).
-struct StateChunk final : sim::Message {
+struct StateChunk final : sim::Typed<sim::Kind::kStateChunk> {
   StateChunk(GroupId g, Slot next, std::uint32_t idx, std::uint32_t chunks,
              std::uint32_t bytes, sim::MessagePtr st)
       : group(g),
@@ -197,7 +184,6 @@ struct StateChunk final : sim::Message {
         total_chunks(chunks),
         payload_bytes(bytes),
         state(std::move(st)) {}
-  const char* type_name() const override { return "paxos.StateChunk"; }
   std::size_t size_bytes() const override { return 64 + payload_bytes; }
   GroupId group;
   Slot next_slot;
@@ -210,10 +196,9 @@ struct StateChunk final : sim::Message {
 /// Receiver -> peer: chunk `index` arrived. Closes the per-chunk loop on the
 /// wire (senders are stateless in the sim, but the ack keeps the exchange
 /// faithful to the real protocol and feeds per-link accounting).
-struct StateChunkAck final : sim::Message {
+struct StateChunkAck final : sim::Typed<sim::Kind::kStateChunkAck> {
   StateChunkAck(GroupId g, Slot next, std::uint32_t idx)
       : group(g), next_slot(next), index(idx) {}
-  const char* type_name() const override { return "paxos.StateChunkAck"; }
   GroupId group;
   Slot next_slot;
   std::uint32_t index;
@@ -222,9 +207,8 @@ struct StateChunkAck final : sim::Message {
 /// Values proposed by the leader are batches of submitted values; the
 /// replica unwraps them on delivery. Empty batches act as no-ops when a new
 /// leader fills log gaps.
-struct Batch final : sim::Message {
+struct Batch final : sim::Typed<sim::Kind::kBatch> {
   explicit Batch(std::vector<sim::MessagePtr> vs) : values(std::move(vs)) {}
-  const char* type_name() const override { return "paxos.Batch"; }
   std::size_t size_bytes() const override {
     std::size_t total = 32;
     for (const auto& v : values) total += v->size_bytes();
@@ -232,5 +216,16 @@ struct Batch final : sim::Message {
   }
   std::vector<sim::MessagePtr> values;
 };
+
+/// Dispatch guard for the group-addressed messages above: runs `fn` on `msg`
+/// as a `T` if it belongs to `group`, and returns whether it did. `msg` must
+/// be of kind `T::kKind`.
+template <typename T, typename Fn>
+bool for_group(const sim::Message& msg, GroupId group, Fn&& fn) {
+  const T& m = *sim::as<T>(&msg);
+  if (m.group != group) return false;
+  fn(m);
+  return true;
+}
 
 }  // namespace dynastar::paxos

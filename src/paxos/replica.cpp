@@ -114,72 +114,52 @@ void ReplicaCore::start_recovered() {
 }
 
 bool ReplicaCore::handle(ProcessId from, const sim::MessagePtr& msg) {
-  if (auto* p = dynamic_cast<const ProposeReq*>(msg.get())) {
-    on_propose(*p);
-    return true;
+  const sim::Message& m = *msg;
+  switch (m.kind()) {
+    case sim::Kind::kProposeReq:
+      on_propose(*sim::as<ProposeReq>(&m));
+      return true;
+    case sim::Kind::kPromise:
+      return for_group<Promise>(
+          m, group_, [&](const Promise& p) { on_promise(from, p); });
+    case sim::Kind::kNack:
+      return for_group<Nack>(m, group_, [&](const Nack& p) { on_nack(p); });
+    case sim::Kind::kAccepted:
+      return for_group<Accepted>(
+          m, group_, [&](const Accepted& p) { on_accepted(from, p); });
+    case sim::Kind::kDecision:
+      return for_group<Decision>(
+          m, group_, [&](const Decision& p) { on_decision(p); });
+    case sim::Kind::kHeartbeat:
+      return for_group<Heartbeat>(
+          m, group_, [&](const Heartbeat& p) { on_heartbeat(p); });
+    case sim::Kind::kCatchupReq:
+      return for_group<CatchupReq>(
+          m, group_, [&](const CatchupReq& p) { on_catchup(from, p); });
+    case sim::Kind::kInstallSnapshotReq:
+      return for_group<InstallSnapshotReq>(
+          m, group_,
+          [&](const InstallSnapshotReq& p) { on_install_req(from, p); });
+    case sim::Kind::kInstallSnapshotResp:
+      return for_group<InstallSnapshotResp>(
+          m, group_, [&](const InstallSnapshotResp& p) { on_install_resp(p); });
+    case sim::Kind::kChunkManifest:
+      return for_group<ChunkManifest>(
+          m, group_,
+          [&](const ChunkManifest& p) { on_chunk_manifest(from, p); });
+    case sim::Kind::kStateChunkReq:
+      return for_group<StateChunkReq>(
+          m, group_, [&](const StateChunkReq& p) { on_chunk_req(from, p); });
+    case sim::Kind::kStateChunk:
+      return for_group<StateChunk>(
+          m, group_, [&](const StateChunk& p) { on_chunk(from, p); });
+    case sim::Kind::kStateChunkAck:
+      // Wire-level close of the chunk loop; the sim-side sender is stateless,
+      // so there is nothing to update.
+      return for_group<StateChunkAck>(m, group_, [](const StateChunkAck&) {});
+    default:
+      return false;
   }
-  if (auto* p = dynamic_cast<const Promise*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_promise(from, *p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const Nack*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_nack(*p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const Accepted*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_accepted(from, *p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const Decision*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_decision(*p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const Heartbeat*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_heartbeat(*p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const CatchupReq*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_catchup(from, *p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const InstallSnapshotReq*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_install_req(from, *p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const InstallSnapshotResp*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_install_resp(*p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const ChunkManifest*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_chunk_manifest(from, *p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const StateChunkReq*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_chunk_req(from, *p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const StateChunk*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_chunk(from, *p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const StateChunkAck*>(msg.get())) {
-    if (p->group != group_) return false;
-    // Wire-level close of the chunk loop; the sim-side sender is stateless,
-    // so there is nothing to update.
-    return true;
-  }
-  return false;
 }
 
 void ReplicaCore::on_propose(const ProposeReq& msg) { submit(msg.value); }
@@ -257,7 +237,7 @@ void ReplicaCore::step_down(Ballot higher) {
   for (auto& v : batch_) to_resubmit.push_back(std::move(v));
   batch_.clear();
   for (auto& v : to_resubmit) {
-    if (const auto* batch = dynamic_cast<const Batch*>(v.get())) {
+    if (const auto* batch = sim::as<Batch>(v.get())) {
       // Unwrap recovered batches back into individual values.
       for (const auto& inner : batch->values) submit(inner);
     } else {
@@ -322,7 +302,7 @@ void ReplicaCore::try_deliver() {
     auto it = log_.find(next_deliver_slot_);
     if (it == log_.end()) break;
     const sim::MessagePtr& value = it->second;
-    if (auto* batch = dynamic_cast<const Batch*>(value.get())) {
+    if (const auto* batch = sim::as<Batch>(value.get())) {
       for (const auto& inner : batch->values) {
         if (trace_)
           trace_->record(TracePoint::kPaxosDecided, env_.now(), next_seq_, 0,

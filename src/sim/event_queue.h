@@ -88,10 +88,15 @@ class EventQueue {
   }
 
   /// Time of the next event in (time, seq) order. Requires !empty().
-  /// Advances the wheel cursor to that event's bucket as a side effect.
-  [[nodiscard]] SimTime next_time() {
-    position_cursor();
-    return buckets_[cursor_tick_ & kBucketMask].front().time();
+  /// A pure peek: the cursor stays put, so a caller that stops short of
+  /// this time can still push at any time >= the last popped event's.
+  [[nodiscard]] SimTime next_time() const {
+    assert(size_ > 0);
+    // Spill events lie at or beyond the wheel horizon, so a non-empty
+    // wheel holds the next event.
+    if (wheel_size_ == 0) return spill_.front().time();
+    const std::uint64_t tick = cursor_tick_ + next_occupied_distance();
+    return buckets_[tick & kBucketMask].front().time();
   }
 
   /// Pops the next event in (time, seq) order. Requires !empty().

@@ -6,6 +6,13 @@
 // all destinations preserves distributed semantics while keeping the
 // simulator fast.
 //
+// Every message type of the stack (reliable links, Paxos, multicast, the
+// DynaStar layer) derives from Typed<Kind::kX>, which stamps its Kind into
+// the base object. Handlers route with one `switch (msg->kind())` and
+// downcast with sim::as<T>, which checks the tag. Application payloads
+// derive from plain Message, are Kind::kOpaque to the stack, and stay the
+// application's to inspect.
+//
 // Sharing is tracked by a non-atomic intrusive refcount (the kernel is
 // single-threaded, so atomic refcount traffic would be pure overhead) via
 // sim::Ref<T>; allocations are recycled through the per-World MessagePool
@@ -23,6 +30,28 @@ namespace dynastar::sim {
 
 class Message;
 
+/// The concrete type of a stack message, grouped by layer in the order
+/// docs/PROTOCOL.md lists them. kOpaque marks application payloads.
+// clang-format off
+enum class Kind : std::uint8_t {
+  kOpaque,
+  // Reliable links (sim/reliable.h).
+  kReliableMsg, kReliableAck, kResendReq, kStableNotice,
+  // Multi-Paxos (paxos/messages.h).
+  kProposeReq, kPrepare, kPromise, kNack, kAccept, kAccepted, kDecision,
+  kHeartbeat, kCatchupReq, kBatch, kInstallSnapshotReq, kChunkManifest,
+  kStateChunkReq, kStateChunk, kStateChunkAck, kInstallSnapshotResp,
+  // Atomic multicast (multicast/messages.h).
+  kMcastData, kMcastSend, kMcastAck, kStartEntry, kTsProposal, kFinalEntry,
+  // DynaStar layer (core/): ordered payloads, direct messages, snapshots.
+  kCommand, kOracleRequest, kExecCommand, kHintReport, kPlanMsg,
+  kLocationUpdate, kStarEpochMsg, kProphecy, kCommandReply, kVarTransfer,
+  kVarReturn, kObjectHandoff, kHandoffChunk, kFetchVertex, kAbortNotice,
+  kStarEpochUpdate, kLeaseGrant, kLeaseRevoke, kOracleSnapshotMsg,
+  kServerSnapshotMsg,
+};
+// clang-format on
+
 namespace detail {
 struct MessageAccess;
 inline void message_add_ref(const Message* m) noexcept;
@@ -33,23 +62,36 @@ class Message {
  public:
   Message() = default;
   // Copying a message produces a fresh object with its own refcount and
-  // pool identity; the bookkeeping fields never transfer.
-  Message(const Message&) noexcept {}
+  // pool identity; of the bookkeeping fields only the kind transfers.
+  Message(const Message& other) noexcept : kind_(other.kind_) {}
   Message& operator=(const Message&) noexcept { return *this; }
   virtual ~Message() = default;
 
-  /// Human-readable type tag for logging and debugging.
-  [[nodiscard]] virtual const char* type_name() const = 0;
+  [[nodiscard]] Kind kind() const noexcept { return kind_; }
 
   /// Approximate wire size; the network uses it for bandwidth accounting.
   [[nodiscard]] virtual std::size_t size_bytes() const { return 64; }
+
+ protected:
+  explicit Message(Kind kind) noexcept : kind_(kind) {}
 
  private:
   friend struct detail::MessageAccess;
 
   mutable std::int32_t refs_ = 0;
-  std::uint32_t pool_class_ = detail::kHeapClass;
+  std::uint16_t pool_class_ = detail::kHeapClass;
+  Kind kind_ = Kind::kOpaque;
   detail::PoolCore* pool_core_ = nullptr;
+};
+
+static_assert(sizeof(Message) == 24, "vptr + refcount + pool tags + kind");
+
+/// Base of every stack message type, which names its kind in its base
+/// clause: `struct Prepare final : sim::Typed<sim::Kind::kPrepare>`.
+template <Kind K>
+struct Typed : Message {
+  static constexpr Kind kKind = K;
+  Typed() noexcept : Message(K) {}
 };
 
 /// Intrusive smart pointer for Message subclasses. Copy bumps the
@@ -149,18 +191,6 @@ template <typename T>
   return a.get() == nullptr;
 }
 
-/// dynamic_pointer_cast equivalent for Ref.
-template <typename T, typename U>
-[[nodiscard]] Ref<T> dyn_ref_cast(const Ref<U>& r) noexcept {
-  return Ref<T>(dynamic_cast<T*>(r.get()));
-}
-
-/// static_pointer_cast equivalent for Ref.
-template <typename T, typename U>
-[[nodiscard]] Ref<T> static_ref_cast(const Ref<U>& r) noexcept {
-  return Ref<T>(static_cast<T*>(r.get()));
-}
-
 namespace detail {
 
 struct MessageAccess {
@@ -168,7 +198,7 @@ struct MessageAccess {
 
   static void release(const Message* m) noexcept {
     if (--m->refs_ != 0) return;
-    const std::uint32_t cls = m->pool_class_;
+    const std::uint16_t cls = m->pool_class_;
     PoolCore* core = m->pool_core_;
     // The block starts at the most-derived object (make_message constructs
     // the full object at the allocation address); recover it before the
@@ -178,7 +208,7 @@ struct MessageAccess {
     pool_free(block, cls, core);
   }
 
-  static void set_pool(const Message* m, std::uint32_t cls,
+  static void set_pool(const Message* m, std::uint16_t cls,
                        PoolCore* core) noexcept {
     auto* mut = const_cast<Message*>(m);
     mut->pool_class_ = cls;
@@ -197,33 +227,40 @@ inline void message_release(const Message* m) noexcept {
 
 using MessagePtr = Ref<const Message>;
 
-/// Convenience factory: make_message<AppendEntries>(args...). Allocates
-/// from the installed per-World pool when one is active.
-template <typename T, typename... Args>
-Ref<const T> make_message(Args&&... args) {
-  static_assert(std::is_base_of_v<Message, T>,
-                "make_message requires a sim::Message subclass");
-  std::uint32_t cls = detail::kHeapClass;
-  detail::PoolCore* core = nullptr;
-  void* mem = detail::pool_alloc(sizeof(T), &cls, &core);
-  const T* obj = ::new (mem) T(std::forward<Args>(args)...);
-  detail::MessageAccess::set_pool(obj, cls, core);
-  return Ref<const T>(obj);
+/// The message as a `T`, or null when `m` is null or of another kind.
+template <typename T>
+[[nodiscard]] const T* as(const Message* m) noexcept {
+  static_assert(T::kKind != Kind::kOpaque, "sim::as needs a stack message");
+  return m != nullptr && m->kind() == T::kKind ? static_cast<const T*>(m)
+                                               : nullptr;
 }
 
-/// Like make_message, but returns a mutable Ref for builder-style code that
-/// fills fields in before handing the message off (it converts implicitly
-/// to Ref<const T> / MessagePtr).
+/// Shared-ownership form of as<T>: a new reference, or null on a mismatch.
+template <typename T>
+[[nodiscard]] Ref<const T> as(const MessagePtr& m) noexcept {
+  return Ref<const T>(as<T>(m.get()));
+}
+
+/// Factory for builder-style code that fills fields in before handing the
+/// message off: returns a mutable Ref (it converts implicitly to
+/// Ref<const T> / MessagePtr). Allocates from the installed per-World pool
+/// when one is active.
 template <typename T, typename... Args>
 Ref<T> make_mutable_message(Args&&... args) {
   static_assert(std::is_base_of_v<Message, T>,
-                "make_mutable_message requires a sim::Message subclass");
-  std::uint32_t cls = detail::kHeapClass;
+                "make_message requires a sim::Message subclass");
+  std::uint16_t cls = detail::kHeapClass;
   detail::PoolCore* core = nullptr;
   void* mem = detail::pool_alloc(sizeof(T), &cls, &core);
   T* obj = ::new (mem) T(std::forward<Args>(args)...);
   detail::MessageAccess::set_pool(obj, cls, core);
   return Ref<T>(obj);
+}
+
+/// Convenience factory: make_message<Prepare>(args...).
+template <typename T, typename... Args>
+Ref<const T> make_message(Args&&... args) {
+  return make_mutable_message<T>(std::forward<Args>(args)...);
 }
 
 }  // namespace dynastar::sim

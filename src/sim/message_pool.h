@@ -24,7 +24,7 @@ constexpr std::size_t kPoolGranularity = 64;
 // Size-class index is (size + 63) / 64, so valid classes are 1..16
 // (64 B .. 1 KiB). kHeapClass marks blocks owned by the global allocator.
 constexpr std::uint32_t kNumSizeClasses = 17;
-constexpr std::uint32_t kHeapClass = 0xFFFFFFFF;
+constexpr std::uint16_t kHeapClass = 0xFFFF;
 
 struct PoolCore {
   void* free_lists[kNumSizeClasses] = {};
@@ -40,7 +40,7 @@ struct PoolCore {
 // Thread-local only as a guard rail — the kernel itself is single-threaded.
 inline thread_local PoolCore* g_current_pool = nullptr;
 
-inline void* pool_alloc(std::size_t size, std::uint32_t* cls_out,
+inline void* pool_alloc(std::size_t size, std::uint16_t* cls_out,
                         PoolCore** core_out) {
   PoolCore* core = g_current_pool;
   const auto cls = static_cast<std::uint32_t>(
@@ -50,7 +50,7 @@ inline void* pool_alloc(std::size_t size, std::uint32_t* cls_out,
     *core_out = nullptr;
     return ::operator new(size);
   }
-  *cls_out = cls;
+  *cls_out = static_cast<std::uint16_t>(cls);
   *core_out = core;
   ++core->allocs;
   ++core->refs;
@@ -64,7 +64,7 @@ inline void* pool_alloc(std::size_t size, std::uint32_t* cls_out,
   return ::operator new(static_cast<std::size_t>(cls) * kPoolGranularity);
 }
 
-inline void pool_free(void* block, std::uint32_t cls,
+inline void pool_free(void* block, std::uint16_t cls,
                       PoolCore* core) noexcept {
   if (core == nullptr) {
     ::operator delete(block);

@@ -41,43 +41,48 @@ void ReliableLink::send(ProcessId to, MessagePtr msg) {
 bool ReliableLink::handle(ProcessId from, const MessagePtr& msg,
                           MessagePtr* inner) {
   if (inner != nullptr) *inner = nullptr;
-  if (const auto* ack = dynamic_cast<const ReliableAck*>(msg.get())) {
-    auto it = pending_.find(ack->token);
-    if (it != pending_.end()) {
-      if (it->second.control) {
-        pending_.erase(it);
-      } else if (!it->second.acked) {
-        it->second.acked = true;
-        it->second.acked_at = env_.now();
+  switch (msg->kind()) {
+    case Kind::kReliableAck: {
+      auto it = pending_.find(as<ReliableAck>(msg.get())->token);
+      if (it != pending_.end()) {
+        if (it->second.control) {
+          pending_.erase(it);
+        } else if (!it->second.acked) {
+          it->second.acked = true;
+          it->second.acked_at = env_.now();
+        }
       }
-    }
-    return true;
-  }
-  if (const auto* wrapped = dynamic_cast<const ReliableMsg*>(msg.get())) {
-    env_.send_message(from, make_message<ReliableAck>(wrapped->token));
-    if (dynamic_cast<const ResendReq*>(wrapped->inner.get()) != nullptr) {
-      redrive(from);
       return true;
     }
-    if (inner != nullptr) *inner = wrapped->inner;
-    return true;
-  }
-  if (const auto* stable = dynamic_cast<const StableNotice*>(msg.get())) {
-    // An ack that arrived strictly before the peer's checkpoint capture
-    // implies the delivery happened before the capture, so the checkpoint
-    // covers it and the entry can never be needed again.
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      const Entry& e = it->second;
-      if (e.to == from && e.acked && !e.control &&
-          e.acked_at < stable->capture_time) {
-        it = pending_.erase(it);
-      } else {
-        ++it;
+    case Kind::kReliableMsg: {
+      const auto& wrapped = *as<ReliableMsg>(msg.get());
+      env_.send_message(from, make_message<ReliableAck>(wrapped.token));
+      if (as<ResendReq>(wrapped.inner.get()) != nullptr) {
+        redrive(from);
+        return true;
       }
+      if (inner != nullptr) *inner = wrapped.inner;
+      return true;
     }
-    return true;
+    case Kind::kStableNotice: {
+      // An ack that arrived strictly before the peer's checkpoint capture
+      // implies the delivery happened before the capture, so the checkpoint
+      // covers it and the entry can never be needed again.
+      const SimTime capture_time = as<StableNotice>(msg.get())->capture_time;
+      for (auto it = pending_.begin(); it != pending_.end();) {
+        const Entry& e = it->second;
+        if (e.to == from && e.acked && !e.control &&
+            e.acked_at < capture_time) {
+          it = pending_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      return true;
+    }
+    default:
+      return false;
   }
-  return false;
 }
 
 void ReliableLink::redrive(ProcessId peer) {

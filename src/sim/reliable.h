@@ -41,9 +41,8 @@
 namespace dynastar::sim {
 
 /// Wrapper carrying the retransmission token.
-struct ReliableMsg final : Message {
+struct ReliableMsg final : Typed<Kind::kReliableMsg> {
   ReliableMsg(std::uint64_t t, MessagePtr m) : token(t), inner(std::move(m)) {}
-  const char* type_name() const override { return "sim.Reliable"; }
   std::size_t size_bytes() const override {
     return 8 + (inner ? inner->size_bytes() : 0);
   }
@@ -51,23 +50,19 @@ struct ReliableMsg final : Message {
   MessagePtr inner;
 };
 
-struct ReliableAck final : Message {
+struct ReliableAck final : Typed<Kind::kReliableAck> {
   explicit ReliableAck(std::uint64_t t) : token(t) {}
-  const char* type_name() const override { return "sim.ReliableAck"; }
   std::uint64_t token;
 };
 
 /// Recovered receiver -> peer: re-send everything you retain for me.
 /// Travels through the link itself (wrapped, acked, retransmitted).
-struct ResendReq final : Message {
-  const char* type_name() const override { return "sim.ResendReq"; }
-};
+struct ResendReq final : Typed<Kind::kResendReq> {};
 
 /// Checkpointing receiver -> peers: my durable checkpoint was captured at
 /// `capture_time`; deliveries before it can never be rolled back.
-struct StableNotice final : Message {
+struct StableNotice final : Typed<Kind::kStableNotice> {
   explicit StableNotice(SimTime t) : capture_time(t) {}
-  const char* type_name() const override { return "sim.StableNotice"; }
   SimTime capture_time;
 };
 

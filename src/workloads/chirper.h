@@ -65,14 +65,12 @@ class UserObject final : public core::PRObject {
 
 struct ChirperOp final : sim::Message {
   enum class Kind : std::uint8_t { kPost, kTimeline, kFollow, kUnfollow };
-  const char* type_name() const override { return "chirper.Op"; }
   Kind kind = Kind::kTimeline;
   std::uint32_t author = 0;   // post: whose message (objects[0])
   std::uint64_t post_ref = 0; // post: 140-char message reference
 };
 
 struct ChirperReply final : sim::Message {
-  const char* type_name() const override { return "chirper.Reply"; }
   bool ok = true;
   std::uint32_t timeline_len = 0;
   std::uint64_t newest = 0;

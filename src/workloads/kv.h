@@ -35,7 +35,6 @@ class KvObject final : public core::PRObject {
 struct KvOp final : sim::Message {
   enum class Kind : std::uint8_t { kGet, kPut };
   KvOp(Kind k, std::uint64_t v) : kind(k), value(v) {}
-  const char* type_name() const override { return "kv.Op"; }
   Kind kind;
   std::uint64_t value;
 };
@@ -45,7 +44,6 @@ struct KvOp final : sim::Message {
 struct KvReply final : sim::Message {
   explicit KvReply(std::vector<std::optional<std::uint64_t>> vs)
       : values(std::move(vs)) {}
-  const char* type_name() const override { return "kv.Reply"; }
   std::size_t size_bytes() const override { return 16 + values.size() * 9; }
   std::vector<std::optional<std::uint64_t>> values;
 };

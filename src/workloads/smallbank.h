@@ -55,13 +55,11 @@ struct Op final : sim::Message {
     kAmalgamate,      // move all of A's money to B        (2 customers)
     kSendPayment,     // checking A -> checking B          (2 customers)
   };
-  const char* type_name() const override { return "smallbank.Op"; }
   Kind kind = Kind::kBalance;
   double amount = 0;
 };
 
 struct Reply final : sim::Message {
-  const char* type_name() const override { return "smallbank.Reply"; }
   bool ok = true;
   double balance = 0;  // combined balance observed
 };

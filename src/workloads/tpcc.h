@@ -202,41 +202,34 @@ struct HistoryRow final : core::PRObject {
 // ---------------------------------------------------------------------------
 
 struct NewOrderArgs final : sim::Message {
-  const char* type_name() const override { return "tpcc.NewOrder"; }
   std::uint32_t w = 0, d = 0, c = 0;
   std::vector<OrderLine> lines;  // amount filled at execution
 };
 
 struct PaymentArgs final : sim::Message {
-  const char* type_name() const override { return "tpcc.Payment"; }
   std::uint32_t w = 0, d = 0;
   std::uint32_t c_w = 0, c_d = 0, c = 0;
   double amount = 0;
 };
 
 struct OrderStatusArgs final : sim::Message {
-  const char* type_name() const override { return "tpcc.OrderStatus"; }
   std::uint32_t w = 0, d = 0, c = 0;
   std::uint32_t o_id = 0;  // 0 = no known order, read customer only
 };
 
 struct DeliveryArgs final : sim::Message {
-  const char* type_name() const override { return "tpcc.Delivery"; }
   std::uint32_t w = 0, d = 0, carrier = 1;
 };
 
 struct StockScanArgs final : sim::Message {
-  const char* type_name() const override { return "tpcc.StockScan"; }
   std::uint32_t w = 0, d = 0, last_n = 20;
 };
 
 struct StockCheckArgs final : sim::Message {
-  const char* type_name() const override { return "tpcc.StockCheck"; }
   std::uint32_t w = 0, threshold = 15;
 };
 
 struct TpccReply final : sim::Message {
-  const char* type_name() const override { return "tpcc.Reply"; }
   std::size_t size_bytes() const override { return 32 + items.size() * 4; }
   bool ok = true;
   std::uint32_t o_id = 0;                // NewOrder: assigned order id

@@ -43,9 +43,7 @@ class MockEnv final : public sim::Env {
   Rng rng_{1};
 };
 
-struct Noop final : sim::Message {
-  const char* type_name() const override { return "test.Noop"; }
-};
+struct Noop final : sim::Message {};
 
 class AcceptorUnit : public ::testing::Test {
  protected:

@@ -18,7 +18,6 @@ namespace {
 
 struct Tagged final : sim::Message {
   explicit Tagged(std::uint64_t t) : tag(t) {}
-  const char* type_name() const override { return "test.Tagged"; }
   std::uint64_t tag;
 };
 

@@ -71,7 +71,6 @@ class EchoProcess final : public Process {
 
 struct Payload final : Message {
   explicit Payload(std::size_t bytes) : bytes(bytes) {}
-  const char* type_name() const override { return "test.Payload"; }
   std::size_t size_bytes() const override { return bytes; }
   std::size_t bytes;
 };

@@ -14,7 +14,6 @@ namespace {
 
 struct Payload final : sim::Message {
   explicit Payload(std::uint64_t v) : value(v) {}
-  const char* type_name() const override { return "test.Payload"; }
   std::uint64_t value;
 };
 

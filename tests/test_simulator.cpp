@@ -134,9 +134,7 @@ class EchoProcess final : public Process {
   MessagePtr last;
 };
 
-struct Ping final : Message {
-  const char* type_name() const override { return "test.Ping"; }
-};
+struct Ping final : Message {};
 
 class SenderProcess final : public Process {
  public:

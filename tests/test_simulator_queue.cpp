@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/simulator.h"
 
 namespace dynastar::sim {
 namespace {
@@ -164,6 +165,30 @@ TEST(EventQueue, PushAtCursorTickDuringDrain) {
     check.push(popped.first);  // clamped push at the current drain time
   }
   check.drain_and_check();
+}
+
+TEST(EventQueue, PushAfterRunUntilRunsBeforeLaterBuckets) {
+  // run_until(t) only peeks at the next event, so the wheel cursor never
+  // passes t. An event scheduled at t after it returns (a test or bench
+  // poking a core between run_until calls) must run before events in later
+  // buckets and in the spill heap, and the clock must never go backwards.
+  constexpr SimTime kTick = SimTime{1} << EventQueue::kGranularityBits;
+  Simulator sim;
+  std::vector<std::pair<int, SimTime>> ran;
+  auto record = [&](int id) {
+    return [&ran, &sim, id] { ran.emplace_back(id, sim.now()); };
+  };
+  sim.schedule_at(5 * kTick, record(2));
+  sim.schedule_at(3 * kHorizon, record(4));
+  sim.run_until(kTick);
+  EXPECT_EQ(sim.now(), kTick);
+  sim.schedule_at(kTick, record(1));
+  sim.run_until(2 * kHorizon);  // drains the wheel; the spill event remains
+  sim.schedule_at(2 * kHorizon, record(3));
+  sim.run();
+  const std::vector<std::pair<int, SimTime>> expected = {
+      {1, kTick}, {2, 5 * kTick}, {3, 2 * kHorizon}, {4, 3 * kHorizon}};
+  EXPECT_EQ(ran, expected);
 }
 
 }  // namespace

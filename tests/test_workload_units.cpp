@@ -363,9 +363,9 @@ AuditCounts audit_driver(core::ClientDriver& driver,
       const std::uint64_t after = vertex_digest(store, distinct[j]);
       if (core::is_read_only(*cmd)) {
         EXPECT_EQ(before[j], after)
-            << "declared read-only command #" << i << " ("
-            << (spec->payload ? spec->payload->type_name() : "<none>")
-            << ") mutated vertex " << distinct[j];
+            << "declared read-only command #" << i << " (type "
+            << static_cast<int>(spec->type) << ") mutated vertex "
+            << distinct[j];
       } else if (after != before[j]) {
         changed = true;
       }
