@@ -8,7 +8,9 @@
 // repartitioning on purpose: the sweep isolates the *execution* trade the
 // two designs make on irreducibly multi-partition work.
 //
-// Expected shape (gated by scripts/check_report.py --bench):
+// Expected shape (gated by the "gates" of
+// bench/baselines/BENCH_star.baseline.json via scripts/check_report.py
+// --baseline, on crossover.low_margin and crossover.high_margin):
 //   - low multi ratio: DynaStar wins — STAR funnels every command through
 //     the master partition's replicas (full replica, sequenced in every
 //     multicast), so its singles throughput is capped by one partition.
@@ -17,14 +19,17 @@
 //     borrow/return round-trips per command.
 //
 // Usage: fig34_star_sweep [output.json]   (default BENCH_star.json)
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/registry.h"
+#include "bench/bench_common.h"
 #include "common/json.h"
 #include "common/metric_names.h"
 #include "core/scenario.h"
@@ -106,51 +111,50 @@ int main(int argc, char** argv) {
   using namespace dynastar;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_star.json";
 
-  Json sweep = Json::Array{};
+  Json::Object metrics;
   std::printf("fig34_star_sweep: %u partitions, %llu keys, %zu clients, "
               "[%llds, %llds) window\n",
               kPartitions, static_cast<unsigned long long>(kKeys), kClients,
               static_cast<long long>(kWarmupS),
               static_cast<long long>(kDurationS));
-  for (double multi : kMultiFractions) {
+  const std::size_t points = std::size(kMultiFractions);
+  double low_margin = 0, high_margin = 0;
+  Json::Array fractions;
+  for (std::size_t i = 0; i < points; ++i) {
+    const double multi = kMultiFractions[i];
+    fractions.emplace_back(multi);
     const Point dynastar_point = run_point("dynastar", multi);
     const Point star_point = run_point("star", multi);
     std::printf("  multi=%.2f  dynastar %8.1f/s   star %8.1f/s   "
                 "(epochs %.0f, deferred %.0f)\n",
                 multi, dynastar_point.tps(), star_point.tps(),
                 star_point.star_epochs, star_point.star_deferred);
-    sweep.as_array().push_back(Json::Object{
-        {"multi_fraction", multi},
-        {"dynastar", Json::Object{{"ok_commands", dynastar_point.ok_commands},
-                                  {"tps", dynastar_point.tps()}}},
-        {"star", Json::Object{{"ok_commands", star_point.ok_commands},
-                              {"tps", star_point.tps()},
-                              {"epochs", star_point.star_epochs},
-                              {"deferred", star_point.star_deferred}}},
-    });
+    // One metric prefix per sweep point: multi_<percent of multi-key cmds>.
+    const std::string point =
+        "multi_" + std::to_string(std::lround(multi * 100)) + ".";
+    metrics[point + "dynastar.ok_commands"] = dynastar_point.ok_commands;
+    metrics[point + "dynastar.tps"] = dynastar_point.tps();
+    metrics[point + "star.ok_commands"] = star_point.ok_commands;
+    metrics[point + "star.tps"] = star_point.tps();
+    metrics[point + "star.epochs"] = star_point.star_epochs;
+    metrics[point + "star.deferred"] = star_point.star_deferred;
+    // The crossover: each design's lead at its own end of the sweep.
+    if (i == 0) low_margin = dynastar_point.tps() / star_point.tps();
+    if (i + 1 == points) high_margin = star_point.tps() / dynastar_point.tps();
   }
+  metrics["crossover.low_margin"] = low_margin;
+  metrics["crossover.high_margin"] = high_margin;
 
-  Json report = Json::Object{};
-  report["schema"] = "dynastar-bench-star-v1";
-  report["config"] = Json::Object{
-      {"partitions", static_cast<std::uint64_t>(kPartitions)},
-      {"keys", kKeys},
-      {"clients", static_cast<std::uint64_t>(kClients)},
-      {"warmup_s", kWarmupS},
-      {"duration_s", kDurationS},
-      {"seed", kSeed},
-  };
-  report["sweep"] = std::move(sweep);
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::string text = report.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return bench::write_bench_json(
+      out_path, "star",
+      Json::Object{
+          {"partitions", static_cast<std::uint64_t>(kPartitions)},
+          {"keys", kKeys},
+          {"clients", static_cast<std::uint64_t>(kClients)},
+          {"warmup_s", kWarmupS},
+          {"duration_s", kDurationS},
+          {"seed", kSeed},
+          {"multi_fractions", std::move(fractions)},
+      },
+      std::move(metrics));
 }

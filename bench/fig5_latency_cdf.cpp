@@ -7,15 +7,17 @@
 // count.
 // A second entry point, `fig5_latency_cdf --bench-lease [out.json]`, reuses
 // the latency-CDF machinery for the read-lease gate: the same seeded KV
-// workload runs leases-off then leases-on and the multi-partition read-only
-// median must drop by >= 20% while the single-partition median stays within
-// 2% (scripts/check_report.py --lease enforces both on the emitted JSON).
+// workload runs leases-off then leases-on; leases must cut the
+// multi-partition read-only median while leaving the single-partition median
+// in place (bounds: the "gates" of bench/baselines/BENCH_lease.baseline.json,
+// checked by scripts/check_report.py --baseline).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/chirper_common.h"
@@ -231,14 +233,16 @@ Json decile_cdf(std::vector<double> values) {
 
 /// One run's samples split into the three gated populations:
 /// multi-partition read-only (the leased path), single-partition (must not
-/// move), multi-partition writes (still borrow/return).
+/// move), multi-partition writes (still borrow/return). Adds the run's
+/// `<side>.*` metrics and its two CDFs under detail[side].
 struct LeaseSummary {
   double multi_ro_median = 0.0;
   double single_median = 0.0;
-  Json json;
+  double multi_write_median = 0.0;
 };
 
-LeaseSummary summarize_lease(const LeaseRun& run) {
+LeaseSummary summarize_lease(const LeaseRun& run, const std::string& side,
+                             Json::Object& metrics, Json& detail) {
   std::vector<double> multi_ro;
   std::vector<double> single;
   std::vector<double> multi_write;
@@ -250,29 +254,29 @@ LeaseSummary summarize_lease(const LeaseRun& run) {
     else
       multi_write.push_back(s.ms);
   }
-  LeaseSummary out;
-  out.multi_ro_median = median_of(multi_ro);
-  out.single_median = median_of(single);
-  Json section = Json::Object{};
-  section["ok_commands"] = run.ok_commands;
-  section["lease_reads"] = run.lease_reads;
-  section["lease_fallbacks"] = run.lease_fallbacks;
-  section["multi_ro"] = Json::Object{
-      {"count", static_cast<std::uint64_t>(multi_ro.size())},
-      {"median_ms", out.multi_ro_median},
-      {"cdf", decile_cdf(multi_ro)},
+  const LeaseSummary out{median_of(multi_ro), median_of(single),
+                         median_of(multi_write)};
+  metrics[side + ".ok_commands"] = run.ok_commands;
+  metrics[side + ".lease_reads"] = run.lease_reads;
+  metrics[side + ".lease_fallbacks"] = run.lease_fallbacks;
+  metrics[side + ".multi_ro.count"] =
+      static_cast<std::uint64_t>(multi_ro.size());
+  metrics[side + ".multi_ro.median_ms"] = out.multi_ro_median;
+  metrics[side + ".single.count"] = static_cast<std::uint64_t>(single.size());
+  metrics[side + ".single.median_ms"] = out.single_median;
+  metrics[side + ".multi_write.count"] =
+      static_cast<std::uint64_t>(multi_write.size());
+  metrics[side + ".multi_write.median_ms"] = out.multi_write_median;
+  detail[side] = Json::Object{
+      {"multi_ro_cdf", decile_cdf(std::move(multi_ro))},
+      {"single_cdf", decile_cdf(std::move(single))},
   };
-  section["single"] = Json::Object{
-      {"count", static_cast<std::uint64_t>(single.size())},
-      {"median_ms", out.single_median},
-      {"cdf", decile_cdf(single)},
-  };
-  section["multi_write"] = Json::Object{
-      {"count", static_cast<std::uint64_t>(multi_write.size())},
-      {"median_ms", median_of(multi_write)},
-  };
-  out.json = std::move(section);
   return out;
+}
+
+/// Relative change from `before` to `after`; 0 when there is no `before`.
+double shift(double before, double after) {
+  return before > 0 ? (after - before) / before : 0.0;
 }
 
 int run_lease_bench(const char* out_arg) {
@@ -284,58 +288,53 @@ int run_lease_bench(const char* out_arg) {
 
   const LeaseRun off = run_lease(false);
   const LeaseRun on = run_lease(true);
-  LeaseSummary off_summary = summarize_lease(off);
-  LeaseSummary on_summary = summarize_lease(on);
+  Json::Object metrics;
+  Json detail = Json::Object{};
+  const LeaseSummary off_summary = summarize_lease(off, "off", metrics, detail);
+  const LeaseSummary on_summary = summarize_lease(on, "on", metrics, detail);
 
-  const double off_median = off_summary.multi_ro_median;
-  const double on_median = on_summary.multi_ro_median;
-  const double off_single = off_summary.single_median;
-  const double on_single = on_summary.single_median;
   const double reduction =
-      off_median > 0 ? 1.0 - on_median / off_median : 0.0;
+      off_summary.multi_ro_median > 0
+          ? 1.0 - on_summary.multi_ro_median / off_summary.multi_ro_median
+          : 0.0;
   const double single_shift =
-      off_single > 0 ? (on_single - off_single) / off_single : 0.0;
+      shift(off_summary.single_median, on_summary.single_median);
+  const double write_shift =
+      shift(off_summary.multi_write_median, on_summary.multi_write_median);
+  const double fallback_fraction =
+      on.lease_reads > 0 ? on.lease_fallbacks / on.lease_reads : 0.0;
 
   std::printf("  multi-partition read-only median: %.3f ms -> %.3f ms "
               "(%.1f%% reduction)\n",
-              off_median, on_median, reduction * 100);
+              off_summary.multi_ro_median, on_summary.multi_ro_median,
+              reduction * 100);
   std::printf("  single-partition median         : %.3f ms -> %.3f ms "
               "(%+.2f%%)\n",
-              off_single, on_single, single_shift * 100);
+              off_summary.single_median, on_summary.single_median,
+              single_shift * 100);
   std::printf("  leases-on: %.0f leased reads, %.0f fallbacks, %.0f ok "
               "commands measured\n",
               on.lease_reads, on.lease_fallbacks, on.ok_commands);
 
-  Json report = Json::Object{};
-  report["schema"] = "dynastar-bench-lease-v1";
-  report["config"] = Json::Object{
-      {"partitions", static_cast<std::uint64_t>(kLeasePartitions)},
-      {"keys", kLeaseKeys},
-      {"clients", static_cast<std::uint64_t>(kLeaseClients)},
-      {"seed", kLeaseSeed},
-      {"shared_keys", 2 * kSharedSlots},
-      {"multi_fraction", kLeaseMultiFraction},
-      {"shared_write_fraction", kSharedWriteFraction},
-      {"private_write_fraction", kPrivateWriteFraction},
-      {"warmup_s", kLeaseWarmupS},
-      {"horizon_s", kLeaseHorizonS},
-  };
-  report["off"] = std::move(off_summary.json);
-  report["on"] = std::move(on_summary.json);
-  report["multi_ro_median_reduction"] = reduction;
-  report["single_median_shift"] = single_shift;
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::string text = report.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  metrics["multi_ro_median_reduction"] = reduction;
+  metrics["single_median_shift"] = single_shift;
+  metrics["multi_write_median_shift"] = write_shift;
+  metrics["lease_fallback_fraction"] = fallback_fraction;
+  return bench::write_bench_json(
+      out_path, "lease",
+      Json::Object{
+          {"partitions", static_cast<std::uint64_t>(kLeasePartitions)},
+          {"keys", kLeaseKeys},
+          {"clients", static_cast<std::uint64_t>(kLeaseClients)},
+          {"seed", kLeaseSeed},
+          {"shared_keys", 2 * kSharedSlots},
+          {"multi_fraction", kLeaseMultiFraction},
+          {"shared_write_fraction", kSharedWriteFraction},
+          {"private_write_fraction", kPrivateWriteFraction},
+          {"warmup_s", kLeaseWarmupS},
+          {"horizon_s", kLeaseHorizonS},
+      },
+      std::move(metrics), std::move(detail));
 }
 
 }  // namespace

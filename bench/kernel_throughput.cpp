@@ -1,6 +1,8 @@
 // Kernel throughput benchmark: raw events/sec through the simulation kernel
 // and messages/sec through the message plane, plus a full-stack run, emitted
-// as BENCH_kernel.json for the CI perf gate (scripts/check_report.py --bench).
+// as BENCH_kernel.json for the CI perf gate (the "gates" of
+// bench/baselines/BENCH_kernel.baseline.json, checked by
+// scripts/check_report.py --baseline).
 //
 // Three sections:
 //  1. Event storm through the current kernel (SBO EventFn + two-tier calendar
@@ -24,13 +26,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/json.h"
 #include "common/metric_names.h"
 #include "core/scenario.h"
@@ -108,10 +110,8 @@ SimTime storm_delay(std::mt19937_64& rng) {
 
 constexpr std::uint64_t kStormSeed = 0xD15EA5E;
 inline std::uint64_t storm_pending() {
-  static const std::uint64_t v = [] {
-    const char* env = std::getenv("DYNASTAR_STORM_PENDING");
-    return env == nullptr ? 262144ULL : std::strtoull(env, nullptr, 10);
-  }();
+  static const std::uint64_t v =
+      bench::env_u64("DYNASTAR_STORM_PENDING", 262144);
   return v;
 }
 
@@ -219,7 +219,7 @@ struct FullStackResult {
 
 /// Full-stack sanity point: single-partition KV, 1 simulated second.
 /// `checkpoint_interval` 0 disables checkpointing so the default-on cost can
-/// be gated (full_stack vs full_stack_nockpt in check_report.py --bench).
+/// be gated (full_stack.checkpoint_throughput_ratio).
 FullStackResult run_full_stack(paxos::Slot checkpoint_interval) {
   const auto start = std::chrono::steady_clock::now();
   auto system = core::ScenarioBuilder()
@@ -244,7 +244,7 @@ FullStackResult run_full_stack(paxos::Slot checkpoint_interval) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel executor sections (schema v2).
+// Parallel executor sections.
 
 /// Closed-loop driver hammering exactly one key — the two extremes for the
 /// parallel-executor gate: every client on its own key (conflict-free
@@ -334,9 +334,9 @@ int main(int argc, char** argv) {
 
   std::printf("kernel_throughput: full stack (1 simulated second of KV)...\n");
   // Default-config run (periodic checkpoints on) vs checkpointing disabled:
-  // the wall-clock ratio is the cost of the checkpoint subsystem, gated <5%
-  // by check_report.py --bench. An aggressive interval (512 slots) makes the
-  // 1-simulated-second run actually cross boundaries.
+  // the wall-clock throughput ratio is the cost of the checkpoint subsystem.
+  // An aggressive interval (512 slots) makes the 1-simulated-second run
+  // actually cross boundaries.
   FullStackResult stack, stack_nockpt;
   for (int round = 0; round < kRounds; ++round) {
     const auto with = run_full_stack(/*checkpoint_interval=*/512);
@@ -371,58 +371,45 @@ int main(int argc, char** argv) {
               sim_heavy_serial, kExecLanes, sim_heavy_lanes,
               sim_heavy_lanes / sim_heavy_serial);
 
-  Json report = Json::Object{};
-  report["schema"] = "dynastar-bench-kernel-v2";
-  report["kernel"] = Json::Object{
-      {"events", static_cast<std::uint64_t>(kStormEvents)},
-      {"pending", storm_pending()},
-      {"events_per_sec", current_eps},
+  const double events = static_cast<double>(kStormEvents);
+  const double pending = static_cast<double>(storm_pending());
+  const double stack_cps = stack.commands / stack.wall_seconds;
+  const double nockpt_cps = stack_nockpt.commands / stack_nockpt.wall_seconds;
+  Json::Object metrics{
+      {"kernel.events", events},
+      {"kernel.pending", pending},
+      {"kernel.events_per_sec", current_eps},
+      {"legacy_kernel.events", events},
+      {"legacy_kernel.pending", pending},
+      {"legacy_kernel.events_per_sec", legacy_eps},
+      {"speedup_vs_legacy", speedup},
+      {"message_plane.messages", static_cast<double>(kStormMessages)},
+      {"message_plane.messages_per_sec", msg.messages_per_sec},
+      {"message_plane.pool_allocs", msg.pool_allocs},
+      {"message_plane.pool_reuses", msg.pool_reuses},
+      {"message_plane.pool_reuse_fraction",
+       msg.pool_allocs > 0 ? static_cast<double>(msg.pool_reuses) /
+                                 static_cast<double>(msg.pool_allocs)
+                           : 0.0},
+      {"full_stack.commands", stack.commands},
+      {"full_stack.wall_seconds", stack.wall_seconds},
+      {"full_stack.commands_per_sec", stack_cps},
+      {"full_stack_nockpt.commands", stack_nockpt.commands},
+      {"full_stack_nockpt.wall_seconds", stack_nockpt.wall_seconds},
+      {"full_stack_nockpt.commands_per_sec", nockpt_cps},
+      {"full_stack.checkpoint_throughput_ratio", stack_cps / nockpt_cps},
+      {"parallel_exec.lanes", static_cast<std::uint64_t>(kExecLanes)},
+      {"parallel_exec.sim_conflict_free.serial_cps", sim_free_serial},
+      {"parallel_exec.sim_conflict_free.lanes_cps", sim_free_lanes},
+      {"parallel_exec.sim_conflict_free.speedup",
+       sim_free_lanes / sim_free_serial},
+      {"parallel_exec.sim_conflict_heavy.serial_cps", sim_heavy_serial},
+      {"parallel_exec.sim_conflict_heavy.lanes_cps", sim_heavy_lanes},
+      {"parallel_exec.sim_conflict_heavy.speedup",
+       sim_heavy_lanes / sim_heavy_serial},
   };
-  report["legacy_kernel"] = Json::Object{
-      {"events", static_cast<std::uint64_t>(kStormEvents)},
-      {"pending", storm_pending()},
-      {"events_per_sec", legacy_eps},
-  };
-  report["speedup_vs_legacy"] = speedup;
-  report["message_plane"] = Json::Object{
-      {"messages", static_cast<std::uint64_t>(kStormMessages)},
-      {"messages_per_sec", msg.messages_per_sec},
-      {"pool_allocs", msg.pool_allocs},
-      {"pool_reuses", msg.pool_reuses},
-  };
-  report["full_stack"] = Json::Object{
-      {"commands", stack.commands},
-      {"wall_seconds", stack.wall_seconds},
-      {"commands_per_sec", stack.commands / stack.wall_seconds},
-  };
-  report["full_stack_nockpt"] = Json::Object{
-      {"commands", stack_nockpt.commands},
-      {"wall_seconds", stack_nockpt.wall_seconds},
-      {"commands_per_sec", stack_nockpt.commands / stack_nockpt.wall_seconds},
-  };
-  Json parallel = Json::Object{};
-  parallel["lanes"] = static_cast<std::uint64_t>(kExecLanes);
-  parallel["sim_conflict_free"] = Json::Object{
-      {"serial_cps", sim_free_serial},
-      {"lanes_cps", sim_free_lanes},
-      {"speedup", sim_free_lanes / sim_free_serial},
-  };
-  parallel["sim_conflict_heavy"] = Json::Object{
-      {"serial_cps", sim_heavy_serial},
-      {"lanes_cps", sim_heavy_lanes},
-      {"speedup", sim_heavy_lanes / sim_heavy_serial},
-  };
-  report["parallel_exec"] = std::move(parallel);
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::string text = report.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return bench::write_bench_json(
+      out_path, "kernel",
+      Json::Object{{"storm_seed", kStormSeed}, {"best_of", kRounds}},
+      std::move(metrics));
 }

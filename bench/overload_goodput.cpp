@@ -8,12 +8,14 @@
 //                        6.2s and recovers at 8.2s via snapshot install
 //   recovery  [11s, 15s) surge over, all replicas up
 //
-// The metastable-failure gate (scripts/check_report.py --bench):
-//   surge_ratio    = surge goodput    / baseline goodput  >= 0.5
-//   recovery_ratio = recovery goodput / baseline goodput  >= 0.9
+// The metastable-failure gate (the "gates" of
+// bench/baselines/BENCH_overload.baseline.json, checked by
+// scripts/check_report.py --baseline) puts floors under
+//   surge_ratio    = surge goodput    / baseline goodput
+//   recovery_ratio = recovery goodput / baseline goodput
 // i.e. bounded admission queues + Busy shedding keep the system doing useful
-// work at half its calm rate under 2x-saturation-plus-fault pressure, and it
-// returns to its calm rate instead of collapsing into a retry storm.
+// work under 2x-saturation-plus-fault pressure, and it returns to its calm
+// rate instead of collapsing into a retry storm.
 //
 // Everything is scripted (fixed seed, fixed crash/surge instants), so the
 // emitted BENCH_overload.json is reproducible run-to-run.
@@ -26,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/json.h"
 #include "common/metric_names.h"
 #include "core/scenario.h"
@@ -45,69 +48,12 @@ constexpr std::int64_t kBaselineFrom = 1, kBaselineTo = 6;
 constexpr std::int64_t kSurgeFrom = 6, kSurgeTo = 10;
 constexpr std::int64_t kRecoveryFrom = 11, kRecoveryTo = 15;
 
-/// Records every successful completion instant; `completed` alone would
-/// also count kTimeout / kOverloaded completions, which are not goodput.
-class GoodputDriver final : public core::ClientDriver {
- public:
-  GoodputDriver(std::unique_ptr<core::ClientDriver> inner,
-                std::vector<SimTime>* oks)
-      : inner_(std::move(inner)), oks_(oks) {}
-
-  std::optional<core::CommandSpec> next(Rng& rng, SimTime now) override {
-    return inner_->next(rng, now);
-  }
-
-  void on_result(const core::CommandSpec& spec, core::ReplyStatus status,
-                 const sim::MessagePtr& payload, SimTime issued_at,
-                 SimTime completed_at) override {
-    if (status == core::ReplyStatus::kOk) oks_->push_back(completed_at);
-    inner_->on_result(spec, status, payload, issued_at, completed_at);
-  }
-
- private:
-  std::unique_ptr<core::ClientDriver> inner_;
-  std::vector<SimTime>* oks_;
-};
-
-struct Window {
-  std::int64_t from_s = 0;
-  std::int64_t to_s = 0;
-  std::uint64_t ok_commands = 0;
-
-  [[nodiscard]] double seconds() const {
-    return static_cast<double>(to_s - from_s);
-  }
-  [[nodiscard]] double goodput() const {
-    return static_cast<double>(ok_commands) / seconds();
-  }
-};
-
-Window count_window(const std::vector<SimTime>& oks, std::int64_t from_s,
-                    std::int64_t to_s) {
-  Window w;
-  w.from_s = from_s;
-  w.to_s = to_s;
-  const SimTime from = seconds(from_s), to = seconds(to_s);
-  for (SimTime t : oks)
-    if (t >= from && t < to) ++w.ok_commands;
-  return w;
-}
-
-Json window_json(const Window& w) {
-  return Json::Object{
-      {"from_s", w.from_s},
-      {"to_s", w.to_s},
-      {"seconds", w.seconds()},
-      {"ok_commands", w.ok_commands},
-      {"goodput_per_sec", w.goodput()},
-  };
-}
-
 }  // namespace
 }  // namespace dynastar
 
 int main(int argc, char** argv) {
   using namespace dynastar;
+  using namespace dynastar::bench;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_overload.json";
 
   std::vector<SimTime> oks;
@@ -177,35 +123,30 @@ int main(int argc, char** argv) {
   std::printf("  shed     : server %.0f, oracle %.0f; snapshot installs %.0f\n",
               server_shed, oracle_shed, snapshot_installs);
 
-  Json report = Json::Object{};
-  report["schema"] = "dynastar-bench-overload-v1";
-  report["config"] = Json::Object{
-      {"steady_clients", static_cast<std::uint64_t>(kSteadyClients)},
-      {"surge_clients", static_cast<std::uint64_t>(kSurgeClients)},
-      {"server_queue_cap", static_cast<std::uint64_t>(8)},
-      {"oracle_inflight_cap", static_cast<std::uint64_t>(16)},
-      {"seed", static_cast<std::uint64_t>(42)},
-  };
-  report["baseline"] = window_json(baseline);
-  report["surge"] = window_json(surge);
-  report["recovery"] = window_json(recovery);
-  report["surge_ratio"] = surge_ratio;
-  report["recovery_ratio"] = recovery_ratio;
-  report["shed"] = Json::Object{
-      {"server", server_shed},
-      {"oracle", oracle_shed},
-  };
-  report["snapshot_installs"] = snapshot_installs;
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::string text = report.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  Json::Object metrics;
+  add_window_metrics(metrics, "baseline", baseline);
+  add_window_metrics(metrics, "surge", surge);
+  add_window_metrics(metrics, "recovery", recovery);
+  metrics["surge_ratio"] = surge_ratio;
+  metrics["recovery_ratio"] = recovery_ratio;
+  metrics["shed.server"] = server_shed;
+  metrics["shed.oracle"] = oracle_shed;
+  metrics["shed.total"] = server_shed + oracle_shed;
+  metrics["snapshot_installs"] = snapshot_installs;
+  return write_bench_json(
+      out_path, "overload",
+      Json::Object{
+          {"steady_clients", static_cast<std::uint64_t>(kSteadyClients)},
+          {"surge_clients", static_cast<std::uint64_t>(kSurgeClients)},
+          {"server_queue_cap", static_cast<std::uint64_t>(8)},
+          {"oracle_inflight_cap", static_cast<std::uint64_t>(16)},
+          {"seed", static_cast<std::uint64_t>(42)},
+          {"windows_s",
+           Json::Object{
+               {"baseline", Json::Array{kBaselineFrom, kBaselineTo}},
+               {"surge", Json::Array{kSurgeFrom, kSurgeTo}},
+               {"recovery", Json::Array{kRecoveryFrom, kRecoveryTo}},
+           }},
+      },
+      std::move(metrics));
 }

@@ -10,8 +10,10 @@
 //                        chunked snapshot install runs entirely inside
 //                        the collapse window
 //
-// The bandwidth-adaptation gate (scripts/check_report.py --bench):
-//   degraded_ratio = degraded goodput / steady goodput >= 0.7
+// The bandwidth-adaptation gate (the "gates" of
+// bench/baselines/BENCH_transfer.baseline.json, checked by
+// scripts/check_report.py --baseline) puts a floor under
+//   degraded_ratio = degraded goodput / steady goodput
 // i.e. the chunked transfer trickling over the starved links must not
 // starve command execution — windowed chunk pulls with per-chunk
 // retransmit backoff keep the recovery in the background while quorums on
@@ -28,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/json.h"
 #include "common/metric_names.h"
 #include "core/scenario.h"
@@ -45,69 +48,12 @@ constexpr std::size_t kClients = 8;
 constexpr std::int64_t kSteadyFrom = 1, kSteadyTo = 6;
 constexpr std::int64_t kDegradedFrom = 6, kDegradedTo = 11;
 
-/// Records every successful completion instant; `completed` alone would
-/// also count kTimeout / kOverloaded completions, which are not goodput.
-class GoodputDriver final : public core::ClientDriver {
- public:
-  GoodputDriver(std::unique_ptr<core::ClientDriver> inner,
-                std::vector<SimTime>* oks)
-      : inner_(std::move(inner)), oks_(oks) {}
-
-  std::optional<core::CommandSpec> next(Rng& rng, SimTime now) override {
-    return inner_->next(rng, now);
-  }
-
-  void on_result(const core::CommandSpec& spec, core::ReplyStatus status,
-                 const sim::MessagePtr& payload, SimTime issued_at,
-                 SimTime completed_at) override {
-    if (status == core::ReplyStatus::kOk) oks_->push_back(completed_at);
-    inner_->on_result(spec, status, payload, issued_at, completed_at);
-  }
-
- private:
-  std::unique_ptr<core::ClientDriver> inner_;
-  std::vector<SimTime>* oks_;
-};
-
-struct Window {
-  std::int64_t from_s = 0;
-  std::int64_t to_s = 0;
-  std::uint64_t ok_commands = 0;
-
-  [[nodiscard]] double seconds() const {
-    return static_cast<double>(to_s - from_s);
-  }
-  [[nodiscard]] double goodput() const {
-    return static_cast<double>(ok_commands) / seconds();
-  }
-};
-
-Window count_window(const std::vector<SimTime>& oks, std::int64_t from_s,
-                    std::int64_t to_s) {
-  Window w;
-  w.from_s = from_s;
-  w.to_s = to_s;
-  const SimTime from = seconds(from_s), to = seconds(to_s);
-  for (SimTime t : oks)
-    if (t >= from && t < to) ++w.ok_commands;
-  return w;
-}
-
-Json window_json(const Window& w) {
-  return Json::Object{
-      {"from_s", w.from_s},
-      {"to_s", w.to_s},
-      {"seconds", w.seconds()},
-      {"ok_commands", w.ok_commands},
-      {"goodput_per_sec", w.goodput()},
-  };
-}
-
 }  // namespace
 }  // namespace dynastar
 
 int main(int argc, char** argv) {
   using namespace dynastar;
+  using namespace dynastar::bench;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_transfer.json";
 
   std::vector<SimTime> oks;
@@ -179,33 +125,26 @@ int main(int argc, char** argv) {
               "%.0f snapshot installs\n",
               chunks_sent, chunks_retx, snapshot_installs);
 
-  Json report = Json::Object{};
-  report["schema"] = "dynastar-bench-transfer-v1";
-  report["config"] = Json::Object{
-      {"net", std::string("wan:3dc")},
-      {"clients", static_cast<std::uint64_t>(kClients)},
-      {"transfer_chunk_bytes", static_cast<std::uint64_t>(512)},
-      {"bandwidth_drop_factor", 0.1},
-      {"seed", static_cast<std::uint64_t>(42)},
-  };
-  report["steady"] = window_json(steady);
-  report["degraded"] = window_json(degraded);
-  report["degraded_ratio"] = degraded_ratio;
-  report["transfer"] = Json::Object{
-      {"chunks_sent", chunks_sent},
-      {"chunks_retransmitted", chunks_retx},
-      {"snapshot_installs", snapshot_installs},
-  };
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::string text = report.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  Json::Object metrics;
+  add_window_metrics(metrics, "steady", steady);
+  add_window_metrics(metrics, "degraded", degraded);
+  metrics["degraded_ratio"] = degraded_ratio;
+  metrics["transfer.chunks_sent"] = chunks_sent;
+  metrics["transfer.chunks_retransmitted"] = chunks_retx;
+  metrics["transfer.snapshot_installs"] = snapshot_installs;
+  return write_bench_json(
+      out_path, "transfer",
+      Json::Object{
+          {"net", std::string("wan:3dc")},
+          {"clients", static_cast<std::uint64_t>(kClients)},
+          {"transfer_chunk_bytes", static_cast<std::uint64_t>(512)},
+          {"bandwidth_drop_factor", 0.1},
+          {"seed", static_cast<std::uint64_t>(42)},
+          {"windows_s", Json::Object{
+                            {"steady", Json::Array{kSteadyFrom, kSteadyTo}},
+                            {"degraded",
+                             Json::Array{kDegradedFrom, kDegradedTo}},
+                        }},
+      },
+      std::move(metrics));
 }
