@@ -263,6 +263,12 @@ bool PartitionServerCore::handle(ProcessId from, const sim::MessagePtr& msg) {
   return dispatch_direct(from, msg);
 }
 
+void PartitionServerCore::resume() {
+  if (!blocked_) return;
+  blocked_ = false;
+  pump();
+}
+
 bool PartitionServerCore::dispatch_direct(ProcessId /*from*/,
                                           const sim::MessagePtr& msg) {
   switch (msg->kind()) {
@@ -469,8 +475,13 @@ void PartitionServerCore::pump() {
         break;
     }
 
-    if (config_.exec_lanes > 1 && exec_batchable(*ec)) {
-      exec_enqueue(ec);
+    if (exec_batchable(*ec)) {
+      // A single-partition access (every STAR command that gets here): the
+      // lanes batch it, or it runs now.
+      if (config_.exec_lanes > 1)
+        exec_enqueue(ec);
+      else
+        execute_local({&ec, 1});
       queue_.pop_front();
       continue;
     }
@@ -478,15 +489,8 @@ void PartitionServerCore::pump() {
     // transfers, multi-partition execution): flush pending work first.
     flush_exec_batch();
 
-    if (config_.mode == ExecutionMode::kStar) {
-      execute_star_single(*ec);
-      queue_.pop_front();
-      continue;
-    }
-
-    const bool multi = ec->dests.size() > 1;
     if (config_.mode == ExecutionMode::kSSMR) {
-      if (multi && !transfers_ready_for_ssmr(*ec)) {
+      if (!transfers_ready_for_ssmr(*ec)) {
         blocked_ = true;
         return;
       }
@@ -496,12 +500,16 @@ void PartitionServerCore::pump() {
     }
 
     if (ec->target == partition_) {
-      if (lease_eligible(*ec)) {
+      if (peer_aborted(key)) {
+        // A peer rejected the command: return whatever arrived and tell the
+        // client to retry.
+        release(*ec);
+        send_reply(*ec, ReplyStatus::kRetry, nullptr);
+      } else if (lease_eligible(*ec)) {
         execute_leased_read(*ec);
-        queue_.pop_front();
-        continue;
+      } else {
+        execute_target(*ec);
       }
-      execute_target(*ec);
       queue_.pop_front();
       continue;
     }
@@ -556,17 +564,29 @@ void PartitionServerCore::exec_enqueue(const ExecCommandPtr& ec) {
   }
 }
 
-void PartitionServerCore::run_exec_batch(const std::vector<ExecCommandPtr>& batch,
-                                         std::vector<ExecResult>& results) {
-  results.resize(batch.size());
+ExecResult PartitionServerCore::execute(const ExecCommand& ec) {
+  trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
+  return app_->execute(*ec.cmd, store_);
+}
+
+template <typename Done>
+void PartitionServerCore::execute_batch(std::span<const ExecCommandPtr> batch,
+                                        std::size_t min_batch, Done&& done) {
+  if (config_.exec_lanes <= 1 || batch.size() < min_batch) {
+    for (const ExecCommandPtr& ec : batch) {
+      ExecResult result = execute(*ec);
+      env_.consume_cpu(result.cpu_cost);
+      done(*ec, result);
+    }
+    return;
+  }
+  std::vector<ExecResult> results(batch.size());
   std::vector<ExecIntent> intents;
   intents.reserve(batch.size());
   std::vector<SimTime> costs(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const ExecCommand& ec = *batch[i];
-    intents.push_back(intent_for(*ec.cmd));
-    trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
-    results[i] = app_->execute(*ec.cmd, store_);
+    intents.push_back(intent_for(*batch[i]->cmd));
+    results[i] = execute(*batch[i]);
     costs[i] = results[i].cpu_cost;
   }
   const BatchStats stats = account_batch(intents, costs, config_.exec_lanes);
@@ -587,6 +607,8 @@ void PartitionServerCore::run_exec_batch(const std::vector<ExecCommandPtr>& batc
     trace_->record(TracePoint::kExecParallel, env_.now(),
                    static_cast<std::uint64_t>(stats.makespan), stats.waves,
                    env_.self().value(), stats.commands);
+  // Finish the commands in slot order.
+  for (std::size_t i = 0; i < batch.size(); ++i) done(*batch[i], results[i]);
 }
 
 void PartitionServerCore::flush_exec_batch() {
@@ -594,27 +616,18 @@ void PartitionServerCore::flush_exec_batch() {
   std::vector<ExecCommandPtr> batch(exec_pending_.begin(), exec_pending_.end());
   exec_pending_.clear();
   exec_pending_clients_.clear();
-  std::vector<ExecResult> results;
-  run_exec_batch(batch, results);
-  // Commit effects in slot order: replies, caches, hints, metrics.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const ExecCommand& ec = *batch[i];
+  execute_local(batch);
+}
+
+void PartitionServerCore::execute_local(std::span<const ExecCommandPtr> batch) {
+  execute_batch(batch, 1, [this](const ExecCommand& ec, ExecResult& result) {
     if (leases_on() && !is_read_only(*ec.cmd)) {
       for (std::size_t j : first_occurrences(ec.cmd->vertices, any_index))
         note_vertex_mutation(ec.cmd->vertices[j]);
     }
-    sim::MessagePtr reply_payload = std::move(results[i].reply);
-    remember_reply(ec, ReplyStatus::kOk, reply_payload);
-    // STAR: the master applies other owners' singles silently.
-    const bool silent =
-        config_.mode == ExecutionMode::kStar && ec.target != partition_;
-    if (!silent) {
-      send_reply(ec, ReplyStatus::kOk, std::move(reply_payload));
-      note_command_metrics(ec, /*multi=*/false);
-    }
-    if (config_.mode == ExecutionMode::kDynaStar)
-      record_hints(*ec.cmd);
-  }
+    reply_ok(ec, std::move(result.reply), /*multi_partition=*/false);
+    if (config_.mode == ExecutionMode::kDynaStar) record_hints(*ec.cmd);
+  });
 }
 
 void PartitionServerCore::trace_cmd(TracePoint point, const ExecCommand& ec,
@@ -631,6 +644,23 @@ void PartitionServerCore::send_reply(const ExecCommand& ec, ReplyStatus status,
                     sim::make_message<CommandReply>(ec.cmd->cmd_id, ec.attempt,
                                                     status,
                                                     std::move(payload)));
+}
+
+void PartitionServerCore::reply_ok(const ExecCommand& ec,
+                                   sim::MessagePtr payload,
+                                   bool multi_partition) {
+  remember_reply(ec, ReplyStatus::kOk, payload);
+  if (applies_silently(ec)) return;
+  send_reply(ec, ReplyStatus::kOk, std::move(payload));
+  if (!record_metrics_ || !metrics_) return;
+  const SimTime now = env_.now();
+  run_series(executed_series_, metric::kExecuted).add(now, 1.0);
+  node_series(node_executed_series_, metric::kServerExecuted).add(now, 1.0);
+  if (multi_partition) {
+    run_series(mpart_series_, metric::kMultiPartition).add(now, 1.0);
+    node_series(node_mpart_series_, metric::kServerMultiPartition)
+        .add(now, 1.0);
+  }
 }
 
 void PartitionServerCore::remember_reply(const ExecCommand& ec,
@@ -657,37 +687,18 @@ bool PartitionServerCore::serve_cached_duplicate(const ExecCommand& ec) {
   // cached > delivered: the client already moved past this command (it can
   // only have timed out), so executing it now would violate session order —
   // suppress it silently. Either way, clean up this attempt's coordination
-  // state like reject() does, so peers that shipped variables for the
-  // duplicate attempt get them bounced home.
+  // state like reject() does: a target bounces the variables peers shipped
+  // for the duplicate attempt and drops the grants lenders re-granted (they
+  // have no reply cache entry for it). STAR ships no transfers, and its
+  // two-dest singles have the silently-applying master as their peer, not
+  // a variable source.
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
   if (config_.mode == ExecutionMode::kSSMR) {
     transfers_.erase(key);
-    ssmr_sent_.erase(key);
-    return true;
-  }
-  if (config_.mode == ExecutionMode::kStar) {
-    // No transfers ever ship under STAR, so there is nothing to bounce (and
-    // no resolved_ entry to create — star singles have two dests but the
-    // peer is the silently-applying master, not a variable source).
-    return true;
-  }
-  if (ec.dests.size() > 1 && ec.target == partition_) {
-    // Lenders re-grant for a duplicate attempt (they have no reply cache
-    // entry for it); drop the orphaned grants with the attempt.
-    lease_grants_.erase(key);
-    auto& sources = resolved_[key];
-    auto tstate = transfers_.find(key);
-    if (tstate != transfers_.end()) {
-      for (auto& [source, envelopes] : tstate->second.received) {
-        sources.insert(source);
-        trace_cmd(TracePoint::kReturnSent, ec, source.value());
-        send_to_partition(source,
-                          sim::make_message<VarReturn>(ec.cmd->cmd_id,
-                                                       ec.attempt, partition_,
-                                                       envelopes));
-      }
-      transfers_.erase(tstate);
-    }
+    sent_transfers_.erase(key);
+  } else if (config_.mode != ExecutionMode::kStar && ec.dests.size() > 1 &&
+             ec.target == partition_) {
+    release(ec);
   }
   return true;
 }
@@ -721,7 +732,7 @@ PartitionServerCore::Classification PartitionServerCore::classify(
   const bool aborted =
       tstate != transfers_.end() && !tstate->second.aborted.empty();
 
-  if (!objects_available(ec, /*claimed_mine_only=*/true))
+  if (!objects_available(ec))
     return Classification::kBlocked;
 
   if (config_.mode == ExecutionMode::kStar) {
@@ -757,8 +768,8 @@ bool PartitionServerCore::transfers_ready_for_ssmr(const ExecCommand& ec) {
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
   // S-SMR: every involved partition ships copies to every other one, then
   // each executes the whole command locally. Send once, then wait.
-  if (!ssmr_sent_.contains(key)) {
-    ssmr_sent_.try_emplace(key);
+  if (!sent_transfers_.contains(key)) {
+    sent_transfers_.try_emplace(key);
     std::vector<ObjectEnvelope> mine;
     for (std::size_t i = 0; i < ec.cmd->objects.size(); ++i) {
       if (ec.owners[i] != partition_) continue;
@@ -785,8 +796,12 @@ bool PartitionServerCore::transfers_ready_for_ssmr(const ExecCommand& ec) {
   return received + 1 >= ec.dests.size();
 }
 
-bool PartitionServerCore::objects_available(const ExecCommand& ec,
-                                            bool /*claimed_mine_only*/) {
+bool PartitionServerCore::peer_aborted(const CmdKey& key) const {
+  const auto tstate = transfers_.find(key);
+  return tstate != transfers_.end() && !tstate->second.aborted.empty();
+}
+
+bool PartitionServerCore::objects_available(const ExecCommand& ec) {
   bool available = true;
   for (std::size_t i = 0; i < ec.cmd->objects.size(); ++i) {
     if (ec.owners[i] != partition_) continue;
@@ -811,36 +826,14 @@ bool PartitionServerCore::objects_available(const ExecCommand& ec,
 // ---------------------------------------------------------------------------
 
 void PartitionServerCore::execute_target(const ExecCommand& ec) {
+  // A multi-partition command whose transfers have all arrived: splice the
+  // borrowed objects in and execute once.
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
-  auto tstate = transfers_.find(key);
-
-  // Peer rejection: return whatever arrived and tell the client to retry.
-  if (tstate != transfers_.end() && !tstate->second.aborted.empty()) {
-    auto& sources = resolved_[key];
-    for (const auto& [source, envelopes] : tstate->second.received)
-      sources.insert(source);
-    for (auto& [source, envelopes] : tstate->second.received) {
-      trace_cmd(TracePoint::kReturnSent, ec, source.value());
-      send_to_partition(source,
-                        sim::make_message<VarReturn>(ec.cmd->cmd_id, ec.attempt,
-                                                     partition_, envelopes));
-    }
-    transfers_.erase(tstate);
-    send_reply(ec, ReplyStatus::kRetry, nullptr);
-    return;
-  }
-
-  const bool multi = ec.dests.size() > 1;
-  if (multi) {
-    auto& sources = resolved_[key];
-    if (tstate != transfers_.end())
-      for (const auto& [source, envelopes] : tstate->second.received)
-        sources.insert(source);
-  }
+  auto& sources = resolved_[key];
   std::size_t borrowed_objects = 0;
-
-  if (multi && tstate != transfers_.end()) {
+  if (auto tstate = transfers_.find(key); tstate != transfers_.end()) {
     for (const auto& [source, envelopes] : tstate->second.received) {
+      sources.insert(source);
       insert_envelopes(envelopes);
       borrowed_objects += envelopes.size();
     }
@@ -848,8 +841,7 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
   env_.consume_cpu(kPerObjectMoveCost *
                    static_cast<SimTime>(borrowed_objects));
 
-  trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
-  ExecResult result = app_->execute(*ec.cmd, store_);
+  ExecResult result = execute(ec);
   env_.consume_cpu(result.cpu_cost);
 
   // A write against our own vertices invalidates any leased copies of them.
@@ -858,57 +850,49 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
     for (std::size_t i : first_occurrences(ec.cmd->vertices, owned))
       note_vertex_mutation(ec.cmd->vertices[i]);
   }
+  reply_ok(ec, std::move(result.reply), /*multi_partition=*/true);
 
-  sim::MessagePtr reply_payload = std::move(result.reply);
-  remember_reply(ec, ReplyStatus::kOk, reply_payload);
-  send_reply(ec, ReplyStatus::kOk, std::move(reply_payload));
-
-  if (multi) {
-    if (config_.mode == ExecutionMode::kDynaStar) {
-      // Return every borrowed vertex (with any objects the execution
-      // created under it) to its owner.
-      std::map<PartitionId, std::vector<ObjectEnvelope>> by_owner;
-      const auto borrowed = [&](std::size_t i) {
-        return ec.owners[i] != partition_;
-      };
-      for (std::size_t i : first_occurrences(ec.cmd->vertices, borrowed)) {
-        auto envelopes = extract_vertex(ec.cmd->vertices[i]);
-        auto& sink = by_owner[ec.owners[i]];
-        sink.insert(sink.end(), std::make_move_iterator(envelopes.begin()),
-                    std::make_move_iterator(envelopes.end()));
-      }
-      std::size_t returned = 0;
-      for (auto& [owner, envelopes] : by_owner) {
-        returned += envelopes.size();
-        trace_cmd(TracePoint::kReturnSent, ec, owner.value());
-        send_to_partition(owner, sim::make_message<VarReturn>(
-                                     ec.cmd->cmd_id, ec.attempt, partition_,
-                                     std::move(envelopes)));
-      }
-      if (record_metrics_ && metrics_)
-        note_objects_exchanged(static_cast<double>(returned));
-    } else if (config_.mode == ExecutionMode::kDSSMR) {
-      // Permanent relocation: keep the objects, take ownership of the
-      // vertices, and tell the oracle.
-      std::vector<std::pair<VertexId, PartitionId>> moves;
-      for (std::size_t i : first_occurrences(ec.cmd->vertices, any_index)) {
-        const VertexId v = ec.cmd->vertices[i];
-        map_[v] = partition_;
-        if (ec.owners[i] != partition_) moves.emplace_back(v, partition_);
-      }
-      if (!moves.empty()) {
-        member_.amcast_as_group(
-            group_uid(group_of(partition_), /*purpose=*/2,
-                      ++location_updates_emitted_),
-            {kOracleGroup},
-            sim::make_message<LocationUpdate>(std::move(moves)));
-      }
+  if (config_.mode == ExecutionMode::kDynaStar) {
+    // Return every borrowed vertex (with any objects the execution created
+    // under it) to its owner.
+    std::map<PartitionId, std::vector<ObjectEnvelope>> by_owner;
+    const auto borrowed = [&](std::size_t i) {
+      return ec.owners[i] != partition_;
+    };
+    for (std::size_t i : first_occurrences(ec.cmd->vertices, borrowed)) {
+      auto envelopes = extract_vertex(ec.cmd->vertices[i]);
+      auto& sink = by_owner[ec.owners[i]];
+      sink.insert(sink.end(), std::make_move_iterator(envelopes.begin()),
+                  std::make_move_iterator(envelopes.end()));
     }
-    transfers_.erase(key);
+    std::size_t returned = 0;
+    for (auto& [owner, envelopes] : by_owner) {
+      returned += envelopes.size();
+      trace_cmd(TracePoint::kReturnSent, ec, owner.value());
+      send_to_partition(owner, sim::make_message<VarReturn>(
+                                   ec.cmd->cmd_id, ec.attempt, partition_,
+                                   std::move(envelopes)));
+    }
+    if (record_metrics_ && metrics_)
+      note_objects_exchanged(static_cast<double>(returned));
+    record_hints(*ec.cmd);
+  } else {
+    // DS-SMR permanent relocation: keep the objects, take ownership of the
+    // vertices, and tell the oracle.
+    std::vector<std::pair<VertexId, PartitionId>> moves;
+    for (std::size_t i : first_occurrences(ec.cmd->vertices, any_index)) {
+      const VertexId v = ec.cmd->vertices[i];
+      map_[v] = partition_;
+      if (ec.owners[i] != partition_) moves.emplace_back(v, partition_);
+    }
+    if (!moves.empty()) {
+      member_.amcast_as_group(
+          group_uid(group_of(partition_), /*purpose=*/2,
+                    ++location_updates_emitted_),
+          {kOracleGroup}, sim::make_message<LocationUpdate>(std::move(moves)));
+    }
   }
-
-  if (config_.mode == ExecutionMode::kDynaStar) record_hints(*ec.cmd);
-  note_command_metrics(ec, multi);
+  transfers_.erase(key);
 }
 
 void PartitionServerCore::execute_create(const ExecCommand& ec) {
@@ -919,23 +903,17 @@ void PartitionServerCore::execute_create(const ExecCommand& ec) {
   // STAR: creates are also addressed to the master, which applies them
   // silently (records the owner, not itself, and leaves replying to the
   // owner) so its full replica tracks every vertex.
-  const bool silent =
-      config_.mode == ExecutionMode::kStar && ec.target != partition_;
   trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
   if (store_.contains(id)) {
     remember_reply(ec, ReplyStatus::kNok, nullptr);
-    if (!silent) send_reply(ec, ReplyStatus::kNok, nullptr);
+    if (!applies_silently(ec)) send_reply(ec, ReplyStatus::kNok, nullptr);
     return;
   }
   store_.put(id, vertex, app_->make_object(*ec.cmd));
   note_vertex_mutation(vertex);
   map_[vertex] =
       config_.mode == ExecutionMode::kStar ? ec.target : partition_;
-  remember_reply(ec, ReplyStatus::kOk, nullptr);
-  if (!silent) {
-    send_reply(ec, ReplyStatus::kOk, nullptr);
-    note_command_metrics(ec, /*multi=*/false);
-  }
+  reply_ok(ec, nullptr, /*multi_partition=*/false);
   if (config_.mode == ExecutionMode::kDynaStar)
     record_hints(*ec.cmd);
 }
@@ -945,26 +923,19 @@ void PartitionServerCore::execute_delete(const ExecCommand& ec) {
   // mapping. The oracle removed the vertex from its own map/graph when it
   // delivered its copy of this multicast (it is a destination).
   const VertexId vertex = ec.cmd->vertices.front();
-  const bool silent =
-      config_.mode == ExecutionMode::kStar && ec.target != partition_;
   trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
   for (ObjectId id : store_.objects_of_vertex(vertex)) store_.take(id);
   note_vertex_mutation(vertex);
   map_.erase(vertex);
-  remember_reply(ec, ReplyStatus::kOk, nullptr);
-  if (!silent) {
-    send_reply(ec, ReplyStatus::kOk, nullptr);
-    note_command_metrics(ec, /*multi=*/false);
-  }
+  reply_ok(ec, nullptr, /*multi_partition=*/false);
 }
 
 void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
 
   // If a peer already rejected this command, skip it entirely.
-  auto tstate = transfers_.find(key);
-  if (tstate != transfers_.end() && !tstate->second.aborted.empty()) {
-    transfers_.erase(tstate);
+  if (peer_aborted(key)) {
+    transfers_.erase(key);
     return;
   }
   sent_transfers_.try_emplace(key);
@@ -1005,26 +976,15 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
           v, it == map_.end() ? kNoPartition : it->second);
       map_[v] = ec.target;
     }
+    // A permanent move: nothing comes back unless the move aborts.
     dssmr_moves_.emplace(key, std::move(record));
-    trace_cmd(TracePoint::kTransferSent, ec, ec.target.value());
-    send_to_partition(ec.target,
-                      sim::make_message<VarTransfer>(ec.cmd->cmd_id, ec.attempt,
-                                                     partition_, std::move(mine)));
-    // A peer replica's transfer may already have driven the target; if its
-    // (abort) return beat us here, consume it now.
-    if (auto early = early_returns_.find(key); early != early_returns_.end()) {
-      auto held = early->second;
-      early_returns_.erase(early);
-      on_var_return(held);
-    }
-    return;  // permanent move: nothing comes back unless the move aborts
+  } else {
+    // DynaStar: record the lend before sending so a (same-event) return
+    // cannot race past the bookkeeping.
+    for (const auto& env : mine) lent_objects_.insert(env.id);
+    for (VertexId v : lend.vertices) lent_vertex_count_[v]++;
+    lends_.emplace(key, std::move(lend));
   }
-
-  // DynaStar: record the lend before sending so a (same-event) return
-  // cannot race past the bookkeeping.
-  for (const auto& env : mine) lent_objects_.insert(env.id);
-  for (VertexId v : lend.vertices) lent_vertex_count_[v]++;
-  lends_.emplace(key, std::move(lend));
   trace_cmd(TracePoint::kTransferSent, ec, ec.target.value());
   send_to_partition(ec.target,
                     sim::make_message<VarTransfer>(ec.cmd->cmd_id, ec.attempt,
@@ -1054,9 +1014,8 @@ void PartitionServerCore::grant_lease(const ExecCommand& ec) {
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
   // A peer already rejected this command: the target will answer kRetry and
   // drop any grants, so don't create a holder record it will never install.
-  auto tstate = transfers_.find(key);
-  if (tstate != transfers_.end() && !tstate->second.aborted.empty()) {
-    transfers_.erase(tstate);
+  if (peer_aborted(key)) {
+    transfers_.erase(key);
     return;
   }
   std::vector<LeaseEntry> entries;
@@ -1100,26 +1059,13 @@ bool PartitionServerCore::lease_grants_complete(const ExecCommand& ec) {
 }
 
 void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
-  const CmdKey key{ec.cmd->cmd_id, ec.attempt};
-
-  // Peer rejection (DS-SMR claims mismatch): nothing was borrowed, so there
-  // is nothing to bounce — drop the grants and tell the client to retry.
-  auto tstate = transfers_.find(key);
-  if (tstate != transfers_.end() && !tstate->second.aborted.empty()) {
-    transfers_.erase(tstate);
-    lease_grants_.erase(key);
-    resolved_[key];
-    send_reply(ec, ReplyStatus::kRetry, nullptr);
-    return;
-  }
-
   // Validate every grant at execute time. A grant proves "at this command's
   // slot in the lender's delivery order, vertex v was at `version` under
   // `epoch`"; the read is correct iff the copy we hold matches that exactly.
   bool valid = true;
   std::uint64_t stale_vertices = 0;
   std::map<PartitionId, std::vector<VertexId>> stale;
-  auto gstate = lease_grants_.find(key);
+  auto gstate = lease_grants_.find(CmdKey{ec.cmd->cmd_id, ec.attempt});
   if (gstate != lease_grants_.end()) {
     for (const auto& [from, grant] : gstate->second) {
       for (const LeaseEntry& entry : grant->entries) {
@@ -1156,8 +1102,7 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
       send_to_partition(lender, sim::make_message<LeaseRevoke>(
                                     partition_, std::move(vertices)));
     }
-    lease_grants_.erase(key);
-    resolved_[key];
+    release(ec);
     trace_cmd(TracePoint::kLeaseFallback, ec, stale_vertices);
     if (record_metrics_ && metrics_) {
       metrics_->add_counter(metric::kServerLeaseFallbacks);
@@ -1183,22 +1128,17 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
   }
   env_.consume_cpu(kPerObjectMoveCost * static_cast<SimTime>(spliced.size()));
 
-  trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
-  ExecResult result = app_->execute(*ec.cmd, store_);
+  ExecResult result = execute(ec);
   env_.consume_cpu(result.cpu_cost);
-  sim::MessagePtr reply_payload = std::move(result.reply);
-  remember_reply(ec, ReplyStatus::kOk, reply_payload);
-  send_reply(ec, ReplyStatus::kOk, std::move(reply_payload));
+  reply_ok(ec, std::move(result.reply), /*multi_partition=*/true);
   for (ObjectId id : spliced) store_.take(id);
 
-  lease_grants_.erase(key);
-  resolved_[key];  // late grants from a lender's other replica are dropped
+  release(ec);  // late grants from a lender's other replica are dropped
   trace_cmd(TracePoint::kLeaseRead, ec, spliced.size());
   if (record_metrics_ && metrics_)
     metrics_->add_counter(metric::kServerLeaseReads);
   if (config_.mode == ExecutionMode::kDynaStar)
     record_hints(*ec.cmd);
-  note_command_metrics(ec, /*multi=*/true);
 }
 
 void PartitionServerCore::note_vertex_mutation(VertexId vertex) {
@@ -1234,10 +1174,7 @@ void PartitionServerCore::on_lease_grant(
     leases_[entry.vertex] =
         InstalledLease{msg->from, msg->epoch, entry.version, entry.objects};
   }
-  if (blocked_) {
-    blocked_ = false;
-    pump();
-  }
+  resume();
 }
 
 void PartitionServerCore::on_lease_revoke(const LeaseRevoke& msg) {
@@ -1257,33 +1194,23 @@ void PartitionServerCore::on_lease_revoke(const LeaseRevoke& msg) {
 }
 
 void PartitionServerCore::execute_ssmr(const ExecCommand& ec) {
+  // Every involved partition's copies have arrived: execute the whole
+  // command here, then drop the copies of remote vertices and keep only our
+  // own updated state.
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
-  const bool multi = ec.dests.size() > 1;
-  if (multi) {
-    auto tstate = transfers_.find(key);
-    if (tstate != transfers_.end()) {
-      for (const auto& [source, envelopes] : tstate->second.received)
-        insert_envelopes(envelopes);
-    }
+  if (auto tstate = transfers_.find(key); tstate != transfers_.end()) {
+    for (const auto& [source, envelopes] : tstate->second.received)
+      insert_envelopes(envelopes);
   }
-
-  trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
-  ExecResult result = app_->execute(*ec.cmd, store_);
+  ExecResult result = execute(ec);
   env_.consume_cpu(result.cpu_cost);
-  sim::MessagePtr reply_payload = std::move(result.reply);
-  remember_reply(ec, ReplyStatus::kOk, reply_payload);
-  send_reply(ec, ReplyStatus::kOk, std::move(reply_payload));
-
-  if (multi) {
-    // Drop the copies of remote vertices; keep only our own updated state.
-    const auto remote = [&](std::size_t i) { return ec.owners[i] != partition_; };
-    for (std::size_t i : first_occurrences(ec.cmd->vertices, remote))
-      for (ObjectId id : store_.objects_of_vertex(ec.cmd->vertices[i]))
-        store_.take(id);
-    transfers_.erase(key);
-    ssmr_sent_.erase(key);
-  }
-  note_command_metrics(ec, multi);
+  reply_ok(ec, std::move(result.reply), /*multi_partition=*/true);
+  const auto remote = [&](std::size_t i) { return ec.owners[i] != partition_; };
+  for (std::size_t i : first_occurrences(ec.cmd->vertices, remote))
+    for (ObjectId id : store_.objects_of_vertex(ec.cmd->vertices[i]))
+      store_.take(id);
+  transfers_.erase(key);
+  sent_transfers_.erase(key);
 }
 
 // ---------------------------------------------------------------------------
@@ -1315,22 +1242,6 @@ void PartitionServerCore::maybe_emit_star_marker() {
                       sim::make_message<StarEpochMsg>(star_epoch_ + 1));
 }
 
-void PartitionServerCore::execute_star_single(const ExecCommand& ec) {
-  // Both the owner (the target) and the master deliver the command; each
-  // executes on its own copy so the master's full replica stays fresh, but
-  // only the owner replies and records metrics. Both cache the reply, so a
-  // retransmission is answered from either side.
-  trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
-  ExecResult result = app_->execute(*ec.cmd, store_);
-  env_.consume_cpu(result.cpu_cost);
-  sim::MessagePtr reply_payload = std::move(result.reply);
-  remember_reply(ec, ReplyStatus::kOk, reply_payload);
-  if (ec.target == partition_) {
-    send_reply(ec, ReplyStatus::kOk, std::move(reply_payload));
-    note_command_metrics(ec, /*multi=*/false);
-  }
-}
-
 void PartitionServerCore::star_execute_batch(Epoch epoch) {
   star_epoch_ = epoch;
   auto deferred = std::move(star_deferred_);
@@ -1346,32 +1257,16 @@ void PartitionServerCore::star_execute_batch(Epoch epoch) {
   // the first attempt's cached reply.
   std::vector<ExecCommandPtr> chunk;
   std::unordered_set<std::uint64_t> chunk_clients;
-  auto finish = [&](const ExecCommandPtr& ec, sim::MessagePtr reply_payload) {
-    remember_reply(*ec, ReplyStatus::kOk, reply_payload);
-    send_reply(*ec, ReplyStatus::kOk, std::move(reply_payload));
-    for (std::size_t i = 0; i < ec->cmd->vertices.size(); ++i) {
-      if (ec->owners[i] == partition_ || ec->owners[i] == kNoPartition)
-        continue;
-      touched[ec->owners[i]].insert(ec->cmd->vertices[i]);
-    }
-    note_command_metrics(*ec, /*multi=*/true);
-    ++executed;
-  };
   auto run_chunk = [&] {
-    if (chunk.empty()) return;
-    if (config_.exec_lanes > 1 && chunk.size() > 1) {
-      std::vector<ExecResult> results;
-      run_exec_batch(chunk, results);
-      for (std::size_t i = 0; i < chunk.size(); ++i)
-        finish(chunk[i], std::move(results[i].reply));
-    } else {
-      for (const ExecCommandPtr& ec : chunk) {
-        trace_cmd(TracePoint::kExecuteStart, *ec, partition_.value());
-        ExecResult result = app_->execute(*ec->cmd, store_);
-        env_.consume_cpu(result.cpu_cost);
-        finish(ec, std::move(result.reply));
+    execute_batch(chunk, 2, [&](const ExecCommand& ec, ExecResult& result) {
+      reply_ok(ec, std::move(result.reply), /*multi_partition=*/true);
+      for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
+        if (ec.owners[i] == partition_ || ec.owners[i] == kNoPartition)
+          continue;
+        touched[ec.owners[i]].insert(ec.cmd->vertices[i]);
       }
-    }
+      ++executed;
+    });
     chunk.clear();
     chunk_clients.clear();
   };
@@ -1452,25 +1347,13 @@ void PartitionServerCore::on_star_update(
     const sim::Ref<const StarEpochUpdate>& msg) {
   if (msg->epoch <= star_epoch_) return;  // duplicate of an applied epoch
   star_updates_.emplace(msg->epoch, msg);  // first sender replica wins
-  if (blocked_) {
-    blocked_ = false;
-    pump();
-  }
+  resume();
 }
 
 void PartitionServerCore::reject(const ExecCommand& ec, bool notify_peers) {
-  if (ec.target == partition_ && config_.mode != ExecutionMode::kStar) {
-    auto& sources = resolved_[CmdKey{ec.cmd->cmd_id, ec.attempt}];
-    auto tstate = transfers_.find(CmdKey{ec.cmd->cmd_id, ec.attempt});
-    if (tstate != transfers_.end())
-      for (const auto& [source, envelopes] : tstate->second.received)
-        sources.insert(source);
-  }
   send_reply(ec, ReplyStatus::kRetry, nullptr);
   if (record_metrics_ && metrics_)
     metrics_->series(metric::kServerRetries).add(env_.now(), 1.0);
-  const CmdKey key{ec.cmd->cmd_id, ec.attempt};
-  lease_grants_.erase(key);
   if (notify_peers) {
     auto notice =
         sim::make_message<AbortNotice>(ec.cmd->cmd_id, ec.attempt, partition_);
@@ -1478,17 +1361,29 @@ void PartitionServerCore::reject(const ExecCommand& ec, bool notify_peers) {
       if (dest != partition_) send_to_partition(dest, notice);
     }
   }
-  // Return anything that already arrived for this command.
+  // Return anything that already arrived for this command. Only a
+  // DynaStar/DS-SMR target receives transfers; elsewhere a peer's abort
+  // notice may have left a record.
+  if (ec.target == partition_ && config_.mode != ExecutionMode::kStar)
+    release(ec);
+  else
+    transfers_.erase(CmdKey{ec.cmd->cmd_id, ec.attempt});
+}
+
+void PartitionServerCore::release(const ExecCommand& ec) {
+  const CmdKey key{ec.cmd->cmd_id, ec.attempt};
+  lease_grants_.erase(key);
+  auto& sources = resolved_[key];
   auto tstate = transfers_.find(key);
-  if (tstate != transfers_.end()) {
-    for (auto& [source, envelopes] : tstate->second.received) {
-      trace_cmd(TracePoint::kReturnSent, ec, source.value());
-      send_to_partition(source,
-                        sim::make_message<VarReturn>(ec.cmd->cmd_id, ec.attempt,
-                                                     partition_, envelopes));
-    }
-    transfers_.erase(tstate);
+  if (tstate == transfers_.end()) return;
+  for (const auto& [source, envelopes] : tstate->second.received) {
+    sources.insert(source);
+    trace_cmd(TracePoint::kReturnSent, ec, source.value());
+    send_to_partition(source,
+                      sim::make_message<VarReturn>(ec.cmd->cmd_id, ec.attempt,
+                                                   partition_, envelopes));
   }
+  transfers_.erase(tstate);
 }
 
 // ---------------------------------------------------------------------------
@@ -1634,9 +1529,7 @@ void PartitionServerCore::on_handoff(const ObjectHandoff& msg) {
     if (!config_.eager_plan_transfer) fetch_wanted_.insert(msg.vertex);
     send_handoff_if_possible(msg.vertex);
   }
-  if (!blocked_) return;
-  blocked_ = false;
-  pump();
+  resume();
 }
 
 void PartitionServerCore::on_fetch(const FetchVertex& msg) {
@@ -1674,10 +1567,7 @@ void PartitionServerCore::on_var_transfer(const VarTransfer& msg) {
   if (trace_)
     trace_->record(TracePoint::kTransferReceived, env_.now(), msg.cmd_id,
                    msg.attempt, env_.self().value(), msg.from.value());
-  if (blocked_) {
-    blocked_ = false;
-    pump();
-  }
+  resume();
 }
 
 void PartitionServerCore::on_var_return(
@@ -1685,38 +1575,12 @@ void PartitionServerCore::on_var_return(
   const VarReturn& msg = *msg_ptr;
   const CmdKey key{msg.cmd_id, msg.attempt};
   if (returns_seen_.contains(key)) return;  // other replica's copy
-
-  if (config_.mode == ExecutionMode::kDSSMR) {
-    // A return only happens when the move aborted: restore objects and map.
-    auto move = dssmr_moves_.find(key);
-    if (move == dssmr_moves_.end()) {
-      early_returns_[key] = msg_ptr;  // outran our own lend; hold it
-      return;
-    }
-    returns_seen_.try_emplace(key);
-    early_returns_.erase(key);
-    if (trace_)
-      trace_->record(TracePoint::kReturnReceived, env_.now(), msg.cmd_id,
-                     msg.attempt, env_.self().value(), msg.from.value());
-    insert_envelopes(msg.objects);
-    for (const auto& [vertex, previous] : move->second.previous_owner) {
-      note_vertex_mutation(vertex);  // rolled back: contents changed hands
-      if (previous == kNoPartition)
-        map_.erase(vertex);
-      else
-        map_[vertex] = previous;
-    }
-    dssmr_moves_.erase(move);
-    if (blocked_) {
-      blocked_ = false;
-      pump();
-    }
-    return;
-  }
-
-  auto it = lends_.find(key);
-  if (it == lends_.end()) {
-    early_returns_[key] = msg_ptr;  // outran our own lend; hold it
+  // DynaStar returns every lend; under DS-SMR a return only happens when the
+  // move aborted. Either way it can outrun our own lend or move: hold it
+  // until the record exists.
+  const bool dssmr = config_.mode == ExecutionMode::kDSSMR;
+  if (dssmr ? !dssmr_moves_.contains(key) : !lends_.contains(key)) {
+    early_returns_[key] = msg_ptr;
     return;
   }
   returns_seen_.try_emplace(key);
@@ -1725,33 +1589,41 @@ void PartitionServerCore::on_var_return(
     trace_->record(TracePoint::kReturnReceived, env_.now(), msg.cmd_id,
                    msg.attempt, env_.self().value(), msg.from.value());
   insert_envelopes(msg.objects);
-  for (VertexId v : it->second.vertices) {
-    auto cnt = lent_vertex_count_.find(v);
-    if (cnt != lent_vertex_count_.end() && --cnt->second == 0)
-      lent_vertex_count_.erase(cnt);
+  if (dssmr) {
+    // Roll the aborted move back: restore the map.
+    auto move = dssmr_moves_.find(key);
+    for (const auto& [vertex, previous] : move->second.previous_owner) {
+      note_vertex_mutation(vertex);  // rolled back: contents changed hands
+      if (previous == kNoPartition)
+        map_.erase(vertex);
+      else
+        map_[vertex] = previous;
+    }
+    dssmr_moves_.erase(move);
+  } else {
+    auto it = lends_.find(key);
+    for (VertexId v : it->second.vertices) {
+      auto cnt = lent_vertex_count_.find(v);
+      if (cnt != lent_vertex_count_.end() && --cnt->second == 0)
+        lent_vertex_count_.erase(cnt);
+    }
+    // Objects are home again.
+    for (const auto& env : msg.objects) lent_objects_.erase(env.id);
+    // Any ids lent but not present in the return (deleted by the execution)
+    // must still be released.
+    std::vector<VertexId> vertices = it->second.vertices;
+    lends_.erase(it);
+    for (VertexId v : vertices) {
+      if (obligations_.contains(v)) send_handoff_if_possible(v);
+    }
   }
-  // Objects are home again.
-  for (const auto& env : msg.objects) lent_objects_.erase(env.id);
-  // Any ids lent but not present in the return (deleted by the execution)
-  // must still be released.
-  std::vector<VertexId> vertices = it->second.vertices;
-  lends_.erase(it);
-  for (VertexId v : vertices) {
-    if (obligations_.contains(v)) send_handoff_if_possible(v);
-  }
-  if (blocked_) {
-    blocked_ = false;
-    pump();
-  }
+  resume();
 }
 
 void PartitionServerCore::on_abort(const AbortNotice& msg) {
   auto& state = transfers_[CmdKey{msg.cmd_id, msg.attempt}];
   if (!state.aborted.insert(msg.from).second) return;
-  if (blocked_) {
-    blocked_ = false;
-    pump();
-  }
+  resume();
 }
 
 // ---------------------------------------------------------------------------
@@ -1845,19 +1717,6 @@ void PartitionServerCore::note_objects_exchanged(double count) {
   run_series(exchanged_series_, metric::kObjectsExchanged).add(now, count);
   node_series(node_exchanged_series_, metric::kServerObjectsExchanged)
       .add(now, count);
-}
-
-void PartitionServerCore::note_command_metrics(
-    [[maybe_unused]] const ExecCommand& ec, bool multi) {
-  if (!record_metrics_ || !metrics_) return;
-  const SimTime now = env_.now();
-  run_series(executed_series_, metric::kExecuted).add(now, 1.0);
-  node_series(node_executed_series_, metric::kServerExecuted).add(now, 1.0);
-  if (multi) {
-    run_series(mpart_series_, metric::kMultiPartition).add(now, 1.0);
-    node_series(node_mpart_series_, metric::kServerMultiPartition)
-        .add(now, 1.0);
-  }
 }
 
 }  // namespace dynastar::core

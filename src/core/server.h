@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -110,8 +111,9 @@ struct ServerState {
   // peer source replica's transfer drives the target, whose return lands
   // here before we lent anything. Hold it until the lend record exists.
   CmdMap<sim::Ref<const VarReturn>> early_returns_;
-  CmdSet sent_transfers_;  // non-target: vars already shipped
-  CmdSet ssmr_sent_;
+  // Vars already shipped: by a DynaStar/DS-SMR non-target to the target, or
+  // by an S-SMR partition to every peer (a replica runs one mode).
+  CmdSet sent_transfers_;
   // Target-side: commands already executed or rejected, with the sources
   // whose transfers were consumed (or already bounced). A late transfer
   // from any *other* source is bounced straight back; duplicates from an
@@ -249,19 +251,41 @@ class PartitionServerCore : private ServerState {
   /// delivery) — the real backlog accumulates in the inbox.
   [[nodiscard]] std::size_t admission_depth() const;
   void pump();
+  /// Unblocks the queue head after the awaited message arrived.
+  void resume();
   bool dispatch_direct(ProcessId from, const sim::MessagePtr& msg);
   bool serve_cached_duplicate(const ExecCommand& ec);
   void remember_reply(const ExecCommand& ec, ReplyStatus status,
                       const sim::MessagePtr& payload);
   Classification classify(const ExecCommand& ec);
-  bool objects_available(const ExecCommand& ec, bool claimed_mine_only);
+  /// True when a peer partition rejected the command (an AbortNotice came).
+  [[nodiscard]] bool peer_aborted(const CmdKey& key) const;
+  bool objects_available(const ExecCommand& ec);
   bool transfers_ready_for_ssmr(const ExecCommand& ec);
+  /// Runs the command against the store (the one call into the app).
+  ExecResult execute(const ExecCommand& ec);
+  /// Executes `batch` in slot order and hands each command and its result
+  /// to `done`. With exec_lanes > 1 and at least `min_batch` commands, the
+  /// batch runs as one conflict-graph schedule charged by its makespan, and
+  /// `done` runs after the whole batch; otherwise each command charges its
+  /// own cost and is done before the next one starts.
+  template <typename Done>
+  void execute_batch(std::span<const ExecCommandPtr> batch,
+                     std::size_t min_batch, Done&& done);
+  /// Executes single-partition accesses (a lane batch, or one command when
+  /// lanes are off) and finishes each: invalidates leased copies of what it
+  /// wrote, replies and records hints.
+  void execute_local(std::span<const ExecCommandPtr> batch);
   void execute_create(const ExecCommand& ec);
   void execute_delete(const ExecCommand& ec);
   void execute_target(const ExecCommand& ec);
   void execute_non_target(const ExecCommand& ec);
   void execute_ssmr(const ExecCommand& ec);
   void reject(const ExecCommand& ec, bool notify_peers);
+  /// Target side, when the command is resolved without consuming its
+  /// transfers: marks every received source resolved, bounces its objects
+  /// home and drops the command's transfer and lease-grant records.
+  void release(const ExecCommand& ec);
   void apply_plan(const PlanMsg& plan);
 
   // Intra-partition parallel execution (config_.exec_lanes > 1). Ready
@@ -270,10 +294,6 @@ class PartitionServerCore : private ServerState {
   // mutate state in slot order flushes the batch first.
   [[nodiscard]] bool exec_batchable(const ExecCommand& ec) const;
   void exec_enqueue(const ExecCommandPtr& ec);
-  /// Executes one batch in slot order, charging its schedule makespan
-  /// (conflict graph -> lanes) to the sim CPU and emitting executor metrics.
-  void run_exec_batch(const std::vector<ExecCommandPtr>& batch,
-                      std::vector<ExecResult>& results);
   void flush_exec_batch();
 
   // STAR asymmetric execution (config_.mode == kStar).
@@ -282,7 +302,6 @@ class PartitionServerCore : private ServerState {
   }
   void arm_star_epoch_timer();
   void maybe_emit_star_marker();
-  void execute_star_single(const ExecCommand& ec);
   /// Master, at a marker's log position: execute every deferred
   /// multi-partition command against the full replica and ship each other
   /// partition's touched vertices as a StarEpochUpdate.
@@ -339,7 +358,15 @@ class PartitionServerCore : private ServerState {
   /// Run-wide series `name`, resolved into `handle` on first use.
   TimeSeries& run_series(TimeSeries*& handle, const char* name);
   void note_objects_exchanged(double count);
-  void note_command_metrics(const ExecCommand& ec, bool multi_partition);
+  /// True on the STAR master for another owner's command, which it applies
+  /// without replying.
+  [[nodiscard]] bool applies_silently(const ExecCommand& ec) const {
+    return config_.mode == ExecutionMode::kStar && ec.target != partition_;
+  }
+  /// Caches the kOk reply and, unless applied silently, sends it and counts
+  /// the command as executed.
+  void reply_ok(const ExecCommand& ec, sim::MessagePtr payload,
+                bool multi_partition);
   void send_reply(const ExecCommand& ec, ReplyStatus status,
                   sim::MessagePtr payload);
   void trace_cmd(TracePoint point, const ExecCommand& ec,

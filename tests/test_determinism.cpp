@@ -5,6 +5,7 @@
 
 #include "common/metric_names.h"
 #include "core/scenario.h"
+#include "tests/lin_harness.h"
 #include "workloads/chirper.h"
 #include "workloads/kv.h"
 #include "workloads/kv_drivers.h"
@@ -65,35 +66,137 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_GT(b.completed, 100.0);
 }
 
+/// A chirper run whose repartitioning threshold is low enough for plans to
+/// apply mid-run; `plans` receives the plan_applied total.
+Fingerprint run_chirper(double* plans = nullptr) {
+  auto graph = workloads::generate_social_graph(300, 3, 9);
+  auto directory = workloads::chirper::make_directory(graph);
+  auto zipf = std::make_shared<ZipfGenerator>(300, 0.95);
+  workloads::chirper::WorkloadMix mix;
+  auto system =
+      core::ScenarioBuilder()
+          .partitions(2)
+          .tune([](core::SystemConfig& c) {
+            c.repartition_hint_threshold = 10'000;
+            c.min_repartition_interval = seconds(1);
+          })
+          .app(workloads::chirper::chirper_app_factory())
+          .preload([&](core::System& s) {
+            workloads::chirper::setup(s, graph,
+                                      workloads::chirper::Placement::kRandom);
+          })
+          .clients(4,
+                   [&](std::size_t) {
+                     return std::make_unique<workloads::chirper::ChirperDriver>(
+                         directory, mix, zipf);
+                   })
+          .build();
+  system->run_until(seconds(5));
+  if (plans != nullptr)
+    *plans = system->metrics().series(metric::kPlanApplied).total();
+  return fingerprint_of(*system);
+}
+
 TEST(Determinism, ChirperRunsReproduce) {
-  auto run_once = [] {
-    auto graph = workloads::generate_social_graph(300, 3, 9);
-    auto directory = workloads::chirper::make_directory(graph);
-    auto zipf = std::make_shared<ZipfGenerator>(300, 0.95);
-    workloads::chirper::WorkloadMix mix;
-    auto system =
-        core::ScenarioBuilder()
-            .partitions(2)
-            .tune([](core::SystemConfig& c) {
-              c.repartition_hint_threshold = 10'000;
-              c.min_repartition_interval = seconds(1);
-            })
-            .app(workloads::chirper::chirper_app_factory())
-            .preload([&](core::System& s) {
-              workloads::chirper::setup(s, graph,
-                                        workloads::chirper::Placement::kRandom);
-            })
-            .clients(4,
-                     [&](std::size_t) {
-                       return std::make_unique<
-                           workloads::chirper::ChirperDriver>(directory, mix,
-                                                              zipf);
-                     })
-            .build();
-    system->run_until(seconds(5));
-    return fingerprint_of(*system);
+  EXPECT_TRUE(run_chirper() == run_chirper());
+}
+
+// Pins: exact fingerprints of fixed runs, so any change to what a
+// simulation does fails here rather than only between two runs of one
+// build. A change that is meant to alter simulated behaviour updates the
+// pinned values and says why.
+
+/// 64-bit digest of a lin-harness fingerprint.
+std::uint64_t hash_of(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) h = testutil::lin_fnv1a(h, c);
+  return h;
+}
+
+/// A lin-harness scenario with seed 5 and the harness defaults otherwise.
+testutil::LinScenario pinned(core::ExecutionMode mode, bool leases = false,
+                             std::uint32_t lanes = 1, bool chaos = false) {
+  testutil::LinScenario s;
+  s.mode = mode;
+  s.system_seed = 5;
+  s.read_leases = leases;
+  s.exec_lanes = lanes;
+  s.chaos = chaos;
+  // The nemesis starts at 1 s; enough commands that it lands mid-run.
+  if (chaos) s.ops_per_client = 400;
+  return s;
+}
+
+struct LinPin {
+  const char* name;
+  testutil::LinScenario scenario;
+  std::uint64_t expected;
+};
+
+void expect_pinned(const LinPin& pin, const testutil::LinRun& run) {
+  EXPECT_EQ(hash_of(run.fingerprint), pin.expected)
+      << pin.name << ": 0x" << std::hex << hash_of(run.fingerprint)
+      << std::dec << " from " << run.fingerprint;
+}
+
+void expect_pinned(const std::vector<LinPin>& pins) {
+  for (const LinPin& pin : pins)
+    expect_pinned(pin, testutil::run_lin_scenario(pin.scenario));
+}
+
+TEST(Determinism, PinnedDynaStarRuns) {
+  // The dynastar+chaos run stalls: no command completes after 2.08 s
+  // simulated (1501 of 1600), so a fix for that stall moves its pin.
+  using enum core::ExecutionMode;
+  expect_pinned({
+      {"dynastar", pinned(kDynaStar), 0x6ed0c1b7b130d3fc},
+      {"dynastar+leases", pinned(kDynaStar, true), 0xf03a8cfc0304e535},
+      {"dynastar+lanes", pinned(kDynaStar, false, 4), 0x938f1c9fd1c6d7c8},
+      {"dynastar+chaos", pinned(kDynaStar, false, 1, true),
+       0x6bb51a0ff06409c8},
+  });
+}
+
+TEST(Determinism, PinnedBaselineRuns) {
+  using enum core::ExecutionMode;
+  expect_pinned({
+      {"ssmr", pinned(kSSMR), 0x620a0064ca97cf9e},
+      {"dssmr+leases", pinned(kDSSMR, true), 0xd3c734564d132d81},
+      {"dssmr+chaos", pinned(kDSSMR, false, 1, true), 0xdfc0bfa7cfee1aa6},
+      {"star", pinned(kStar), 0x8c57d462af5e2064},
+      {"star+lanes", pinned(kStar, false, 4), 0x35250a70c5abfff0},
+  });
+}
+
+TEST(Determinism, PinnedSnapshotInstallRun) {
+  // ReadLease.SnapshotInstallClearsLeaseState's scenario: long outages that
+  // outrun the catch-up window, so recovery installs a peer snapshot.
+  LinPin pin{"snapshot-install", pinned(core::ExecutionMode::kDynaStar, true),
+             0x34c8a9c7e979f6c2};
+  pin.scenario.system_seed = 13;
+  pin.scenario.multi_fraction = 0.5;
+  pin.scenario.write_fraction = 0.4;
+  pin.scenario.chaos = true;
+  pin.scenario.chaos_seed = 57;
+  pin.scenario.long_crashes = true;
+  pin.scenario.run_for = seconds(50);
+  pin.scenario.tune = [](core::SystemConfig& config) {
+    config.paxos.checkpoint_interval = 32;
+    config.paxos.catchup_window = 8;
   };
-  EXPECT_TRUE(run_once() == run_once());
+  const auto run = testutil::run_lin_scenario(pin.scenario);
+  EXPECT_GE(run.snapshot_installs, 1.0) << "no snapshot install";
+  expect_pinned(pin, run);
+}
+
+TEST(Determinism, PinnedChirperRun) {
+  double plans = 0;
+  const Fingerprint fp = run_chirper(&plans);
+  EXPECT_GE(plans, 1.0) << "no partitioning plan applied";
+  EXPECT_EQ(fp.completed, 27145.0);
+  EXPECT_EQ(fp.mpart, 2960.0);
+  EXPECT_EQ(fp.exchanged, 24276.0);
+  EXPECT_EQ(fp.events, 1038906u);
 }
 
 }  // namespace

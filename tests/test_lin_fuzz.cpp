@@ -29,6 +29,7 @@ LinScenario scenario_for(std::uint64_t seed) {
   const std::uint64_t bits = mix(seed);
   LinScenario s;
   // Weight DynaStar: it owns the borrow/return + lease + repartition paths.
+  // STAR takes a share of the non-repartitioning draws below.
   switch (bits % 4) {
     case 0: s.mode = core::ExecutionMode::kSSMR; break;
     case 1: s.mode = core::ExecutionMode::kDSSMR; break;
@@ -38,12 +39,14 @@ LinScenario scenario_for(std::uint64_t seed) {
   s.system_seed = 1 + seed;
   s.multi_fraction = 0.2 + 0.2 * ((bits >> 3) % 3);   // 0.2 / 0.4 / 0.6
   s.write_fraction = 0.3 + 0.2 * ((bits >> 5) % 3);   // 0.3 / 0.5 / 0.7
-  s.read_leases = ((bits >> 7) & 1) != 0;  // harmless no-op under S-SMR
+  s.read_leases = ((bits >> 7) & 1) != 0;  // no-op under S-SMR and STAR
   s.exec_lanes = ((bits >> 8) & 1) != 0 ? 4 : 1;
   s.chaos = ((bits >> 9) & 1) != 0;
   s.chaos_seed = 100 + seed;
   s.repartition_mid_run =
       s.mode == core::ExecutionMode::kDynaStar && ((bits >> 10) & 1) != 0;
+  if (!s.repartition_mid_run && ((bits >> 13) & 3) == 3)
+    s.mode = core::ExecutionMode::kStar;
   s.clients = 3;
   s.ops_per_client = 25;
   s.run_for = seconds(45);
@@ -100,7 +103,7 @@ TEST(LinFuzzHarness, LeasesActuallyEngageAcrossTheSweep) {
   double lease_reads = 0;
   for (std::uint64_t seed = 0; seed < 32 && lease_reads == 0; ++seed) {
     const LinScenario s = scenario_for(seed);
-    if (!s.read_leases || s.mode == core::ExecutionMode::kSSMR) continue;
+    if (!s.read_leases || !core::mode_supports_leases(s.mode)) continue;
     lease_reads += testutil::run_lin_scenario(s).lease_reads;
   }
   EXPECT_GT(lease_reads, 0) << "no fuzz scenario ever took the lease path";

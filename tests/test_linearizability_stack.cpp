@@ -1,7 +1,7 @@
 // Full-stack linearizability: concurrent clients issue single- and
 // multi-key reads/writes against the complete system (atomic multicast,
-// Paxos, borrow/return, repartitioning plans mid-run), and the recorded
-// history must admit a legal sequential witness.
+// Paxos, borrow/return, STAR epoch batches, repartitioning plans mid-run),
+// and the recorded history must admit a legal sequential witness.
 //
 // This is the repository's strongest correctness property: it exercises the
 // cross-partition execution path and the relocation machinery at once. The
@@ -65,7 +65,9 @@ INSTANTIATE_TEST_SUITE_P(
         LinParam{core::ExecutionMode::kSSMR, false, 5},
         LinParam{core::ExecutionMode::kSSMR, false, 6},
         LinParam{core::ExecutionMode::kDSSMR, false, 7},
-        LinParam{core::ExecutionMode::kDSSMR, false, 8}));
+        LinParam{core::ExecutionMode::kDSSMR, false, 8},
+        LinParam{core::ExecutionMode::kStar, false, 9},
+        LinParam{core::ExecutionMode::kStar, false, 10}));
 
 }  // namespace
 }  // namespace dynastar
