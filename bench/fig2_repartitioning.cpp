@@ -41,8 +41,7 @@ int main() {
         scale, warehouses, c % warehouses + 1, c / warehouses % 10 + 1));
   }
   system.run_until(seconds(static_cast<std::int64_t>(trigger_at)));
-  system.oracle(0).request_repartition();
-  system.oracle(1).request_repartition();
+  system.request_repartition();
   system.run_until(seconds(static_cast<std::int64_t>(duration)));
 
   std::printf("=== Figure 2: repartitioning on DynaStar (TPC-C, 4 WH / 4 partitions) ===\n");

@@ -65,8 +65,7 @@ void run(core::ExecutionMode mode, const char* label) {
     const SimTime readapt = celebrity_start + seconds(
         static_cast<std::int64_t>(duration / 5));
     system.run_until(readapt);
-    system.oracle(0).request_repartition();
-    system.oracle(1).request_repartition();
+    system.request_repartition();
   }
   system.run_until(seconds(static_cast<std::int64_t>(duration)));
 

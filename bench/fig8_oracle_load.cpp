@@ -22,8 +22,7 @@ int main() {
                                    params);
   // Warm up and let every client fill its cache, then force a repartition.
   setup.system->run_until(seconds(static_cast<std::int64_t>(trigger_at)));
-  setup.system->oracle(0).request_repartition();
-  setup.system->oracle(1).request_repartition();
+  setup.system->request_repartition();
   setup.system->run_until(seconds(static_cast<std::int64_t>(duration)));
 
   std::printf("=== Figure 8: throughput at the oracle (queries/s) ===\n");

@@ -32,8 +32,7 @@ int main() {
   const double before = system.metrics().series("completed").total();
 
   std::printf("phase 2: ops team asks the oracle for a repartition...\n");
-  system.oracle(0).request_repartition();
-  system.oracle(1).request_repartition();
+  system.request_repartition();
   system.run_until(seconds(16));
   const double after = system.metrics().series("completed").total() - before;
 

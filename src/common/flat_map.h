@@ -186,14 +186,6 @@ class FlatMap {
     return try_emplace(kv.first, kv.second);
   }
 
-  template <typename U>
-  std::pair<iterator, bool> insert_or_assign(const K& key, U&& value) {
-    const std::size_t before = size_;
-    const std::size_t i = insert_slot(key);
-    slots_[i].second = std::forward<U>(value);
-    return {iterator(this, i), size_ != before};
-  }
-
   std::size_t erase(const K& key) {
     const std::size_t i = find_index(key);
     if (i == kNotFound) return 0;

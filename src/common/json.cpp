@@ -1,9 +1,7 @@
 #include "common/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace dynastar {
 
@@ -113,180 +111,6 @@ std::string Json::dump(int indent) const {
   std::string out;
   dump_to(out, indent, 0);
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Parser: recursive descent over the full grammar the dumper emits.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  std::optional<Json> run() {
-    auto value = parse_value();
-    if (!value) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
-    return value;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::strlen(word);
-    if (text_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  std::optional<Json> parse_value() {
-    skip_ws();
-    if (pos_ >= text_.size()) return std::nullopt;
-    switch (text_[pos_]) {
-      case 'n': return literal("null") ? std::optional<Json>(Json(nullptr))
-                                       : std::nullopt;
-      case 't': return literal("true") ? std::optional<Json>(Json(true))
-                                       : std::nullopt;
-      case 'f': return literal("false") ? std::optional<Json>(Json(false))
-                                        : std::nullopt;
-      case '"': return parse_string();
-      case '[': return parse_array();
-      case '{': return parse_object();
-      default: return parse_number();
-    }
-  }
-
-  std::optional<Json> parse_string() {
-    if (!consume('"')) return std::nullopt;
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Json(std::move(out));
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return std::nullopt;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return std::nullopt;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return std::nullopt;
-          }
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else {  // 2-byte UTF-8 is all the exporter can need
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: return std::nullopt;
-      }
-    }
-    return std::nullopt;  // unterminated
-  }
-
-  std::optional<Json> parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
-    bool digits = false;
-    auto eat_digits = [&] {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        digits = true;
-      }
-    };
-    eat_digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      eat_digits();
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-        ++pos_;
-      eat_digits();
-    }
-    if (!digits) return std::nullopt;
-    return Json(std::stod(text_.substr(start, pos_ - start)));
-  }
-
-  std::optional<Json> parse_array() {
-    if (!consume('[')) return std::nullopt;
-    Json::Array arr;
-    skip_ws();
-    if (consume(']')) return Json(std::move(arr));
-    while (true) {
-      auto value = parse_value();
-      if (!value) return std::nullopt;
-      arr.push_back(std::move(*value));
-      if (consume(']')) return Json(std::move(arr));
-      if (!consume(',')) return std::nullopt;
-    }
-  }
-
-  std::optional<Json> parse_object() {
-    if (!consume('{')) return std::nullopt;
-    Json::Object obj;
-    skip_ws();
-    if (consume('}')) return Json(std::move(obj));
-    while (true) {
-      skip_ws();
-      auto key = parse_string();
-      if (!key) return std::nullopt;
-      if (!consume(':')) return std::nullopt;
-      auto value = parse_value();
-      if (!value) return std::nullopt;
-      obj.emplace(key->as_string(), std::move(*value));
-      if (consume('}')) return Json(std::move(obj));
-      if (!consume(',')) return std::nullopt;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<Json> Json::parse(const std::string& text) {
-  return Parser(text).run();
 }
 
 }  // namespace dynastar

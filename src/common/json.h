@@ -1,12 +1,11 @@
-// Minimal JSON value type: enough for RunReport export and its round-trip
-// tests, with no external dependency. Objects keep keys sorted (std::map),
+// Minimal JSON value type: enough for RunReport export, with no external
+// dependency. Objects keep keys sorted (std::map),
 // so dumping the same logical document always yields the same bytes —
 // which is what lets tests compare reports from same-seed runs textually.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -70,11 +69,6 @@ class Json {
 
   /// Serializes; `indent` > 0 pretty-prints with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = 0) const;
-
-  /// Parses a JSON document; nullopt on any syntax error. Numbers are
-  /// doubles; \uXXXX escapes outside ASCII are preserved verbatim (the
-  /// exporter never emits them).
-  static std::optional<Json> parse(const std::string& text);
 
   friend bool operator==(const Json& a, const Json& b) {
     return a.value_ == b.value_;

@@ -49,7 +49,8 @@ class TimeSeries {
 };
 
 /// Central sink for everything the benches report. One instance per run;
-/// components hold a pointer and record into named series/histograms.
+/// protocol cores reach it through sim::Env::metrics() and record into
+/// named series/histograms.
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(SimTime bucket_width = seconds(1))

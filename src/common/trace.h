@@ -9,8 +9,8 @@
 //    state, so a traced run is event-for-event identical to an untraced one;
 //  * bit-deterministic: events are appended in simulation order, so two
 //    same-seed runs produce byte-identical traces;
-//  * zero-cost when disabled: every hook is a single predictable branch on
-//    `enabled()`; no arguments are materialized behind it.
+//  * zero-cost when disabled: every hook (sim::Env::trace) is a single
+//    predictable branch on `enabled()` with no virtual call behind it.
 //
 // See docs/OBSERVABILITY.md for the span model and how phases are derived.
 #pragma once
@@ -85,8 +85,9 @@ struct TraceEvent {
   }
 };
 
-/// Per-run event sink. One instance per sim::World; every protocol core
-/// holds a pointer and records through it. Disabled by default.
+/// Per-run event sink. One instance per sim::World; protocol cores record
+/// into it through sim::Env::trace(), which stamps time and node. Disabled
+/// by default.
 class TraceCollector {
  public:
   [[nodiscard]] bool enabled() const { return enabled_; }

@@ -15,15 +15,11 @@ constexpr SimTime kSurgePollInterval = milliseconds(1);
 
 ClientCore::ClientCore(sim::Env& env, const paxos::Topology& topology,
                        const SystemConfig& config,
-                       std::unique_ptr<ClientDriver> driver,
-                       MetricsRegistry* metrics, TraceCollector* trace,
-                       bool surge_only)
+                       std::unique_ptr<ClientDriver> driver, bool surge_only)
     : env_(env),
       topology_(topology),
       config_(config),
       driver_(std::move(driver)),
-      metrics_(metrics),
-      trace_(trace),
       sender_(env, topology),
       surge_only_(surge_only),
       retry_tokens_(config.client_retry_budget) {}
@@ -85,10 +81,8 @@ void ClientCore::issue_next() {
       spec->payload, spec->read_only);
   outstanding_ = Outstanding{std::move(*spec), std::move(cmd), 1, env_.now(),
                              false};
-  if (trace_)
-    trace_->record(TracePoint::kClientIssue, env_.now(), cmd_id, 1,
-                   env_.self().value(),
-                   static_cast<std::uint64_t>(outstanding_->cmd->type));
+  env_.trace(TracePoint::kClientIssue, cmd_id, 1,
+             static_cast<std::uint64_t>(outstanding_->cmd->type));
   route(/*force_oracle=*/false);
 }
 
@@ -112,9 +106,8 @@ void ClientCore::route(bool force_oracle) {
 
   if (use_oracle) {
     ++oracle_queries_;
-    if (trace_)
-      trace_->record(TracePoint::kClientRoute, env_.now(), cmd.cmd_id,
-                     out.attempt, env_.self().value(), /*via oracle=*/1);
+    env_.trace(TracePoint::kClientRoute, cmd.cmd_id, out.attempt,
+               /*via oracle=*/1);
     sender_.amcast({kOracleGroup}, sim::make_message<OracleRequest>(
                                        out.cmd, out.attempt));
     arm_command_timer();
@@ -128,9 +121,8 @@ void ClientCore::route(bool force_oracle) {
   out.multi = r.multi;
   out.target = r.target;
 
-  if (trace_)
-    trace_->record(TracePoint::kClientRoute, env_.now(), cmd.cmd_id,
-                   out.attempt, env_.self().value(), /*via oracle=*/0);
+  env_.trace(TracePoint::kClientRoute, cmd.cmd_id, out.attempt,
+             /*via oracle=*/0);
   std::vector<GroupId> groups;
   groups.reserve(r.dests.size());
   for (PartitionId p : r.dests) groups.push_back(group_of(p));
@@ -165,19 +157,14 @@ void ClientCore::on_command_timeout(std::uint64_t cmd_id,
       outstanding_->attempt != attempt) {
     return;
   }
-  ++timeouts_;
-  if (metrics_) metrics_->series(metric::kClientTimeouts).add(env_.now(), 1.0);
+  env_.metrics().series(metric::kClientTimeouts).add(env_.now(), 1.0);
   if (config_.client_max_attempts != 0 &&
       outstanding_->attempt >= config_.client_max_attempts) {
     complete(ReplyStatus::kTimeout, nullptr);
     return;
   }
-  ++retransmits_;
-  if (metrics_)
-    metrics_->series(metric::kClientRetransmits).add(env_.now(), 1.0);
-  if (trace_)
-    trace_->record(TracePoint::kClientRetry, env_.now(), cmd_id, attempt,
-                   env_.self().value(), /*timeout=*/0);
+  env_.metrics().series(metric::kClientRetransmits).add(env_.now(), 1.0);
+  env_.trace(TracePoint::kClientRetry, cmd_id, attempt, /*timeout=*/0);
   // First re-drive any multicast send a destination group never received —
   // a FIFO-ordered group cannot admit this client's *new* sends behind a
   // lost one — then re-resolve through the oracle under a fresh attempt.
@@ -249,11 +236,9 @@ void ClientCore::on_reply(const CommandReply& msg) {
   }
   if (msg.status == ReplyStatus::kRetry) {
     // Stale addressing: flush the cache and go through the oracle (§4.3).
-    ++retries_;
-    if (metrics_) metrics_->series(metric::kClientRetries).add(env_.now(), 1.0);
-    if (trace_)
-      trace_->record(TracePoint::kClientRetry, env_.now(), msg.cmd_id,
-                     msg.attempt, env_.self().value(), /*kRetry reply=*/1);
+    env_.metrics().series(metric::kClientRetries).add(env_.now(), 1.0);
+    env_.trace(TracePoint::kClientRetry, msg.cmd_id, msg.attempt,
+               /*kRetry reply=*/1);
     cache_.clear();
     ++outstanding_->attempt;
     route(/*force_oracle=*/true);
@@ -286,17 +271,14 @@ bool ClientCore::spend_retry_token() {
 
 void ClientCore::on_busy(SimTime retry_after) {
   Outstanding& out = *outstanding_;
-  ++busy_replies_;
   ++out.busy_streak;
-  if (metrics_) metrics_->series(metric::kClientShed).add(env_.now(), 1.0);
-  if (trace_)
-    trace_->record(TracePoint::kClientRetry, env_.now(), out.cmd->cmd_id,
-                   out.attempt, env_.self().value(), /*kBusy reply=*/2);
+  env_.metrics().series(metric::kClientShed).add(env_.now(), 1.0);
+  env_.trace(TracePoint::kClientRetry, out.cmd->cmd_id, out.attempt,
+             /*kBusy reply=*/2);
   if (!spend_retry_token()) {
     // Budget exhausted: fail fast instead of adding retry pressure. The
     // command was shed before execution, so kOverloaded is a clean no-op.
-    ++overloaded_;
-    if (metrics_) metrics_->add_counter(metric::kClientRetriesExhausted);
+    env_.metrics().add_counter(metric::kClientRetriesExhausted);
     complete(ReplyStatus::kOverloaded, nullptr);
     return;
   }
@@ -332,30 +314,26 @@ void ClientCore::complete(ReplyStatus status, const sim::MessagePtr& payload) {
   if (out.cmd->type == CommandType::kDelete && status == ReplyStatus::kOk) {
     for (const auto& [obj, vertex] : out.spec.objects) cache_.erase(vertex);
   }
-  if (trace_)
-    trace_->record(TracePoint::kClientComplete, env_.now(), out.cmd->cmd_id,
-                   out.attempt, env_.self().value(),
-                   static_cast<std::uint64_t>(status));
-  if (metrics_) {
-    const SimTime latency = env_.now() - out.start_time;
-    const auto series = [this](TimeSeries*& handle, const char* name) {
-      if (handle == nullptr) handle = &metrics_->series(name);
-      return handle;
-    };
-    const auto histogram = [this](Histogram*& handle, const char* name) {
-      if (handle == nullptr) handle = &metrics_->histogram(name);
-      return handle;
-    };
-    series(completed_series_, metric::kCompleted)->add(env_.now(), 1.0);
-    if (out.multi)
-      series(completed_multi_series_, metric::kCompletedMulti)
-          ->add(env_.now(), 1.0);
-    histogram(latency_hist_, metric::kLatency)->record(latency);
-    if (out.multi)
-      histogram(latency_multi_hist_, metric::kLatencyMulti)->record(latency);
-    else
-      histogram(latency_single_hist_, metric::kLatencySingle)->record(latency);
-  }
+  env_.trace(TracePoint::kClientComplete, out.cmd->cmd_id, out.attempt,
+             static_cast<std::uint64_t>(status));
+  const SimTime latency = env_.now() - out.start_time;
+  const auto series = [this](TimeSeries*& handle, const char* name) {
+    if (handle == nullptr) handle = &env_.metrics().series(name);
+    return handle;
+  };
+  const auto histogram = [this](Histogram*& handle, const char* name) {
+    if (handle == nullptr) handle = &env_.metrics().histogram(name);
+    return handle;
+  };
+  series(completed_series_, metric::kCompleted)->add(env_.now(), 1.0);
+  if (out.multi)
+    series(completed_multi_series_, metric::kCompletedMulti)
+        ->add(env_.now(), 1.0);
+  histogram(latency_hist_, metric::kLatency)->record(latency);
+  if (out.multi)
+    histogram(latency_multi_hist_, metric::kLatencyMulti)->record(latency);
+  else
+    histogram(latency_single_hist_, metric::kLatencySingle)->record(latency);
   driver_->on_result(out.spec, status, payload, out.start_time, env_.now());
   issue_next();
 }

@@ -66,19 +66,13 @@ class ClientCore {
  public:
   ClientCore(sim::Env& env, const paxos::Topology& topology,
              const SystemConfig& config, std::unique_ptr<ClientDriver> driver,
-             MetricsRegistry* metrics, TraceCollector* trace = nullptr,
              bool surge_only = false);
 
   void start();
   bool handle(ProcessId from, const sim::MessagePtr& msg);
 
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
-  [[nodiscard]] std::uint64_t retries() const { return retries_; }
   [[nodiscard]] std::uint64_t oracle_queries() const { return oracle_queries_; }
-  [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
-  [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
-  [[nodiscard]] std::uint64_t busy_replies() const { return busy_replies_; }
-  [[nodiscard]] std::uint64_t overloaded() const { return overloaded_; }
 
   // --- pure backoff arithmetic (unit-tested in isolation) ---
   /// Timeout backoff for `attempt` (1-based), jitter excluded:
@@ -120,8 +114,6 @@ class ClientCore {
   const paxos::Topology& topology_;
   const SystemConfig& config_;
   std::unique_ptr<ClientDriver> driver_;
-  MetricsRegistry* metrics_;
-  TraceCollector* trace_;
   // Per-command metric series and histograms, resolved on first use.
   TimeSeries* completed_series_ = nullptr;
   TimeSeries* completed_multi_series_ = nullptr;
@@ -137,12 +129,7 @@ class ClientCore {
   std::optional<Outstanding> outstanding_;
   std::uint64_t next_cmd_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t retries_ = 0;
   std::uint64_t oracle_queries_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t busy_replies_ = 0;
-  std::uint64_t overloaded_ = 0;
 
   /// Surge-only clients issue commands only while the world-level surge flag
   /// is raised; otherwise they idle on a short poll timer. Used by the chaos

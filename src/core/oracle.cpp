@@ -25,20 +25,16 @@ std::uint64_t oracle_uid(std::uint64_t purpose, std::uint64_t counter) {
 }  // namespace
 
 OracleCore::OracleCore(sim::Env& env, const paxos::Topology& topology,
-                       const SystemConfig& config, MetricsRegistry* metrics,
-                       bool record_metrics, TraceCollector* trace)
+                       const SystemConfig& config)
     : env_(env),
       topology_(topology),
       config_(config),
-      metrics_(metrics),
-      record_metrics_(record_metrics),
-      trace_(trace),
+      primary_(topology.group(kOracleGroup).replicas.front() == env.self()),
       member_(env, topology, kOracleGroup, config.paxos),
       plan_sender_(env, topology) {
   const auto& replicas = topology.group(kOracleGroup).replicas;
   for (std::size_t i = 0; i < replicas.size(); ++i)
     if (replicas[i] == env.self()) replica_label_ = std::to_string(i);
-  member_.set_trace(trace);
   member_.set_deliver(
       [this](const multicast::McastData& data) { on_adeliver(data); });
   if (config_.oracle_inflight_cap > 0) {
@@ -53,9 +49,7 @@ OracleCore::OracleCore(sim::Env& env, const paxos::Topology& topology,
       if (req == nullptr) return false;
       const std::size_t depth = queue_depth();
       if (depth < config_.oracle_inflight_cap) {
-        if (trace_)
-          trace_->record(TracePoint::kAdmit, env_.now(), req->cmd->cmd_id,
-                         req->attempt, env_.self().value(), depth);
+        env_.trace(TracePoint::kAdmit, req->cmd->cmd_id, req->attempt, depth);
         return false;
       }
       return true;
@@ -71,11 +65,10 @@ OracleCore::OracleCore(sim::Env& env, const paxos::Topology& topology,
     const auto* snap = sim::as<OracleSnapshotMsg>(m.get());
     if (snap == nullptr || !snap->state) return false;
     restore_snapshot(*snap->state);
-    if (metrics_) metrics_->add_counter(metric::kOracleSnapshotInstalls);
-    if (trace_)
-      trace_->record(TracePoint::kSnapshotInstall, env_.now(),
-                     snap->state->member.replica.next_deliver_slot, 0,
-                     env_.self().value(), /*oracle=*/UINT64_MAX);
+    env_.metrics().add_counter(metric::kOracleSnapshotInstalls);
+    env_.trace(TracePoint::kSnapshotInstall,
+               snap->state->member.replica.next_deliver_slot, 0,
+               /*oracle=*/UINT64_MAX);
     return true;
   });
   // Chunked transfers serve the stable checkpoint snapshot (identical across
@@ -85,7 +78,6 @@ OracleCore::OracleCore(sim::Env& env, const paxos::Topology& topology,
     if (!stable_snapshot_) return nullptr;
     return sim::make_message<OracleSnapshotMsg>(stable_snapshot_);
   });
-  member_.replica().set_metrics(metrics_);
 }
 
 void OracleCore::start() {
@@ -97,11 +89,9 @@ void OracleCore::on_checkpoint_boundary() {
   SnapshotPtr snap = capture_snapshot();
   stable_snapshot_ = snap;
   if (checkpoint_sink_) checkpoint_sink_(std::move(snap));
-  if (metrics_) metrics_->add_counter(metric::kOracleCheckpoints);
-  if (trace_)
-    trace_->record(TracePoint::kCheckpoint, env_.now(),
-                   member_.replica().last_checkpoint_slot(), 0,
-                   env_.self().value(), /*oracle=*/UINT64_MAX);
+  env_.metrics().add_counter(metric::kOracleCheckpoints);
+  env_.trace(TracePoint::kCheckpoint, member_.replica().last_checkpoint_slot(),
+             0, /*oracle=*/UINT64_MAX);
 }
 
 OracleCore::SnapshotPtr OracleCore::capture_snapshot() const {
@@ -128,10 +118,8 @@ void OracleCore::restore_snapshot(const Snapshot& snapshot) {
 }
 
 void OracleCore::start_recovered() {
-  if (trace_)
-    trace_->record(TracePoint::kRecoveryRestore, env_.now(),
-                   member_.replica().next_deliver_slot(), 0,
-                   env_.self().value(), /*oracle=*/UINT64_MAX);
+  env_.trace(TracePoint::kRecoveryRestore,
+             member_.replica().next_deliver_slot(), 0, /*oracle=*/UINT64_MAX);
   member_.start_recovered();
   // Re-drive unacked PlanMsg sends immediately, then keep the repair cadence.
   plan_sender_.retransmit_unacked();
@@ -172,14 +160,12 @@ PartitionId OracleCore::lookup(VertexId v) const {
 }
 
 void OracleCore::on_adeliver(const multicast::McastData& data) {
-  if (metrics_) {
-    // Admission depth sampled at each delivery (mirrors the servers'
-    // server.queue_depth series; mean per bucket = sum / delivery count).
-    if (queue_depth_series_ == nullptr)
-      queue_depth_series_ = &metrics_->series(metric::kOracleQueueDepth,
-                                              {{"replica", replica_label_}});
-    queue_depth_series_->add(env_.now(), static_cast<double>(queue_depth()));
-  }
+  // Admission depth sampled at each delivery (mirrors the servers'
+  // server.queue_depth series; mean per bucket = sum / delivery count).
+  if (queue_depth_series_ == nullptr)
+    queue_depth_series_ = &env_.metrics().series(
+        metric::kOracleQueueDepth, {{"replica", replica_label_}});
+  queue_depth_series_->add(env_.now(), static_cast<double>(queue_depth()));
   const sim::Message* payload = data.payload.get();
   switch (payload->kind()) {
     case sim::Kind::kOracleRequest:
@@ -216,9 +202,7 @@ void OracleCore::on_shed_deliver(const multicast::McastData& data) {
   const auto* req = sim::as<OracleRequest>(data.payload.get());
   if (req == nullptr) return;
   const std::size_t depth = queue_depth();
-  if (trace_)
-    trace_->record(TracePoint::kShed, env_.now(), req->cmd->cmd_id,
-                   req->attempt, env_.self().value(), depth);
+  env_.trace(TracePoint::kShed, req->cmd->cmd_id, req->attempt, depth);
   // Degraded service: answer from the location map without classifying or
   // relaying. The kBusy prophecy still refreshes the client's cache with
   // every resolvable vertex, so the retry can often go partition-direct and
@@ -231,20 +215,18 @@ void OracleCore::on_shed_deliver(const multicast::McastData& data) {
   const SimTime retry_after =
       config_.busy_retry_after_base +
       static_cast<SimTime>(depth) * kBusyRetryAfterPerItem;
-  if (trace_)
-    trace_->record(TracePoint::kBusyReply, env_.now(), req->cmd->cmd_id,
-                   req->attempt, env_.self().value(),
-                   static_cast<std::uint64_t>(retry_after));
+  env_.trace(TracePoint::kBusyReply, req->cmd->cmd_id, req->attempt,
+             static_cast<std::uint64_t>(retry_after));
   send_prophecy(*req, ReplyStatus::kBusy, kNoPartition, std::move(locations),
                 retry_after);
-  if (record_metrics_ && metrics_) metrics_->add_counter(metric::kOracleShed);
+  if (primary_) env_.metrics().add_counter(metric::kOracleShed);
 }
 
 void OracleCore::on_request(const OracleRequest& request) {
   env_.consume_cpu(kRequestCost);
-  if (record_metrics_ && metrics_) {
+  if (primary_) {
     if (queries_series_ == nullptr)
-      queries_series_ = &metrics_->series(metric::kOracleQueries);
+      queries_series_ = &env_.metrics().series(metric::kOracleQueries);
     queries_series_->add(env_.now(), 1.0);
   }
 
@@ -276,9 +258,8 @@ void OracleCore::on_request(const OracleRequest& request) {
         request.cmd, std::move(dests), std::vector<PartitionId>{target},
         target, epoch_, request.attempt);
     relay_cache_[cmd.client.value()] = exec;
-    if (trace_)
-      trace_->record(TracePoint::kOracleRelay, env_.now(), cmd.cmd_id,
-                     request.attempt, env_.self().value(), target.value());
+    env_.trace(TracePoint::kOracleRelay, cmd.cmd_id, request.attempt,
+               target.value());
     member_.amcast_as_group(oracle_uid(/*purpose=*/1, ++relays_emitted_),
                             std::move(groups), exec);
     send_prophecy(request, ReplyStatus::kOk, target, {{vertex, target}});
@@ -301,12 +282,10 @@ void OracleCore::on_request(const OracleRequest& request) {
       if (cached != relay_cache_.end() &&
           cached->second->cmd->cmd_id == cmd.cmd_id) {
         const ExecCommand& prev = *cached->second;
-        if (record_metrics_ && metrics_)
-          metrics_->add_counter(metric::kOracleReplyCacheHits);
-        if (trace_)
-          trace_->record(TracePoint::kOracleRelay, env_.now(), cmd.cmd_id,
-                         request.attempt, env_.self().value(),
-                         prev.target.value());
+        if (primary_)
+          env_.metrics().add_counter(metric::kOracleReplyCacheHits);
+        env_.trace(TracePoint::kOracleRelay, cmd.cmd_id, request.attempt,
+                   prev.target.value());
         std::vector<GroupId> groups;
         groups.reserve(prev.dests.size() + 1);
         for (PartitionId d : prev.dests) groups.push_back(group_of(d));
@@ -341,13 +320,12 @@ void OracleCore::on_request(const OracleRequest& request) {
   // Lease-aware serving: the partitions decide lease eligibility from the
   // relay itself (same predicate both sides), so the oracle only accounts
   // for it — these relays resolve without any borrow/return traffic.
-  if (record_metrics_ && metrics_ && config_.read_leases &&
+  if (primary_ && config_.read_leases &&
       mode_supports_leases(config_.mode) && exec->dests.size() > 1 &&
       is_read_only(cmd))
-    metrics_->add_counter(metric::kOracleLeaseRelays);
-  if (trace_)
-    trace_->record(TracePoint::kOracleRelay, env_.now(), cmd.cmd_id,
-                   request.attempt, env_.self().value(), route.target.value());
+    env_.metrics().add_counter(metric::kOracleLeaseRelays);
+  env_.trace(TracePoint::kOracleRelay, cmd.cmd_id, request.attempt,
+             route.target.value());
   member_.amcast_as_group(oracle_uid(/*purpose=*/1, ++relays_emitted_),
                           std::move(groups), exec);
   send_prophecy(request, ReplyStatus::kOk, route.target, std::move(locations));
@@ -415,8 +393,8 @@ void OracleCore::maybe_trigger_repartition() {
   env_.start_timer(delay, [this, candidate, snapshot] {
     finish_repartition(candidate, snapshot);
   });
-  if (record_metrics_ && metrics_)
-    metrics_->series(metric::kOracleRepartitions).add(env_.now(), 1.0);
+  if (primary_)
+    env_.metrics().series(metric::kOracleRepartitions).add(env_.now(), 1.0);
 }
 
 void OracleCore::finish_repartition(
@@ -473,11 +451,9 @@ void OracleCore::on_plan(const PlanMsg& plan) {
   epoch_ = plan.epoch;
   computing_ = false;
   last_plan_time_ = env_.now();
-  if (trace_)
-    trace_->record(TracePoint::kPlanApplied, env_.now(), plan.epoch, 0,
-                   env_.self().value(), /*oracle=*/UINT64_MAX);
-  if (record_metrics_ && metrics_)
-    metrics_->series(metric::kOraclePlansApplied).add(env_.now(), 1.0);
+  env_.trace(TracePoint::kPlanApplied, plan.epoch, 0, /*oracle=*/UINT64_MAX);
+  if (primary_)
+    env_.metrics().series(metric::kOraclePlansApplied).add(env_.now(), 1.0);
 }
 
 }  // namespace dynastar::core

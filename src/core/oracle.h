@@ -70,8 +70,7 @@ class OracleCore : private OracleState {
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
   OracleCore(sim::Env& env, const paxos::Topology& topology,
-             const SystemConfig& config, MetricsRegistry* metrics,
-             bool record_metrics, TraceCollector* trace = nullptr);
+             const SystemConfig& config);
 
   void start();
 
@@ -145,9 +144,8 @@ class OracleCore : private OracleState {
   sim::Env& env_;
   const paxos::Topology& topology_;
   const SystemConfig& config_;
-  MetricsRegistry* metrics_;
-  bool record_metrics_;
-  TraceCollector* trace_;
+  /// The group's first replica: the one that records the run-wide series.
+  const bool primary_;
   std::function<void(SnapshotPtr)> checkpoint_sink_;
   /// Snapshot captured at the last checkpoint boundary; serves chunked
   /// state transfers (see PartitionServerCore::stable_snapshot_).

@@ -54,12 +54,6 @@ std::unique_ptr<System> ScenarioBuilder::build() const {
   assert(app_factory_ && "ScenarioBuilder: .app(factory) is required");
   auto system = std::make_unique<System>(config_, app_factory_);
 
-  // Site-pair overrides land after System installed the preset profiles,
-  // so they win for the pairs they name.
-  for (const SiteProfile& sp : site_profiles_)
-    system->world().network().set_site_profile(sp.from_site, sp.to_site,
-                                               sp.profile);
-
   for (const KvPreload& preload : kv_preloads_) {
     Assignment assignment;
     for (std::uint64_t k = 0; k < preload.keys; ++k) {

@@ -79,14 +79,6 @@ class ScenarioBuilder {
   /// fat intra-site and thin, far inter-site links; replicas, acceptors and
   /// clients are striped across sites. Aborts on an unknown spec.
   ScenarioBuilder& net_preset(std::string_view spec);
-  /// Installs a site-pair LinkProfile override on the built system's
-  /// network, on top of whatever net_preset configured. Applied in build(),
-  /// in registration order.
-  ScenarioBuilder& link_profile(std::uint32_t from_site, std::uint32_t to_site,
-                                const sim::LinkProfile& profile) {
-    site_profiles_.push_back(SiteProfile{from_site, to_site, profile});
-    return *this;
-  }
   /// Serves read-only multi-partition commands from epoch-validated lease
   /// copies instead of borrow/return (DynaStar and DS-SMR modes only; a
   /// no-op elsewhere and off by default).
@@ -164,18 +156,12 @@ class ScenarioBuilder {
     DriverFactory factory;
     bool surge_only = false;
   };
-  struct SiteProfile {
-    std::uint32_t from_site = 0;
-    std::uint32_t to_site = 0;
-    sim::LinkProfile profile;
-  };
 
   SystemConfig config_;
   AppFactory app_factory_;
   std::vector<KvPreload> kv_preloads_;
   std::vector<std::function<void(System&)>> preload_fns_;
   std::vector<ClientBatch> client_batches_;
-  std::vector<SiteProfile> site_profiles_;
   bool trace_ = false;
 };
 

@@ -78,16 +78,14 @@ bool any_index(std::size_t /*i*/) { return true; }
 
 PartitionServerCore::PartitionServerCore(
     sim::Env& env, const paxos::Topology& topology, PartitionId partition,
-    const SystemConfig& config, std::unique_ptr<AppStateMachine> app,
-    MetricsRegistry* metrics, bool record_metrics, TraceCollector* trace)
+    const SystemConfig& config, std::unique_ptr<AppStateMachine> app)
     : env_(env),
       topology_(topology),
       partition_(partition),
       config_(config),
       app_(std::move(app)),
-      metrics_(metrics),
-      record_metrics_(record_metrics),
-      trace_(trace),
+      primary_(topology.group(group_of(partition)).replicas.front() ==
+               env.self()),
       partition_label_(std::to_string(partition.value())),
       member_(env, topology, group_of(partition), config.paxos),
       reliable_(env),
@@ -95,7 +93,6 @@ PartitionServerCore::PartitionServerCore(
   const auto& replicas = topology.group(group_of(partition)).replicas;
   for (std::size_t i = 0; i < replicas.size(); ++i)
     if (replicas[i] == env.self()) replica_label_ = std::to_string(i);
-  member_.set_trace(trace);
   member_.set_deliver(
       [this](const multicast::McastData& data) { on_adeliver(data); });
   if (config_.server_queue_cap > 0) {
@@ -110,9 +107,7 @@ PartitionServerCore::PartitionServerCore(
       if (exec == nullptr) return false;
       const std::size_t depth = admission_depth();
       if (depth < config_.server_queue_cap) {
-        if (trace_)
-          trace_->record(TracePoint::kAdmit, env_.now(), exec->cmd->cmd_id,
-                         exec->attempt, env_.self().value(), depth);
+        env_.trace(TracePoint::kAdmit, exec->cmd->cmd_id, exec->attempt, depth);
         return false;
       }
       return true;
@@ -131,11 +126,10 @@ PartitionServerCore::PartitionServerCore(
     const auto* snap = sim::as<ServerSnapshotMsg>(m.get());
     if (snap == nullptr || !snap->state) return false;
     restore_snapshot(*snap->state);
-    if (metrics_) metrics_->add_counter(metric::kServerSnapshotInstalls);
-    if (trace_)
-      trace_->record(TracePoint::kSnapshotInstall, env_.now(),
-                     snap->state->member.replica.next_deliver_slot, 0,
-                     env_.self().value(), partition_.value());
+    env_.metrics().add_counter(metric::kServerSnapshotInstalls);
+    env_.trace(TracePoint::kSnapshotInstall,
+               snap->state->member.replica.next_deliver_slot, 0,
+               partition_.value());
     return true;
   });
   // Chunked transfers serve the last checkpoint-boundary snapshot (stable
@@ -145,7 +139,6 @@ PartitionServerCore::PartitionServerCore(
     if (!stable_snapshot_) return nullptr;
     return sim::make_message<ServerSnapshotMsg>(stable_snapshot_);
   });
-  member_.replica().set_metrics(metrics_);
 }
 
 void PartitionServerCore::start() {
@@ -180,11 +173,9 @@ void PartitionServerCore::on_checkpoint_boundary() {
   if (checkpoint_sink_) checkpoint_sink_(std::move(snap));
   // Tell peers which of their retained sends this durable checkpoint covers.
   reliable_.note_checkpoint(env_.now(), reliable_peers());
-  if (metrics_) metrics_->add_counter(metric::kServerCheckpoints);
-  if (trace_)
-    trace_->record(TracePoint::kCheckpoint, env_.now(),
-                   member_.replica().last_checkpoint_slot(), 0,
-                   env_.self().value(), partition_.value());
+  env_.metrics().add_counter(metric::kServerCheckpoints);
+  env_.trace(TracePoint::kCheckpoint, member_.replica().last_checkpoint_slot(),
+             0, partition_.value());
 }
 
 PartitionServerCore::SnapshotPtr PartitionServerCore::capture_snapshot()
@@ -222,20 +213,14 @@ void PartitionServerCore::restore_snapshot(const Snapshot& snapshot) {
 }
 
 void PartitionServerCore::start_recovered() {
-  if (trace_)
-    trace_->record(TracePoint::kRecoveryRestore, env_.now(),
-                   member_.replica().next_deliver_slot(), 0,
-                   env_.self().value(), partition_.value());
+  env_.trace(TracePoint::kRecoveryRestore,
+             member_.replica().next_deliver_slot(), 0, partition_.value());
   member_.start_recovered();
   if (is_star_master()) {
     // Re-drive unacked marker sends immediately, then keep the epoch cadence.
     star_sender_.retransmit_unacked();
     arm_star_epoch_timer();
   }
-}
-
-bool PartitionServerCore::is_primary_replica() const {
-  return topology_.group(group_of(partition_)).replicas.front() == env_.self();
 }
 
 void PartitionServerCore::preload_object(ObjectId id, VertexId vertex,
@@ -327,15 +312,12 @@ void PartitionServerCore::on_adeliver(const multicast::McastData& data) {
       return;  // oracle-only payloads multicast to every group are ignored
   }
   queue_.push_back(data.payload);
-  if (metrics_) {
-    // Admission depth sampled at each delivery; mean depth per bucket is
-    // this sum divided by that bucket's delivery count (see
-    // common/report.cpp). Per-node labeled series are recorded by every
-    // replica (no double counting: the labels make each node's series
-    // distinct).
-    node_series(queue_depth_series_, metric::kServerQueueDepth)
-        .add(env_.now(), static_cast<double>(admission_depth()));
-  }
+  // Admission depth sampled at each delivery; mean depth per bucket is this
+  // sum divided by that bucket's delivery count (see common/report.cpp).
+  // Per-node labeled series are recorded by every replica (no double
+  // counting: the labels make each node's series distinct).
+  node_series(queue_depth_series_, metric::kServerQueueDepth)
+      .add(env_.now(), static_cast<double>(admission_depth()));
   if (!blocked_) pump();
 }
 
@@ -361,13 +343,11 @@ void PartitionServerCore::on_shed_deliver(const multicast::McastData& data) {
                                            exec->cmd->cmd_id, exec->attempt,
                                            ReplyStatus::kBusy, nullptr,
                                            retry_after));
-  if (metrics_) {
-    if (record_metrics_) metrics_->add_counter(metric::kServerShed);
-    metrics_
-        ->series(metric::kServerShed, {{"partition", partition_label_},
-                                       {"replica", replica_label_}})
-        .add(env_.now());
-  }
+  if (primary_) env_.metrics().add_counter(metric::kServerShed);
+  env_.metrics()
+      .series(metric::kServerShed,
+              {{"partition", partition_label_}, {"replica", replica_label_}})
+      .add(env_.now());
 }
 
 void PartitionServerCore::pump() {
@@ -594,19 +574,19 @@ void PartitionServerCore::execute_batch(std::span<const ExecCommandPtr> batch,
   // where simulated lanes model the speedup (deterministically: the
   // schedule and costs are pure functions of the decided commands).
   env_.consume_cpu(stats.makespan);
-  if (record_metrics_ && metrics_) {
-    metrics_->add_counter(metric::kExecBatches);
-    metrics_->add_counter(metric::kExecBatchedCommands,
-                          static_cast<double>(stats.commands));
-    metrics_->add_counter(metric::kExecConflictEdges,
-                          static_cast<double>(stats.conflict_edges));
-    metrics_->series(metric::kExecLaneOccupancy)
+  if (primary_) {
+    MetricsRegistry& metrics = env_.metrics();
+    metrics.add_counter(metric::kExecBatches);
+    metrics.add_counter(metric::kExecBatchedCommands,
+                        static_cast<double>(stats.commands));
+    metrics.add_counter(metric::kExecConflictEdges,
+                        static_cast<double>(stats.conflict_edges));
+    metrics.series(metric::kExecLaneOccupancy)
         .add(env_.now(), stats.lane_occupancy);
   }
-  if (trace_)
-    trace_->record(TracePoint::kExecParallel, env_.now(),
-                   static_cast<std::uint64_t>(stats.makespan), stats.waves,
-                   env_.self().value(), stats.commands);
+  env_.trace(TracePoint::kExecParallel,
+             static_cast<std::uint64_t>(stats.makespan), stats.waves,
+             stats.commands);
   // Finish the commands in slot order.
   for (std::size_t i = 0; i < batch.size(); ++i) done(*batch[i], results[i]);
 }
@@ -632,9 +612,7 @@ void PartitionServerCore::execute_local(std::span<const ExecCommandPtr> batch) {
 
 void PartitionServerCore::trace_cmd(TracePoint point, const ExecCommand& ec,
                                     std::uint64_t detail) {
-  if (trace_)
-    trace_->record(point, env_.now(), ec.cmd->cmd_id, ec.attempt,
-                   env_.self().value(), detail);
+  env_.trace(point, ec.cmd->cmd_id, ec.attempt, detail);
 }
 
 void PartitionServerCore::send_reply(const ExecCommand& ec, ReplyStatus status,
@@ -652,7 +630,7 @@ void PartitionServerCore::reply_ok(const ExecCommand& ec,
   remember_reply(ec, ReplyStatus::kOk, payload);
   if (applies_silently(ec)) return;
   send_reply(ec, ReplyStatus::kOk, std::move(payload));
-  if (!record_metrics_ || !metrics_) return;
+  if (!primary_) return;
   const SimTime now = env_.now();
   run_series(executed_series_, metric::kExecuted).add(now, 1.0);
   node_series(node_executed_series_, metric::kServerExecuted).add(now, 1.0);
@@ -681,8 +659,8 @@ bool PartitionServerCore::serve_cached_duplicate(const ExecCommand& ec) {
     return false;
   if (it->second.cmd_id == ec.cmd->cmd_id) {
     send_reply(ec, it->second.status, it->second.payload);
-    if (record_metrics_ && metrics_)
-      metrics_->add_counter(metric::kServerReplyCacheHits);
+    if (primary_)
+      env_.metrics().add_counter(metric::kServerReplyCacheHits);
   }
   // cached > delivered: the client already moved past this command (it can
   // only have timed out), so executing it now would violate session order —
@@ -785,10 +763,8 @@ bool PartitionServerCore::transfers_ready_for_ssmr(const ExecCommand& ec) {
       trace_cmd(TracePoint::kTransferSent, ec, dest.value());
       send_to_partition(dest, msg);
     }
-    if (record_metrics_ && metrics_) {
-      note_objects_exchanged(static_cast<double>(
-          std::count(ec.owners.begin(), ec.owners.end(), partition_)));
-    }
+    note_objects_exchanged(static_cast<double>(
+        std::count(ec.owners.begin(), ec.owners.end(), partition_)));
   }
   const auto tstate = transfers_.find(key);
   const std::size_t received =
@@ -873,8 +849,7 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
                                    ec.cmd->cmd_id, ec.attempt, partition_,
                                    std::move(envelopes)));
     }
-    if (record_metrics_ && metrics_)
-      note_objects_exchanged(static_cast<double>(returned));
+    note_objects_exchanged(static_cast<double>(returned));
     record_hints(*ec.cmd);
   } else {
     // DS-SMR permanent relocation: keep the objects, take ownership of the
@@ -960,8 +935,7 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
     for (VertexId v : lend.vertices) note_vertex_mutation(v);
   env_.consume_cpu(kPerObjectMoveCost * static_cast<SimTime>(mine.size() + 1));
 
-  if (record_metrics_ && metrics_)
-    note_objects_exchanged(static_cast<double>(mine.size()));
+  note_objects_exchanged(static_cast<double>(mine.size()));
 
   if (config_.mode == ExecutionMode::kDSSMR) {
     // Record the previous owners so an aborted move (a peer partition with
@@ -1046,8 +1020,8 @@ void PartitionServerCore::grant_lease(const ExecCommand& ec) {
   send_to_partition(ec.target, sim::make_message<LeaseGrant>(
                                    ec.cmd->cmd_id, ec.attempt, partition_,
                                    epoch_, std::move(entries)));
-  if (record_metrics_ && metrics_) {
-    metrics_->add_counter(metric::kServerLeaseGrants);
+  if (primary_) {
+    env_.metrics().add_counter(metric::kServerLeaseGrants);
     note_objects_exchanged(static_cast<double>(copied));
   }
 }
@@ -1092,21 +1066,21 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
         const auto lease = leases_.find(v);
         if (lease != leases_.end() && lease->second.lender == lender)
           leases_.erase(lease);
-        if (trace_)
-          trace_->record(TracePoint::kLeaseRevoke, env_.now(), v.value(),
-                         ec.attempt, env_.self().value(), lender.value());
+        env_.trace(TracePoint::kLeaseRevoke, v.value(), ec.attempt,
+                   lender.value());
       }
-      if (record_metrics_ && metrics_)
-        metrics_->add_counter(metric::kServerLeaseRevokes,
-                              static_cast<double>(vertices.size()));
+      if (primary_)
+        env_.metrics().add_counter(metric::kServerLeaseRevokes,
+                                   static_cast<double>(vertices.size()));
       send_to_partition(lender, sim::make_message<LeaseRevoke>(
                                     partition_, std::move(vertices)));
     }
     release(ec);
     trace_cmd(TracePoint::kLeaseFallback, ec, stale_vertices);
-    if (record_metrics_ && metrics_) {
-      metrics_->add_counter(metric::kServerLeaseFallbacks);
-      metrics_->series(metric::kServerRetries).add(env_.now(), 1.0);
+    if (primary_) {
+      MetricsRegistry& metrics = env_.metrics();
+      metrics.add_counter(metric::kServerLeaseFallbacks);
+      metrics.series(metric::kServerRetries).add(env_.now(), 1.0);
     }
     send_reply(ec, ReplyStatus::kRetry, nullptr);
     return;
@@ -1135,8 +1109,8 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
 
   release(ec);  // late grants from a lender's other replica are dropped
   trace_cmd(TracePoint::kLeaseRead, ec, spliced.size());
-  if (record_metrics_ && metrics_)
-    metrics_->add_counter(metric::kServerLeaseReads);
+  if (primary_)
+    env_.metrics().add_counter(metric::kServerLeaseReads);
   if (config_.mode == ExecutionMode::kDynaStar)
     record_hints(*ec.cmd);
 }
@@ -1147,13 +1121,11 @@ void PartitionServerCore::note_vertex_mutation(VertexId vertex) {
   auto holders = lease_holders_.find(vertex);
   if (holders == lease_holders_.end()) return;
   for (PartitionId holder : holders->second) {
-    if (trace_)
-      trace_->record(TracePoint::kLeaseRevoke, env_.now(), vertex.value(), 0,
-                     env_.self().value(), holder.value());
+    env_.trace(TracePoint::kLeaseRevoke, vertex.value(), 0, holder.value());
     send_to_partition(holder, sim::make_message<LeaseRevoke>(
                                   partition_, std::vector<VertexId>{vertex}));
-    if (record_metrics_ && metrics_)
-      metrics_->add_counter(metric::kServerLeaseRevokes);
+    if (primary_)
+      env_.metrics().add_counter(metric::kServerLeaseRevokes);
   }
   lease_holders_.erase(holders);
 }
@@ -1317,15 +1289,13 @@ void PartitionServerCore::star_execute_batch(Epoch epoch) {
                                 epoch, partition_, std::move(vertices)));
   }
   env_.consume_cpu(kPerObjectMoveCost * static_cast<SimTime>(shipped + 1));
-  if (record_metrics_ && metrics_) {
+  if (primary_) {
     note_objects_exchanged(static_cast<double>(shipped));
-    metrics_->add_counter(metric::kStarEpochs);
-    metrics_->add_counter(metric::kStarDeferred,
-                          static_cast<double>(executed));
+    MetricsRegistry& metrics = env_.metrics();
+    metrics.add_counter(metric::kStarEpochs);
+    metrics.add_counter(metric::kStarDeferred, static_cast<double>(executed));
   }
-  if (trace_)
-    trace_->record(TracePoint::kStarEpoch, env_.now(), epoch, 0,
-                   env_.self().value(), deferred.size());
+  env_.trace(TracePoint::kStarEpoch, epoch, 0, deferred.size());
 }
 
 void PartitionServerCore::apply_star_update(const StarEpochUpdate& update) {
@@ -1338,9 +1308,7 @@ void PartitionServerCore::apply_star_update(const StarEpochUpdate& update) {
     received += envelopes.size();
   }
   env_.consume_cpu(kPerObjectMoveCost * static_cast<SimTime>(received));
-  if (trace_)
-    trace_->record(TracePoint::kStarEpoch, env_.now(), update.epoch, 0,
-                   env_.self().value(), update.vertices.size());
+  env_.trace(TracePoint::kStarEpoch, update.epoch, 0, update.vertices.size());
 }
 
 void PartitionServerCore::on_star_update(
@@ -1352,8 +1320,8 @@ void PartitionServerCore::on_star_update(
 
 void PartitionServerCore::reject(const ExecCommand& ec, bool notify_peers) {
   send_reply(ec, ReplyStatus::kRetry, nullptr);
-  if (record_metrics_ && metrics_)
-    metrics_->series(metric::kServerRetries).add(env_.now(), 1.0);
+  if (primary_)
+    env_.metrics().series(metric::kServerRetries).add(env_.now(), 1.0);
   if (notify_peers) {
     auto notice =
         sim::make_message<AbortNotice>(ec.cmd->cmd_id, ec.attempt, partition_);
@@ -1427,15 +1395,14 @@ void PartitionServerCore::apply_plan(const PlanMsg& plan) {
     for (VertexId v : to_send) send_handoff_if_possible(v);
   }
 
-  if (trace_)
-    trace_->record(TracePoint::kPlanApplied, env_.now(), plan.epoch, 0,
-                   env_.self().value(), partition_.value());
-  if (record_metrics_ && metrics_) {
-    metrics_->series(metric::kPlanApplied).add(env_.now(), 1.0);
-    metrics_->add_counter(metric::kVerticesMovedOut,
-                          static_cast<double>(moved_out));
-    metrics_->add_counter(metric::kVerticesMovedIn,
-                          static_cast<double>(moved_in));
+  env_.trace(TracePoint::kPlanApplied, plan.epoch, 0, partition_.value());
+  if (primary_) {
+    MetricsRegistry& metrics = env_.metrics();
+    metrics.series(metric::kPlanApplied).add(env_.now(), 1.0);
+    metrics.add_counter(metric::kVerticesMovedOut,
+                        static_cast<double>(moved_out));
+    metrics.add_counter(metric::kVerticesMovedIn,
+                        static_cast<double>(moved_in));
   }
 
   // Process handoffs that raced ahead of the plan.
@@ -1466,9 +1433,9 @@ void PartitionServerCore::send_handoff_if_possible(VertexId vertex) {
   auto envelopes = extract_vertex(vertex);
   env_.consume_cpu(kPerObjectMoveCost *
                    static_cast<SimTime>(envelopes.size() + 1));
-  if (record_metrics_ && metrics_) {
+  if (primary_) {
     note_objects_exchanged(static_cast<double>(envelopes.size()));
-    metrics_->series(metric::kPlanHandoffs)
+    env_.metrics().series(metric::kPlanHandoffs)
         .add(env_.now(), static_cast<double>(envelopes.size()));
   }
   send_handoff(it->second,
@@ -1494,7 +1461,7 @@ void PartitionServerCore::send_handoff(PartitionId to,
     send_to_partition(to, sim::make_message<HandoffChunk>(
                               handoff->epoch, handoff->from, handoff->vertex,
                               i, total_chunks, payload, handoff));
-    if (metrics_) metrics_->add_counter(metric::kTransferChunksSent);
+    env_.metrics().add_counter(metric::kTransferChunksSent);
   }
 }
 
@@ -1551,9 +1518,8 @@ void PartitionServerCore::on_var_transfer(const VarTransfer& msg) {
   // dropped instead.
   if (auto res = resolved_.find(key); res != resolved_.end()) {
     if (res->second.insert(msg.from).second) {
-      if (trace_)
-        trace_->record(TracePoint::kReturnSent, env_.now(), msg.cmd_id,
-                       msg.attempt, env_.self().value(), msg.from.value());
+      env_.trace(TracePoint::kReturnSent, msg.cmd_id, msg.attempt,
+                 msg.from.value());
       send_to_partition(msg.from, sim::make_message<VarReturn>(
                                       msg.cmd_id, msg.attempt, partition_,
                                       msg.objects));
@@ -1564,9 +1530,8 @@ void PartitionServerCore::on_var_transfer(const VarTransfer& msg) {
   auto [it, inserted] = state.received.emplace(msg.from, msg.objects);
   (void)it;
   if (!inserted) return;  // duplicate from the source's other replica
-  if (trace_)
-    trace_->record(TracePoint::kTransferReceived, env_.now(), msg.cmd_id,
-                   msg.attempt, env_.self().value(), msg.from.value());
+  env_.trace(TracePoint::kTransferReceived, msg.cmd_id, msg.attempt,
+             msg.from.value());
   resume();
 }
 
@@ -1585,9 +1550,8 @@ void PartitionServerCore::on_var_return(
   }
   returns_seen_.try_emplace(key);
   early_returns_.erase(key);
-  if (trace_)
-    trace_->record(TracePoint::kReturnReceived, env_.now(), msg.cmd_id,
-                   msg.attempt, env_.self().value(), msg.from.value());
+  env_.trace(TracePoint::kReturnReceived, msg.cmd_id, msg.attempt,
+             msg.from.value());
   insert_envelopes(msg.objects);
   if (dssmr) {
     // Roll the aborted move back: restore the map.
@@ -1700,19 +1664,19 @@ void PartitionServerCore::maybe_emit_hints() {
 TimeSeries& PartitionServerCore::node_series(TimeSeries*& handle,
                                              const char* name) {
   if (handle == nullptr)
-    handle = &metrics_->series(name, {{"partition", partition_label_},
-                                      {"replica", replica_label_}});
+    handle = &env_.metrics().series(
+        name, {{"partition", partition_label_}, {"replica", replica_label_}});
   return *handle;
 }
 
 TimeSeries& PartitionServerCore::run_series(TimeSeries*& handle,
                                             const char* name) {
-  if (handle == nullptr) handle = &metrics_->series(name);
+  if (handle == nullptr) handle = &env_.metrics().series(name);
   return *handle;
 }
 
 void PartitionServerCore::note_objects_exchanged(double count) {
-  if (!record_metrics_ || metrics_ == nullptr || count <= 0) return;
+  if (!primary_ || count <= 0) return;
   const SimTime now = env_.now();
   run_series(exchanged_series_, metric::kObjectsExchanged).add(now, count);
   node_series(node_exchanged_series_, metric::kServerObjectsExchanged)

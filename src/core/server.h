@@ -200,9 +200,7 @@ class PartitionServerCore : private ServerState {
 
   PartitionServerCore(sim::Env& env, const paxos::Topology& topology,
                       PartitionId partition, const SystemConfig& config,
-                      std::unique_ptr<AppStateMachine> app,
-                      MetricsRegistry* metrics, bool record_metrics,
-                      TraceCollector* trace = nullptr);
+                      std::unique_ptr<AppStateMachine> app);
 
   void start();
 
@@ -371,7 +369,6 @@ class PartitionServerCore : private ServerState {
                   sim::MessagePtr payload);
   void trace_cmd(TracePoint point, const ExecCommand& ec,
                  std::uint64_t detail);
-  [[nodiscard]] bool is_primary_replica() const;
   void on_checkpoint_boundary();
   [[nodiscard]] std::vector<ProcessId> reliable_peers() const;
 
@@ -380,9 +377,9 @@ class PartitionServerCore : private ServerState {
   PartitionId partition_;
   const SystemConfig& config_;
   std::unique_ptr<AppStateMachine> app_;
-  MetricsRegistry* metrics_;
-  bool record_metrics_;
-  TraceCollector* trace_;
+  /// The group's first replica: the one that records the run-wide series
+  /// (per-node labeled series are recorded by every replica).
+  const bool primary_;
   std::function<void(SnapshotPtr)> checkpoint_sink_;
   /// The snapshot captured at the last checkpoint boundary — what chunked
   /// state transfers serve. All replicas checkpoint at identical slots, so

@@ -71,8 +71,10 @@ System::System(SystemConfig config, AppFactory app_factory)
 
   // Oracle group (group 0).
   for (std::uint32_t r = 0; r < replicas; ++r) {
-    auto& node = world_.spawn<OracleNode>(topology_, config_,
-                                          /*record_metrics=*/r == 0);
+    auto& node = world_.spawn<OracleNode>(
+        kOracleServiceTime, [this](sim::Env& env) {
+          return std::make_unique<OracleCore>(env, topology_, config_);
+        });
     oracle_nodes_.push_back(&node);
   }
   for (std::uint32_t a = 0; a < acceptors; ++a) {
@@ -85,9 +87,14 @@ System::System(SystemConfig config, AppFactory app_factory)
   server_nodes_.resize(config_.num_partitions);
   for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
     for (std::uint32_t r = 0; r < replicas; ++r) {
-      auto& node = world_.spawn<ServerNode>(topology_, PartitionId{p}, config_,
-                                            app_factory_,
-                                            /*record_metrics=*/r == 0);
+      // A fresh app instance per incarnation: AppStateMachine holds no
+      // state outside the ObjectStore (by contract), so a new one is
+      // equivalent.
+      auto& node = world_.spawn<ServerNode>(
+          kServerServiceTime, [this, p](sim::Env& env) {
+            return std::make_unique<PartitionServerCore>(
+                env, topology_, PartitionId{p}, config_, app_factory_());
+          });
       server_nodes_[p].push_back(&node);
     }
     for (std::uint32_t a = 0; a < acceptors; ++a) {
@@ -151,6 +158,11 @@ void System::preload_object(ObjectId id, VertexId vertex, PartitionId partition,
     for (ServerNode* node : server_nodes_[kStarMaster.value()])
       node->core().preload_object(id, vertex, object);
   }
+}
+
+void System::request_repartition() {
+  for (OracleNode* node : oracle_nodes_)
+    if (!node->crashed()) node->core().request_repartition();
 }
 
 void System::preload_assignment(const Assignment& assignment) {

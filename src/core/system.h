@@ -56,6 +56,11 @@ class System {
   const paxos::Topology& topology() const { return topology_; }
   const SystemConfig& config() const { return config_; }
 
+  /// Asks every oracle replica that is up to compute a plan at its next
+  /// hint delivery (benches use it to place a repartition at a fixed time).
+  void request_repartition();
+
+  /// A replica's live core; the replica must be up.
   OracleCore& oracle(std::size_t replica = 0) {
     return oracle_nodes_[replica]->core();
   }
@@ -63,7 +68,6 @@ class System {
     return server_nodes_[p.value()][replica]->core();
   }
   ClientNode& client(std::size_t i) { return *clients_[i]; }
-  [[nodiscard]] std::size_t num_clients() const { return clients_.size(); }
 
  private:
   SystemConfig config_;

@@ -299,9 +299,7 @@ void MemberCore::try_deliver() {
     early_proposals_.erase(min_it->first);
     pending_.erase(min_it);
     ++delivered_count_;
-    if (trace_)
-      trace_->record(TracePoint::kMcastDelivered, env_.now(), data->uid, 0,
-                     env_.self().value(), group_.value());
+    env_.trace(TracePoint::kMcastDelivered, data->uid, 0, group_.value());
     if (shed) {
       if (shed_deliver_) shed_deliver_(*data);
     } else if (deliver_) {

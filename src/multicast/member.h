@@ -128,13 +128,6 @@ class MemberCore : private MemberState {
   /// message is silently consumed.
   void set_shed_deliver(DeliverFn fn) { shed_deliver_ = std::move(fn); }
 
-  /// Optional lifecycle trace sink (propagated to the owned Paxos replica);
-  /// records one kMcastDelivered event per a-delivery. Null disables.
-  void set_trace(TraceCollector* trace) {
-    trace_ = trace;
-    replica_.set_trace(trace);
-  }
-
   void start();
 
   /// Captures/restores the full multicast + Paxos-position state for
@@ -197,7 +190,6 @@ class MemberCore : private MemberState {
   DeliverFn deliver_;
   GateFn gate_;
   DeliverFn shed_deliver_;
-  TraceCollector* trace_ = nullptr;
 };
 
 }  // namespace dynastar::multicast

@@ -308,8 +308,8 @@ PartitionResult partition_graph(const Graph& graph, std::uint32_t k,
 
   // --- Coarsening phase ---
   const std::size_t coarsest_target =
-      std::max<std::size_t>(config.coarsest_floor,
-                            static_cast<std::size_t>(k) * config.coarsest_per_part);
+      std::max<std::size_t>(kCoarsestFloor,
+                            static_cast<std::size_t>(k) * kCoarsestPerPart);
   std::vector<Level> levels;
   const Graph* current = &graph;
   while (current->num_vertices() > coarsest_target) {
@@ -327,7 +327,7 @@ PartitionResult partition_graph(const Graph& graph, std::uint32_t k,
 
   // --- Initial partitioning on the coarsest graph (multi-restart) ---
   std::vector<std::uint32_t> part = initial_partition(
-      *current, k, config.imbalance, config.refinement_passes, rng);
+      *current, k, config.imbalance, kRefinementPasses, rng);
 
   // --- Uncoarsening + refinement ---
   for (std::size_t i = levels.size(); i-- > 0;) {
@@ -341,7 +341,7 @@ PartitionResult partition_graph(const Graph& graph, std::uint32_t k,
     // Full sweeps on small levels; the huge fine levels only need a couple
     // of cleanup passes (the heavy lifting happened while coarse).
     const int passes =
-        fine.num_vertices() > 50'000 ? 2 : config.refinement_passes;
+        fine.num_vertices() > 50'000 ? 2 : kRefinementPasses;
     refine(fine, k, part, config.imbalance, passes, rng);
   }
 

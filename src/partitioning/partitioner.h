@@ -14,15 +14,16 @@
 
 namespace dynastar::partitioning {
 
+/// Stop coarsening once the graph has at most max(k * per_part, floor)
+/// vertices.
+inline constexpr std::size_t kCoarsestPerPart = 32;
+inline constexpr std::size_t kCoarsestFloor = 256;
+/// Boundary-refinement sweeps per level.
+inline constexpr int kRefinementPasses = 6;
+
 struct PartitionerConfig {
   /// Maximum allowed part weight as a multiple of the average (1.2 = 20%).
   double imbalance = 1.20;
-  /// Stop coarsening once the graph has at most max(k * per_part, floor)
-  /// vertices.
-  std::size_t coarsest_per_part = 32;
-  std::size_t coarsest_floor = 256;
-  /// Boundary-refinement sweeps per level.
-  int refinement_passes = 6;
   std::uint64_t seed = 1;
 };
 

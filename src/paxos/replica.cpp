@@ -42,11 +42,11 @@ void ReplicaCore::start() {
 void ReplicaCore::submit(sim::MessagePtr value) {
   if (state_ == State::kLeading) {
     batch_.push_back(std::move(value));
-    if (batch_.size() >= config_.max_batch) {
+    if (batch_.size() >= kMaxBatch) {
       flush_batch();
     } else if (!flush_scheduled_) {
       flush_scheduled_ = true;
-      env_.start_timer(config_.batch_delay, [this] {
+      env_.start_timer(kBatchDelay, [this] {
         flush_scheduled_ = false;
         flush_batch();
       });
@@ -68,7 +68,7 @@ void ReplicaCore::submit(sim::MessagePtr value) {
 void ReplicaCore::arm_stash_retry() {
   if (stash_retry_armed_) return;
   stash_retry_armed_ = true;
-  env_.start_timer(config_.phase1_timeout, [this] {
+  env_.start_timer(kPhase1Timeout, [this] {
     stash_retry_armed_ = false;
     // Drain into a local batch first: submit() may legitimately re-stash a
     // value (leadership still unresolved), and popping from the same deque
@@ -179,7 +179,7 @@ void ReplicaCore::start_phase1() {
     env_.send_message(acceptor,
                       sim::make_message<Prepare>(group_, ballot_, next_deliver_slot_));
   }
-  env_.start_timer(config_.phase1_timeout, [this, epoch] {
+  env_.start_timer(kPhase1Timeout, [this, epoch] {
     if (state_ == State::kPhase1 && phase1_epoch_ == epoch) start_phase1();
   });
 }
@@ -304,16 +304,12 @@ void ReplicaCore::try_deliver() {
     const sim::MessagePtr& value = it->second;
     if (const auto* batch = sim::as<Batch>(value.get())) {
       for (const auto& inner : batch->values) {
-        if (trace_)
-          trace_->record(TracePoint::kPaxosDecided, env_.now(), next_seq_, 0,
-                         env_.self().value(), group_.value());
+        env_.trace(TracePoint::kPaxosDecided, next_seq_, 0, group_.value());
         if (deliver_) deliver_(next_seq_, inner);
         ++next_seq_;
       }
     } else {
-      if (trace_)
-        trace_->record(TracePoint::kPaxosDecided, env_.now(), next_seq_, 0,
-                       env_.self().value(), group_.value());
+      env_.trace(TracePoint::kPaxosDecided, next_seq_, 0, group_.value());
       if (deliver_) deliver_(next_seq_, value);
       ++next_seq_;
     }
@@ -356,7 +352,7 @@ void ReplicaCore::arm_heartbeat_timer() {
   // and, with it, delivery of everything after).
   const SimTime now = env_.now();
   for (auto& [slot, inflight] : in_flight_) {
-    if (now - inflight.proposed_at < config_.heartbeat_interval) continue;
+    if (now - inflight.proposed_at < kHeartbeatInterval) continue;
     inflight.proposed_at = now;
     for (ProcessId acceptor : topology_.group(group_).acceptors) {
       env_.send_message(acceptor,
@@ -365,7 +361,7 @@ void ReplicaCore::arm_heartbeat_timer() {
                                                   inflight.value));
     }
   }
-  env_.start_timer(config_.heartbeat_interval, [this] { arm_heartbeat_timer(); });
+  env_.start_timer(kHeartbeatInterval, [this] { arm_heartbeat_timer(); });
 }
 
 void ReplicaCore::on_heartbeat(const Heartbeat& msg) {
@@ -384,7 +380,7 @@ void ReplicaCore::maybe_request_catchup(Slot leader_next, Slot leader_floor) {
   if (next_deliver_slot_ >= leader_next || catchup_pending_) return;
   catchup_pending_ = true;
   const bool below_floor = next_deliver_slot_ < leader_floor;
-  env_.start_timer(config_.catchup_delay, [this, below_floor] {
+  env_.start_timer(kCatchupDelay, [this, below_floor] {
     catchup_pending_ = false;
     if (state_ == State::kLeading) return;
     if (below_floor && snapshot_installer_) {
@@ -462,7 +458,7 @@ void ReplicaCore::on_chunk_req(ProcessId from, const StateChunkReq& msg) {
                     sim::make_message<StateChunk>(group_, msg.next_slot,
                                                   msg.index, total, payload,
                                                   stable));
-  if (metrics_) metrics_->add_counter(metric::kTransferChunksSent);
+  env_.metrics().add_counter(metric::kTransferChunksSent);
 }
 
 void ReplicaCore::on_chunk_manifest(ProcessId /*from*/,
@@ -481,15 +477,14 @@ void ReplicaCore::on_chunk_manifest(ProcessId /*from*/,
   transfer_->chunk_bytes = msg.chunk_bytes;
   transfer_->have.assign(transfer_->total_chunks, false);
   transfer_->epoch = ++transfer_epochs_;
-  if (trace_)
-    trace_->record(TracePoint::kStateTransferStart, env_.now(), msg.next_slot,
-                   0, env_.self().value(), transfer_->total_chunks);
+  env_.trace(TracePoint::kStateTransferStart, msg.next_slot, 0,
+             transfer_->total_chunks);
   pump_chunk_requests();
 }
 
 void ReplicaCore::pump_chunk_requests() {
   Transfer& t = *transfer_;
-  while (t.outstanding.size() < config_.transfer_window &&
+  while (t.outstanding.size() < kTransferWindow &&
          t.next_index < t.total_chunks) {
     const std::uint32_t index = t.next_index++;
     if (t.have[index]) continue;
@@ -503,11 +498,11 @@ void ReplicaCore::request_chunk(std::uint32_t index, std::uint32_t tries) {
   t.outstanding[index] = OutstandingChunk{peer, env_.now(), tries};
   env_.send_message(peer, sim::make_message<StateChunkReq>(group_, t.next_slot,
                                                            index));
-  SimTime delay = config_.transfer_retry_base;
-  for (std::uint32_t i = 0; i < tries && delay < config_.transfer_retry_cap;
+  SimTime delay = kTransferRetryBase;
+  for (std::uint32_t i = 0; i < tries && delay < kTransferRetryCap;
        ++i)
     delay *= 2;
-  delay = std::min(delay, config_.transfer_retry_cap);
+  delay = std::min(delay, kTransferRetryCap);
   const std::uint64_t epoch = t.epoch;
   env_.start_timer(delay, [this, epoch, index] {
     if (!transfer_ || transfer_->epoch != epoch) return;
@@ -524,7 +519,7 @@ void ReplicaCore::request_chunk(std::uint32_t index, std::uint32_t tries) {
     else
       bw->second *= 0.5;
     ++transfer_->retransmits;
-    if (metrics_) metrics_->add_counter(metric::kTransferChunksRetransmitted);
+    env_.metrics().add_counter(metric::kTransferChunksRetransmitted);
     request_chunk(index, prior_tries + 1);
   });
 }
@@ -564,8 +559,8 @@ void ReplicaCore::note_peer_bandwidth(ProcessId peer, double bytes_per_sec) {
   auto [it, inserted] = peer_bandwidth_.try_emplace(peer.value(),
                                                     bytes_per_sec);
   if (!inserted)
-    it->second = config_.transfer_ewma_alpha * bytes_per_sec +
-                 (1.0 - config_.transfer_ewma_alpha) * it->second;
+    it->second = kTransferEwmaAlpha * bytes_per_sec +
+                 (1.0 - kTransferEwmaAlpha) * it->second;
 }
 
 ProcessId ReplicaCore::best_transfer_peer() const {
@@ -588,9 +583,8 @@ ProcessId ReplicaCore::best_transfer_peer() const {
 void ReplicaCore::complete_transfer() {
   Transfer done = std::move(*transfer_);
   transfer_.reset();  // before the installer: restore() must see no transfer
-  if (trace_)
-    trace_->record(TracePoint::kStateTransferEnd, env_.now(), done.next_slot,
-                   0, env_.self().value(), done.retransmits);
+  env_.trace(TracePoint::kStateTransferEnd, done.next_slot, 0,
+             done.retransmits);
   if (!snapshot_installer_ || state_ == State::kLeading) return;
   if (done.next_slot <= next_deliver_slot_) return;  // outran the manifest
   if (!done.state || !snapshot_installer_(done.state)) return;
@@ -622,10 +616,10 @@ void ReplicaCore::on_install_resp(const InstallSnapshotResp& msg) {
 void ReplicaCore::arm_election_timer() {
   // Randomized patience avoids dueling candidates with two replicas.
   const SimTime jitter = static_cast<SimTime>(env_.random().uniform(
-      0, static_cast<std::uint64_t>(config_.election_timeout)));
-  env_.start_timer(config_.election_timeout + jitter, [this] {
+      0, static_cast<std::uint64_t>(kElectionTimeout)));
+  env_.start_timer(kElectionTimeout + jitter, [this] {
     if (state_ != State::kFollower) return;
-    if (env_.now() - last_leader_contact_ >= config_.election_timeout) {
+    if (env_.now() - last_leader_contact_ >= kElectionTimeout) {
       start_phase1();
     } else {
       arm_election_timer();

@@ -15,25 +15,36 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/trace.h"
 #include "paxos/messages.h"
 #include "paxos/topology.h"
 #include "sim/env.h"
 
 namespace dynastar::paxos {
 
+/// Leader-side batching window; values submitted within it share a slot.
+inline constexpr SimTime kBatchDelay = microseconds(100);
+inline constexpr std::size_t kMaxBatch = 64;
+inline constexpr SimTime kHeartbeatInterval = milliseconds(20);
+/// Base follower patience before starting an election (jitter is added).
+inline constexpr SimTime kElectionTimeout = milliseconds(100);
+/// Phase-1 retry if no quorum of promises arrives.
+inline constexpr SimTime kPhase1Timeout = milliseconds(50);
+/// Follower delay before requesting missing decisions from the leader.
+inline constexpr SimTime kCatchupDelay = milliseconds(10);
+
+// --- chunked snapshot transfer (see messages.h §Chunked snapshot
+// transfer) ---
+/// Outstanding chunk requests per transfer (pipeline depth).
+inline constexpr std::size_t kTransferWindow = 4;
+/// Per-chunk retransmit timer; doubles per retry up to the cap. A timeout
+/// also halves the EWMA bandwidth estimate of the peer that went silent,
+/// steering the re-request toward a faster (or at least alive) peer.
+inline constexpr SimTime kTransferRetryBase = milliseconds(25);
+inline constexpr SimTime kTransferRetryCap = milliseconds(400);
+/// Weight of the newest per-peer bandwidth sample in the EWMA.
+inline constexpr double kTransferEwmaAlpha = 0.4;
+
 struct ReplicaConfig {
-  /// Leader-side batching window; values submitted within it share a slot.
-  SimTime batch_delay = microseconds(100);
-  std::size_t max_batch = 64;
-  SimTime heartbeat_interval = milliseconds(20);
-  /// Base follower patience before starting an election (jitter is added).
-  SimTime election_timeout = milliseconds(100);
-  /// Phase-1 retry if no quorum of promises arrives.
-  SimTime phase1_timeout = milliseconds(50);
-  /// Follower delay before requesting missing decisions from the leader.
-  SimTime catchup_delay = milliseconds(10);
   /// Applied log entries retained for serving CatchupReq beyond the last
   /// checkpoint. A replica whose gap starts below a peer's retained log
   /// pulls a full snapshot via InstallSnapshotReq instead of wedging.
@@ -49,15 +60,6 @@ struct ReplicaConfig {
   // monolithic InstallSnapshotResp path bit-for-bit. ---
   /// Chunk payload size in bytes (0 disables chunked transfer).
   std::size_t transfer_chunk_bytes = 64 * 1024;
-  /// Outstanding chunk requests per transfer (pipeline depth).
-  std::size_t transfer_window = 4;
-  /// Per-chunk retransmit timer; doubles per retry up to the cap. A timeout
-  /// also halves the EWMA bandwidth estimate of the peer that went silent,
-  /// steering the re-request toward a faster (or at least alive) peer.
-  SimTime transfer_retry_base = milliseconds(25);
-  SimTime transfer_retry_cap = milliseconds(400);
-  /// Weight of the newest per-peer bandwidth sample in the EWMA.
-  double transfer_ewma_alpha = 0.4;
 };
 
 /// The Paxos-level position captured in a checkpoint and restored on
@@ -80,10 +82,6 @@ class ReplicaCore {
               ReplicaConfig config = {});
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
-
-  /// Optional lifecycle trace sink; records one kPaxosDecided event per
-  /// delivered value. Null (the default) disables the hook entirely.
-  void set_trace(TraceCollector* trace) { trace_ = trace; }
 
   /// Invoked every time this replica completes phase 1 and starts leading.
   /// Upper layers use it to re-emit coordination messages a failed leader
@@ -120,10 +118,6 @@ class ReplicaCore {
   void set_stable_snapshot_provider(std::function<sim::MessagePtr()> fn) {
     stable_snapshot_provider_ = std::move(fn);
   }
-
-  /// Optional metrics sink for transfer counters (chunks sent /
-  /// retransmitted). Null disables.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
   /// Starts timers; leader bootstrap for replica index 0.
   void start();
@@ -209,14 +203,12 @@ class ReplicaCore {
   void arm_stash_retry();
   void maybe_request_catchup(Slot leader_next, Slot leader_floor);
   [[nodiscard]] Ballot next_owned_ballot(Ballot at_least) const;
-  [[nodiscard]] std::size_t my_index() const { return my_index_; }
 
   sim::Env& env_;
   const Topology& topology_;
   GroupId group_;
   ReplicaConfig config_;
   DeliverFn deliver_;
-  TraceCollector* trace_ = nullptr;
   std::function<void()> on_lead_;
   std::function<void()> checkpoint_hook_;
   std::function<sim::MessagePtr()> snapshot_provider_;
@@ -285,7 +277,6 @@ class ReplicaCore {
   /// Observed per-peer bandwidth EWMA (bytes/sec), learned from chunk
   /// request->arrival times; untried peers score +inf so they get probed.
   std::unordered_map<std::uint64_t, double> peer_bandwidth_;
-  MetricsRegistry* metrics_ = nullptr;
 
   // Values awaiting a known leader (buffered during elections).
   std::deque<sim::MessagePtr> stashed_;

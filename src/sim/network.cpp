@@ -74,7 +74,6 @@ LinkProfile Network::resolve_profile(ProcessId from, ProcessId to) const {
 
 void Network::account_link_bytes(ProcessId from, ProcessId to,
                                  std::size_t bytes, bool site_resolved) {
-  if (metrics_ == nullptr) return;
   const LinkKey key = link_key(from, to);
   auto it = link_series_.find(key);
   if (it == link_series_.end()) {
@@ -90,7 +89,7 @@ void Network::account_link_bytes(ProcessId from, ProcessId to,
                     static_cast<unsigned long long>(to.value()));
     }
     TimeSeries& series =
-        metrics_->series(metric::kNetworkBytesSent, {{"link", label}});
+        metrics_.series(metric::kNetworkBytesSent, {{"link", label}});
     it = link_series_.emplace(key, &series).first;
   }
   it->second->add(sim_.now(), static_cast<double>(bytes));

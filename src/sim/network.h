@@ -70,11 +70,16 @@ class Network {
   using Deliver =
       std::function<void(ProcessId from, ProcessId to, const MessagePtr&)>;
 
-  Network(Simulator& sim, NetworkConfig config, Rng rng, Deliver deliver)
+  /// Sends over links with a non-null resolved profile account bytes into
+  /// `metrics` as `network.bytes_sent{link=...}` (label `sA->sB` for site
+  /// pairs, `pF->pT` for per-process overrides).
+  Network(Simulator& sim, NetworkConfig config, Rng rng, Deliver deliver,
+          MetricsRegistry& metrics)
       : sim_(sim),
         config_(config),
         rng_(std::move(rng)),
-        deliver_(std::move(deliver)) {}
+        deliver_(std::move(deliver)),
+        metrics_(metrics) {}
 
   /// Sends `msg` from `from` to `to`; delivery is scheduled per the latency
   /// and link-capacity model unless the message is dropped or the link is
@@ -95,10 +100,7 @@ class Network {
   // rewrite global behavior retroactively.)
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
   void set_base_latency(SimTime t) { config_.base_latency = t; }
-  void set_jitter(SimTime t) { config_.jitter = t; }
   void set_drop_probability(double p) { config_.drop_probability = p; }
-  void set_duplicate_probability(double p) { config_.duplicate_probability = p; }
-  void set_per_kib_cost(SimTime t) { config_.per_kib_cost = t; }
 
   // --- link profiles / WAN topology ----------------------------------------
   /// Default profile for links without an override (null = pure latency).
@@ -126,15 +128,6 @@ class Network {
   /// > 0. Infinite-bandwidth links are unaffected.
   void set_bandwidth_scale(double scale) { bandwidth_scale_ = scale; }
   [[nodiscard]] double bandwidth_scale() const { return bandwidth_scale_; }
-
-  /// Installs the labeled-metrics sink. When set, sends over links with a
-  /// non-null resolved profile account bytes into
-  /// `network.bytes_sent{link=...}` (label `sA->sB` for site pairs, `pF->pT`
-  /// for per-process overrides). Null disables labeled accounting.
-  void set_metrics(MetricsRegistry* metrics) {
-    metrics_ = metrics;
-    link_series_.clear();
-  }
 
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
   [[nodiscard]] std::uint64_t messages_dropped() const {
@@ -192,7 +185,7 @@ class Network {
   std::unordered_map<std::uint64_t, LinkProfile> site_profiles_;
   std::unordered_map<LinkKey, LinkState, LinkKeyHash> link_states_;
   double bandwidth_scale_ = 1.0;
-  MetricsRegistry* metrics_ = nullptr;
+  MetricsRegistry& metrics_;
   /// Cached labeled series per link (label strings are built once).
   std::unordered_map<LinkKey, TimeSeries*, LinkKeyHash> link_series_;
   std::uint64_t messages_sent_ = 0;

@@ -22,7 +22,10 @@ namespace dynastar::sim {
 class Process : public Env {
  public:
   Process(ProcessId id, World& world)
-      : id_(id), world_(world), rng_(world.fork_rng()) {}
+      : Env(world.trace(), world.metrics()),
+        id_(id),
+        world_(world),
+        rng_(world.fork_rng()) {}
   ~Process() override = default;
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
@@ -59,7 +62,6 @@ class Process : public Env {
 
  protected:
   World& world() { return world_; }
-  MetricsRegistry& metrics() { return world_.metrics(); }
 
  private:
   friend class World;

@@ -44,7 +44,6 @@ class Simulator {
   /// Runs until the event queue is empty.
   void run();
 
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:

@@ -12,8 +12,8 @@ World::World(NetworkConfig net_config, std::uint64_t seed) : rng_(seed) {
       sim_, net_config, rng_.fork(),
       [this](ProcessId from, ProcessId to, const MessagePtr& msg) {
         deliver(from, to, msg);
-      });
-  network_->set_metrics(&metrics_);
+      },
+      metrics_);
 }
 
 World::~World() = default;

@@ -39,7 +39,7 @@ class World {
   Network& network() { return *network_; }
   MetricsRegistry& metrics() { return metrics_; }
   /// Lifecycle trace sink (disabled by default; `trace().enable()` to arm).
-  /// Always constructed so cores can hold a stable pointer from birth.
+  /// Processes hand it to their cores through sim::Env.
   TraceCollector& trace() { return trace_; }
   [[nodiscard]] const TraceCollector& trace() const { return trace_; }
 
@@ -47,7 +47,6 @@ class World {
   Rng fork_rng() { return rng_.fork(); }
 
   [[nodiscard]] Process* find(ProcessId id) const;
-  [[nodiscard]] std::size_t process_count() const { return processes_.size(); }
 
   /// Crashes a process: its volatile state is torn down via Process::on_crash
   /// and all in-flight deliveries/timers addressed to it are suppressed.

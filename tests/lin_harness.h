@@ -184,11 +184,9 @@ inline LinRun run_lin_scenario(const LinScenario& s) {
 
   if (s.repartition_mid_run && s.mode == core::ExecutionMode::kDynaStar) {
     system.run_until(milliseconds(300));
-    system.oracle(0).request_repartition();
-    system.oracle(1).request_repartition();
+    system.request_repartition();
     system.run_until(milliseconds(900));
-    system.oracle(0).request_repartition();
-    system.oracle(1).request_repartition();
+    system.request_repartition();
   }
   system.run_until(s.run_for);
 

@@ -10,38 +10,12 @@
 #include "common/rng.h"
 #include "paxos/acceptor.h"
 #include "paxos/messages.h"
+#include "tests/test_util.h"
 
 namespace dynastar::paxos {
 namespace {
 
-/// Captures outgoing messages; provides deterministic time/randomness.
-class MockEnv final : public sim::Env {
- public:
-  [[nodiscard]] ProcessId self() const override { return ProcessId{99}; }
-  [[nodiscard]] SimTime now() const override { return now_; }
-  void send_message(ProcessId to, const sim::MessagePtr& msg) override {
-    sent.emplace_back(to, msg);
-  }
-  void start_timer(SimTime, std::function<void()> fn) override {
-    timers.push_back(std::move(fn));
-  }
-  void consume_cpu(SimTime amount) override { cpu_used += amount; }
-  Rng& random() override { return rng_; }
-
-  template <typename T>
-  const T* last_as() const {
-    return sent.empty() ? nullptr
-                        : dynamic_cast<const T*>(sent.back().second.get());
-  }
-
-  std::vector<std::pair<ProcessId, sim::MessagePtr>> sent;
-  std::vector<std::function<void()>> timers;
-  SimTime cpu_used = 0;
-  SimTime now_ = 0;
-
- private:
-  Rng rng_{1};
-};
+using testutil::MockEnv;
 
 struct Noop final : sim::Message {};
 

@@ -58,8 +58,7 @@ TEST_P(PlanTransferMode, DataSurvivesRepartitionAndStaysReadable) {
         std::make_unique<workloads::RandomKvDriver>(8, 0.6, 0.5));
   }
   system.run_until(seconds(2));
-  system.oracle(0).request_repartition();
-  system.oracle(1).request_repartition();
+  system.request_repartition();
   system.run_until(seconds(4));
   EXPECT_GE(system.metrics().series("oracle.plans_applied").total(), 1.0);
 
@@ -102,13 +101,30 @@ TEST(Repartitioning, OnDemandShipsFewerVerticesAtPlanTime) {
           std::make_unique<workloads::RandomKvDriver>(8, 0.6, 0.5));
     }
     system.run_until(seconds(2));
-    system.oracle(0).request_repartition();
-    system.oracle(1).request_repartition();
+    system.request_repartition();
     system.run_until(seconds(6));
     handoffs[idx++] = system.metrics().series("plan_handoffs").total();
   }
   EXPECT_GT(handoffs[0], 0.0);          // eager actually relocated state
   EXPECT_LT(handoffs[1], handoffs[0]);  // on-demand deferred the cold tail
+}
+
+TEST(Repartitioning, PlanRequestSkipsCrashedOracleReplica) {
+  // A crashed replica has no core to ask; the request reaches the replicas
+  // that are up, and the surviving group still computes and applies a plan.
+  core::System system(base_config(true), workloads::kv_app_factory());
+  preload(system, 8);
+  for (int c = 0; c < 4; ++c) {
+    system.add_client(
+        std::make_unique<workloads::RandomKvDriver>(8, 0.6, 0.5));
+  }
+  system.run_until(seconds(1));
+  system.world().crash(system.topology().group(core::kOracleGroup).replicas[1]);
+  system.run_until(seconds(2));
+  system.request_repartition();
+  system.run_until(seconds(4));
+  EXPECT_GE(system.metrics().series("oracle.plans_applied").total(), 1.0);
+  EXPECT_GE(system.metrics().series("plan_applied").total(), 1.0);
 }
 
 TEST(Repartitioning, OracleRejectsUnknownVertices) {

@@ -5,53 +5,12 @@
 #include <vector>
 
 #include "paxos/replica.h"
+#include "tests/test_util.h"
 
 namespace dynastar::paxos {
 namespace {
 
-class MockEnv final : public sim::Env {
- public:
-  explicit MockEnv(ProcessId self) : self_(self) {}
-  [[nodiscard]] ProcessId self() const override { return self_; }
-  [[nodiscard]] SimTime now() const override { return now_; }
-  void send_message(ProcessId to, const sim::MessagePtr& msg) override {
-    sent.emplace_back(to, msg);
-  }
-  void start_timer(SimTime delay, std::function<void()> fn) override {
-    timers.emplace_back(now_ + delay, std::move(fn));
-  }
-  void consume_cpu(SimTime) override {}
-  Rng& random() override { return rng_; }
-
-  /// Fires every timer due at or before `t` (single pass).
-  void advance_to(SimTime t) {
-    now_ = t;
-    auto due = std::move(timers);
-    timers.clear();
-    for (auto& [when, fn] : due) {
-      if (when <= t)
-        fn();
-      else
-        timers.emplace_back(when, std::move(fn));
-    }
-  }
-
-  template <typename T>
-  std::vector<const T*> all_of() const {
-    std::vector<const T*> found;
-    for (const auto& [to, msg] : sent)
-      if (auto* m = dynamic_cast<const T*>(msg.get())) found.push_back(m);
-    return found;
-  }
-
-  std::vector<std::pair<ProcessId, sim::MessagePtr>> sent;
-  std::vector<std::pair<SimTime, std::function<void()>>> timers;
-  SimTime now_ = 0;
-
- private:
-  ProcessId self_;
-  Rng rng_{1};
-};
+using testutil::MockEnv;
 
 struct Payload final : sim::Message {
   explicit Payload(std::uint64_t v) : value(v) {}

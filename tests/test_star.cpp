@@ -331,18 +331,7 @@ void expect_only_protocol_knobs_differ(const core::SystemConfig& c,
   EXPECT_EQ(c.client_retry_budget, common.client_retry_budget);
   EXPECT_EQ(c.client_retry_token_interval, common.client_retry_token_interval);
   EXPECT_EQ(c.partitioner.imbalance, common.partitioner.imbalance);
-  EXPECT_EQ(c.partitioner.coarsest_per_part,
-            common.partitioner.coarsest_per_part);
-  EXPECT_EQ(c.partitioner.coarsest_floor, common.partitioner.coarsest_floor);
-  EXPECT_EQ(c.partitioner.refinement_passes,
-            common.partitioner.refinement_passes);
   EXPECT_EQ(c.partitioner.seed, common.partitioner.seed);
-  EXPECT_EQ(c.paxos.batch_delay, common.paxos.batch_delay);
-  EXPECT_EQ(c.paxos.max_batch, common.paxos.max_batch);
-  EXPECT_EQ(c.paxos.heartbeat_interval, common.paxos.heartbeat_interval);
-  EXPECT_EQ(c.paxos.election_timeout, common.paxos.election_timeout);
-  EXPECT_EQ(c.paxos.phase1_timeout, common.paxos.phase1_timeout);
-  EXPECT_EQ(c.paxos.catchup_delay, common.paxos.catchup_delay);
   EXPECT_EQ(c.paxos.catchup_window, common.paxos.catchup_window);
   EXPECT_EQ(c.paxos.checkpoint_interval, common.paxos.checkpoint_interval);
   EXPECT_EQ(c.network.base_latency, common.network.base_latency);

@@ -1,19 +1,90 @@
-// Shared helpers for the system-level tests: canonical small-system config,
-// KV preloading, tail-throughput measurement, and a history-recording driver
-// for linearizability checks.
+// Shared test helpers: a mock Env for unit-testing protocol cores without
+// a simulator, plus, for the system-level tests, a canonical small-system
+// config, KV preloading, tail-throughput measurement, and a
+// history-recording driver for linearizability checks.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/linearizability.h"
+#include "common/metrics.h"
+#include "common/rng.h"
+#include "common/trace.h"
 #include "core/system.h"
+#include "sim/env.h"
 #include "workloads/kv.h"
 
 namespace dynastar::testutil {
+
+/// The sinks a MockEnv owns; a base class so they are constructed before
+/// the sim::Env base that refers to them.
+struct MockSinks {
+  TraceCollector trace_sink;
+  MetricsRegistry metrics_sink;
+};
+
+/// Env for driving one core by hand: captures outgoing messages, holds
+/// timers until advance_to(), and owns its own trace collector and metrics
+/// registry. Time only moves when the test sets it.
+class MockEnv final : private MockSinks, public sim::Env {
+ public:
+  explicit MockEnv(ProcessId self = ProcessId{99})
+      : sim::Env(trace_sink, metrics_sink), self_(self) {}
+
+  [[nodiscard]] ProcessId self() const override { return self_; }
+  [[nodiscard]] SimTime now() const override { return now_; }
+  void send_message(ProcessId to, const sim::MessagePtr& msg) override {
+    sent.emplace_back(to, msg);
+  }
+  void start_timer(SimTime delay, std::function<void()> fn) override {
+    timers.emplace_back(now_ + delay, std::move(fn));
+  }
+  void consume_cpu(SimTime /*amount*/) override {}
+  Rng& random() override { return rng_; }
+
+  /// Fires every timer due at or before `t` (single pass).
+  void advance_to(SimTime t) {
+    now_ = t;
+    auto due = std::move(timers);
+    timers.clear();
+    for (auto& [when, fn] : due) {
+      if (when <= t)
+        fn();
+      else
+        timers.emplace_back(when, std::move(fn));
+    }
+  }
+
+  /// Every sent message of type T, in send order.
+  template <typename T>
+  std::vector<const T*> all_of() const {
+    std::vector<const T*> found;
+    for (const auto& [to, msg] : sent)
+      if (auto* m = dynamic_cast<const T*>(msg.get())) found.push_back(m);
+    return found;
+  }
+
+  /// The last sent message if it is a T, else null.
+  template <typename T>
+  const T* last_as() const {
+    return sent.empty() ? nullptr
+                        : dynamic_cast<const T*>(sent.back().second.get());
+  }
+
+  std::vector<std::pair<ProcessId, sim::MessagePtr>> sent;
+  std::vector<std::pair<SimTime, std::function<void()>>> timers;
+  SimTime now_ = 0;
+
+ private:
+  ProcessId self_;
+  Rng rng_{1};
+};
 
 /// Small fixed-partition config with repartitioning disabled — the baseline
 /// for fault/chaos tests where plan churn would obscure the property under
