@@ -17,8 +17,8 @@ namespace {
 class Account final : public core::PRObject {
  public:
   explicit Account(std::int64_t b) : balance(b) {}
-  std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<Account>(balance);
+  core::ObjectPtr clone() const override {
+    return std::make_shared<Account>(balance);
   }
   std::int64_t balance;
 };

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,7 +28,9 @@ class PRObject {
 
   /// Deep copy; ObjectStore::get_mut calls it to write a version that is
   /// shared (with a checkpoint, an in-flight envelope or another replica).
-  [[nodiscard]] virtual std::unique_ptr<PRObject> clone() const = 0;
+  /// Implement it as one std::make_shared<Derived>(*this): object and
+  /// reference count in a single allocation.
+  [[nodiscard]] virtual std::shared_ptr<const PRObject> clone() const = 0;
 
   /// Approximate serialized size, for network cost accounting.
   [[nodiscard]] virtual std::size_t size_bytes() const { return 64; }
@@ -140,11 +143,35 @@ class ObjectStore {
     return obj;
   }
 
-  /// All object ids homed at `vertex` (copy: callers mutate the store).
+  /// All object ids homed at `vertex`, in insertion order. A copy, for
+  /// callers that read or share the objects; to remove them all, use
+  /// drain_vertex or erase_vertex, which copy nothing.
   [[nodiscard]] std::vector<ObjectId> objects_of_vertex(VertexId vertex) const {
     auto it = by_vertex_.find(vertex);
     if (it == by_vertex_.end()) return {};
     return it->second;
+  }
+
+  /// Removes every object homed at `vertex` and calls fn(id, object) for
+  /// each, in objects_of_vertex order (object may be null). The vertex
+  /// keeps its empty id list, and that list its capacity, for the
+  /// objects' return.
+  template <typename Fn>
+  void drain_vertex(VertexId vertex, Fn&& fn) {
+    auto it = by_vertex_.find(vertex);
+    if (it == by_vertex_.end()) return;
+    for (ObjectId id : it->second) {
+      auto entry = objects_.find(id);
+      assert(entry != objects_.end() && "vertex index names a missing object");
+      fn(id, std::move(entry->second.object));
+      objects_.erase(entry);
+    }
+    it->second.clear();
+  }
+
+  /// Removes every object homed at `vertex`.
+  void erase_vertex(VertexId vertex) {
+    drain_vertex(vertex, [](ObjectId, ObjectPtr) {});
   }
 
   [[nodiscard]] std::size_t size() const { return objects_.size(); }

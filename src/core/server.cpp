@@ -830,19 +830,27 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
 
   if (config_.mode == ExecutionMode::kDynaStar) {
     // Return every borrowed vertex (with any objects the execution created
-    // under it) to its owner.
-    std::map<PartitionId, std::vector<ObjectEnvelope>> by_owner;
+    // under it) to its owner: one VarReturn per owner, in owner order, each
+    // listing its vertices in command order.
     const auto borrowed = [&](std::size_t i) {
       return ec.owners[i] != partition_;
     };
-    for (std::size_t i : first_occurrences(ec.cmd->vertices, borrowed)) {
-      auto envelopes = extract_vertex(ec.cmd->vertices[i]);
-      auto& sink = by_owner[ec.owners[i]];
-      sink.insert(sink.end(), std::make_move_iterator(envelopes.begin()),
-                  std::make_move_iterator(envelopes.end()));
-    }
+    std::vector<std::size_t> firsts =
+        first_occurrences(ec.cmd->vertices, borrowed);
+    std::sort(firsts.begin(), firsts.end(), [&](std::size_t a, std::size_t b) {
+      return ec.owners[a] != ec.owners[b] ? ec.owners[a] < ec.owners[b]
+                                          : a < b;
+    });
     std::size_t returned = 0;
-    for (auto& [owner, envelopes] : by_owner) {
+    for (auto run = firsts.begin(); run != firsts.end();) {
+      const PartitionId owner = ec.owners[*run];
+      const auto run_end =
+          std::find_if(run, firsts.end(),
+                       [&](std::size_t i) { return ec.owners[i] != owner; });
+      std::vector<ObjectEnvelope> envelopes;
+      envelopes.reserve(static_cast<std::size_t>(run_end - run));
+      for (; run != run_end; ++run)
+        extract_vertex(ec.cmd->vertices[*run], envelopes);
       returned += envelopes.size();
       trace_cmd(TracePoint::kReturnSent, ec, owner.value());
       send_to_partition(owner, sim::make_message<VarReturn>(
@@ -899,7 +907,7 @@ void PartitionServerCore::execute_delete(const ExecCommand& ec) {
   // delivered its copy of this multicast (it is a destination).
   const VertexId vertex = ec.cmd->vertices.front();
   trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
-  for (ObjectId id : store_.objects_of_vertex(vertex)) store_.take(id);
+  store_.erase_vertex(vertex);
   note_vertex_mutation(vertex);
   map_.erase(vertex);
   reply_ok(ec, nullptr, /*multi_partition=*/false);
@@ -917,8 +925,12 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
 
   // Ship every omega object we own to the target (a move: the objects leave
   // this partition until returned — or forever under DS-SMR).
+  const auto owned = static_cast<std::size_t>(
+      std::count(ec.owners.begin(), ec.owners.end(), partition_));
   std::vector<ObjectEnvelope> mine;
+  mine.reserve(owned);
   LendRecord lend{ec.target, {}};
+  lend.vertices.reserve(owned);
   for (std::size_t i = 0; i < ec.cmd->objects.size(); ++i) {
     if (ec.owners[i] != partition_) continue;
     const ObjectId id = ec.cmd->objects[i];
@@ -955,7 +967,7 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
   } else {
     // DynaStar: record the lend before sending so a (same-event) return
     // cannot race past the bookkeeping.
-    for (const auto& env : mine) lent_objects_.insert(env.id);
+    for (const auto& env : mine) lent_objects_.try_emplace(env.id);
     for (VertexId v : lend.vertices) lent_vertex_count_[v]++;
     lends_.emplace(key, std::move(lend));
   }
@@ -1179,8 +1191,7 @@ void PartitionServerCore::execute_ssmr(const ExecCommand& ec) {
   reply_ok(ec, std::move(result.reply), /*multi_partition=*/true);
   const auto remote = [&](std::size_t i) { return ec.owners[i] != partition_; };
   for (std::size_t i : first_occurrences(ec.cmd->vertices, remote))
-    for (ObjectId id : store_.objects_of_vertex(ec.cmd->vertices[i]))
-      store_.take(id);
+    store_.erase_vertex(ec.cmd->vertices[i]);
   transfers_.erase(key);
   sent_transfers_.erase(key);
 }
@@ -1303,7 +1314,7 @@ void PartitionServerCore::apply_star_update(const StarEpochUpdate& update) {
   for (const auto& [vertex, envelopes] : update.vertices) {
     // Replace the vertex's whole state with the master's post-batch state —
     // objects the batch deleted must disappear here too.
-    for (ObjectId id : store_.objects_of_vertex(vertex)) store_.take(id);
+    store_.erase_vertex(vertex);
     insert_envelopes(envelopes);
     received += envelopes.size();
   }
@@ -1430,7 +1441,8 @@ void PartitionServerCore::send_handoff_if_possible(VertexId vertex) {
     return;
   }
   note_vertex_mutation(vertex);  // the vertex is leaving this partition
-  auto envelopes = extract_vertex(vertex);
+  std::vector<ObjectEnvelope> envelopes;
+  extract_vertex(vertex, envelopes);
   env_.consume_cpu(kPerObjectMoveCost *
                    static_cast<SimTime>(envelopes.size() + 1));
   if (primary_) {
@@ -1602,20 +1614,19 @@ void PartitionServerCore::insert_envelopes(
   }
 }
 
-std::vector<ObjectEnvelope> PartitionServerCore::extract_vertex(
-    VertexId vertex) {
-  std::vector<ObjectEnvelope> envelopes;
-  for (ObjectId id : store_.objects_of_vertex(vertex)) {
-    envelopes.push_back(ObjectEnvelope{id, vertex, store_.take(id)});
-  }
-  return envelopes;
+void PartitionServerCore::extract_vertex(VertexId vertex,
+                                         std::vector<ObjectEnvelope>& out) {
+  store_.drain_vertex(vertex, [&](ObjectId id, ObjectPtr object) {
+    out.push_back(ObjectEnvelope{id, vertex, std::move(object)});
+  });
 }
 
 void PartitionServerCore::record_hints(const Command& cmd) {
   // Vertex weights ~ access counts; edges between co-accessed vertices.
   // Large omegas (a celebrity post) contribute a star around the first
   // vertex instead of a full clique to keep hint volume linear.
-  std::vector<std::uint64_t> unique;
+  std::vector<std::uint64_t>& unique = hint_scratch_;
+  unique.clear();
   for (VertexId v : cmd.vertices) unique.push_back(v.value());
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());

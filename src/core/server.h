@@ -104,8 +104,10 @@ struct ServerState {
     std::vector<VertexId> vertices;
   };
   CmdMap<LendRecord> lends_;
-  std::unordered_set<ObjectId> lent_objects_;
-  std::unordered_map<VertexId, int> lent_vertex_count_;
+  /// Objects lent out (a set: the mapped byte is unused) and the number of
+  /// open lends per vertex. Each borrow inserts and each return erases.
+  common::FlatMap<ObjectId, bool> lent_objects_;
+  common::FlatMap<VertexId, int> lent_vertex_count_;
   CmdSet returns_seen_;
   // A return can outrun this replica's own processing of the command: the
   // peer source replica's transfer drives the target, whose return lands
@@ -342,7 +344,9 @@ class PartitionServerCore : private ServerState {
   /// (the same knob that chunks snapshot installs).
   void send_handoff(PartitionId to, sim::Ref<const ObjectHandoff> handoff);
   void insert_envelopes(const std::vector<ObjectEnvelope>& envelopes);
-  std::vector<ObjectEnvelope> extract_vertex(VertexId vertex);
+  /// Takes every object homed at `vertex` out of the store, appending one
+  /// envelope per object to `out`.
+  void extract_vertex(VertexId vertex, std::vector<ObjectEnvelope>& out);
   void record_hints(const Command& cmd);
   void maybe_emit_hints();
   /// True when read leases are active; note_vertex_mutation is a no-op
@@ -439,6 +443,10 @@ class PartitionServerCore : private ServerState {
   /// Highest epoch this replica has emitted a marker for; it only throttles
   /// duplicate emission, so a restore resets it to the restored star_epoch_.
   Epoch star_marker_inflight_ = 0;
+
+  /// record_hints' per-command scratch: empty between calls, kept for its
+  /// capacity.
+  std::vector<std::uint64_t> hint_scratch_;
 };
 
 /// Carrier for a server snapshot travelling as an InstallSnapshotResp

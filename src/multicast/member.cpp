@@ -15,6 +15,19 @@ constexpr SimTime kEntryCost = microseconds(2);
 constexpr SimTime kRepairInterval = milliseconds(50);
 
 std::uint64_t group_sender_key(GroupId g) { return (1ULL << 40) + g.value(); }
+
+bool has_proposal(const MemberState::Proposals& proposals, GroupId group) {
+  return std::any_of(proposals.begin(), proposals.end(),
+                     [group](const auto& p) { return p.first == group; });
+}
+
+/// Records `group`'s proposal unless it already has one; true if recorded.
+bool add_proposal(MemberState::Proposals& proposals, GroupId group,
+                  Timestamp ts) {
+  if (has_proposal(proposals, group)) return false;
+  proposals.emplace_back(group, ts);
+  return true;
+}
 }  // namespace
 
 MemberCore::MemberCore(sim::Env& env, const paxos::Topology& topology,
@@ -44,11 +57,12 @@ void MemberCore::restore_state(const State& s) {
   // stopped the sender's retransmissions, so this stash may hold the only
   // surviving copy. Carry those entries across the install; resubmission is
   // deduplicated through seen_. (After a crash the map starts empty — no-op.)
-  std::map<Uid, Unstarted> carried;
+  std::vector<std::pair<Uid, Unstarted>> carried;
   for (const auto& [uid, entry] : unstarted_)
-    if (!s.member.seen_.contains(uid)) carried.emplace(uid, entry);
+    if (!s.member.seen_.contains(uid)) carried.emplace_back(uid, entry);
   MemberState::operator=(s.member);
-  unstarted_.merge(carried);  // installed entries win on a shared uid
+  for (auto& [uid, entry] : carried)  // installed entries win on a shared uid
+    unstarted_.try_emplace(uid, std::move(entry));
   replica_.restore(s.replica);
 }
 
@@ -65,11 +79,9 @@ void MemberCore::arm_repair_timer() {
   // leader), not just the leader — the send may have reached only followers.
   env_.start_timer(kRepairInterval, [this] {
     const SimTime now = env_.now();
-    for (auto& [uid, entry] : unstarted_) {
-      if (now - entry.since < kRepairInterval) continue;
-      entry.since = now;
-      replica_.submit(sim::make_message<StartEntry>(entry.data));
-    }
+    resubmit_unstarted([now](const Unstarted& entry) {
+      return now - entry.since >= kRepairInterval;
+    });
     if (replica_.is_leader()) {
       for (auto& [uid, pending] : pending_) {
         if (pending.data->groups.size() > 1 && !pending.final_ts.has_value()) {
@@ -143,7 +155,11 @@ void MemberCore::on_ts_proposal(const TsProposal& msg) {
   if (it == pending_.end()) {
     auto seen = seen_.find(msg.uid);
     if (seen == seen_.end()) {
-      early_proposals_[msg.uid][msg.from_group] = msg.ts;
+      Proposals& early = early_proposals_[msg.uid];
+      std::erase_if(early, [&](const auto& p) {
+        return p.first == msg.from_group;
+      });
+      early.emplace_back(msg.from_group, msg.ts);
     } else if (!msg.reply && msg.from_group != group_) {
       // Already ordered here — possibly already delivered, in which case the
       // repair timer no longer re-drives our proposal. The sender may be
@@ -158,10 +174,8 @@ void MemberCore::on_ts_proposal(const TsProposal& msg) {
     }
     return;
   }
-  auto [pos, inserted] =
-      it->second.proposals.emplace(msg.from_group, msg.ts);
-  (void)pos;
-  if (inserted) maybe_submit_final(msg.uid);
+  if (add_proposal(it->second.proposals, msg.from_group, msg.ts))
+    maybe_submit_final(msg.uid);
 }
 
 void MemberCore::on_log_entry(const sim::MessagePtr& value) {
@@ -205,11 +219,12 @@ void MemberCore::process_start(const McastDataPtr& data, bool shed) {
     pending.shed = current_shed;
     pending.local_ts = ++clock_;
     seen_.emplace(current->uid, pending.local_ts);
-    pending.proposals.emplace(group_, pending.local_ts);
+    pending.proposals.reserve(current->groups.size());
+    pending.proposals.emplace_back(group_, pending.local_ts);
     if (auto early = early_proposals_.find(current->uid);
         early != early_proposals_.end()) {
       for (const auto& [g, ts] : early->second)
-        pending.proposals.emplace(g, ts);
+        add_proposal(pending.proposals, g, ts);
       early_proposals_.erase(early);
     }
     const bool single_group = current->groups.size() == 1;
@@ -261,7 +276,7 @@ void MemberCore::resend_to_silent_groups(const Pending& pending) {
   // payload to groups it has no proposal from; receivers deduplicate.
   auto msg = sim::make_message<McastSend>(pending.data);
   for (GroupId dest : pending.data->groups) {
-    if (dest == group_ || pending.proposals.contains(dest)) continue;
+    if (dest == group_ || has_proposal(pending.proposals, dest)) continue;
     for (ProcessId replica : topology_.group(dest).replicas)
       env_.send_message(replica, msg);
   }
@@ -308,13 +323,23 @@ void MemberCore::try_deliver() {
   }
 }
 
-void MemberCore::on_gain_leadership() {
-  // A previous leader may have died between ordering and coordinating; make
-  // every in-flight step happen again (receivers deduplicate).
-  for (auto& [uid, entry] : unstarted_) {
+template <typename Due>
+void MemberCore::resubmit_unstarted(Due due) {
+  std::vector<Uid> uids;
+  for (const auto& [uid, entry] : unstarted_)
+    if (due(entry)) uids.push_back(uid);
+  std::sort(uids.begin(), uids.end());
+  for (Uid uid : uids) {
+    Unstarted& entry = unstarted_.at(uid);
     entry.since = env_.now();
     replica_.submit(sim::make_message<StartEntry>(entry.data));
   }
+}
+
+void MemberCore::on_gain_leadership() {
+  // A previous leader may have died between ordering and coordinating; make
+  // every in-flight step happen again (receivers deduplicate).
+  resubmit_unstarted([](const Unstarted&) { return true; });
   for (auto& [uid, pending] : pending_) {
     if (pending.data->groups.size() > 1 && !pending.final_ts.has_value()) {
       resend_to_silent_groups(pending);

@@ -28,10 +28,14 @@ namespace dynastar::multicast {
 /// MemberCore inherits it privately and its State holds one copy of it, so
 /// a field added here is captured and restored with no further edit.
 struct MemberState {
+  /// Timestamp proposals by group, at most one per group, in arrival
+  /// order. Only their maximum and their groups are ever read.
+  using Proposals = std::vector<std::pair<GroupId, Timestamp>>;
+
   struct Pending {
     McastDataPtr data;
     Timestamp local_ts = 0;
-    std::map<GroupId, Timestamp> proposals;
+    Proposals proposals;
     std::optional<Timestamp> final_ts;
     bool shed = false;
   };
@@ -60,6 +64,8 @@ struct MemberState {
   };
 
   Timestamp clock_ = 0;
+  // Iterated by the repair timer and on_gain_leadership, whose sends follow
+  // this table's iteration order; a different container would reorder them.
   std::unordered_map<Uid, Pending> pending_;
   // Started or delivered uids (dedupe for Start), each with the group-local
   // timestamp assigned at admission. The timestamp outlives the pending_
@@ -70,17 +76,19 @@ struct MemberState {
   common::FlatMap<Uid, Timestamp, common::Mix64Hash> seen_;
   std::uint64_t delivered_count_ = 0;
 
-  // Timestamp proposals that arrived before the Start entry was processed.
-  std::unordered_map<Uid, std::map<GroupId, Timestamp>> early_proposals_;
+  // Timestamp proposals that arrived before the Start entry was processed
+  // (a later proposal from the same group replaces an earlier one).
+  common::FlatMap<Uid, Proposals, common::Mix64Hash> early_proposals_;
   // Finals already submitted (leader-side dedupe; log-side dedupe also holds).
   std::unordered_set<Uid> final_submitted_;
 
   std::unordered_map<std::uint64_t, SenderChannel> channels_;
 
   // McastSends received but not yet seen as Start entries; every replica
-  // retains (and periodically re-submits) them until started, so a send that
-  // reached only a follower — or whose leader died — still gets ordered.
-  std::map<Uid, Unstarted> unstarted_;
+  // retains (and periodically re-submits, in uid order) them until started,
+  // so a send that reached only a follower — or whose leader died — still
+  // gets ordered.
+  common::FlatMap<Uid, Unstarted, common::Mix64Hash> unstarted_;
 
   // Group-sender outbox: multicasts this group emitted (deterministically).
   // The leader retransmits entries to destination groups that have not acked
@@ -179,6 +187,10 @@ class MemberCore : private MemberState {
   void resend_to_silent_groups(const Pending& pending);
   void broadcast_ts_proposal(const Pending& pending);
   void try_deliver();
+  /// Re-submits the Start of every unstarted_ entry `due` accepts, in uid
+  /// order, and restamps it.
+  template <typename Due>
+  void resubmit_unstarted(Due due);
   void on_gain_leadership();
   void transmit(OutEntry& entry);
   void arm_repair_timer();

@@ -1,13 +1,39 @@
 #include "paxos/replica.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.h"
 #include "common/metric_names.h"
 
 namespace dynastar::paxos {
+
+void DecisionLog::emplace(Slot slot, sim::MessagePtr value) {
+  if (values_.empty()) {
+    base_ = slot;
+    values_.emplace_back();
+  } else if (slot < base_) {
+    values_.insert(values_.begin(), base_ - slot, nullptr);
+    base_ = slot;
+  } else if (slot - base_ >= values_.size()) {
+    values_.resize(slot - base_ + 1);
+  }
+  sim::MessagePtr& cell = values_[slot - base_];
+  if (cell) return;
+  cell = std::move(value);
+  ++decided_;
+}
+
+void DecisionLog::trim_below(Slot slot) {
+  while (!values_.empty() && base_ < slot) {
+    if (values_.front()) --decided_;
+    values_.pop_front();
+    ++base_;
+  }
+}
 
 ReplicaCore::ReplicaCore(sim::Env& env, const Topology& topology, GroupId group,
                          ReplicaConfig config)
@@ -16,6 +42,8 @@ ReplicaCore::ReplicaCore(sim::Env& env, const Topology& topology, GroupId group,
   auto it = std::find(replicas.begin(), replicas.end(), env_.self());
   assert(it != replicas.end() && "replica core hosted on non-member node");
   my_index_ = static_cast<std::size_t>(it - replicas.begin());
+  assert(topology_.group(group_).acceptors.size() <= 64 &&
+         "InFlight::votes holds one bit per acceptor");
 }
 
 ProcessId ReplicaCore::leader_hint() const {
@@ -253,16 +281,19 @@ void ReplicaCore::on_nack(const Nack& msg) {
 
 void ReplicaCore::flush_batch() {
   if (state_ != State::kLeading || batch_.empty()) return;
-  auto value = sim::make_message<Batch>(std::move(batch_));
+  // An exact-size copy for the log; batch_ keeps its capacity.
+  auto value = sim::make_message<Batch>(std::vector<sim::MessagePtr>(
+      std::make_move_iterator(batch_.begin()),
+      std::make_move_iterator(batch_.end())));
   batch_.clear();
   propose_slot(next_slot_++, std::move(value));
 }
 
 void ReplicaCore::propose_slot(Slot slot, sim::MessagePtr value) {
-  auto [it, inserted] = in_flight_.try_emplace(slot, InFlight{value, {}, 0});
+  auto [it, inserted] = in_flight_.try_emplace(slot, InFlight{value, 0, 0});
   (void)inserted;
   it->second.value = value;
-  it->second.votes.clear();
+  it->second.votes = 0;
   it->second.proposed_at = env_.now();
   for (ProcessId acceptor : topology_.group(group_).acceptors) {
     env_.send_message(acceptor, sim::make_message<Accept>(
@@ -275,8 +306,12 @@ void ReplicaCore::on_accepted(ProcessId from, const Accepted& msg) {
   if (state_ != State::kLeading || msg.ballot != ballot_) return;
   auto it = in_flight_.find(msg.slot);
   if (it == in_flight_.end()) return;
-  it->second.votes.insert(from.value());
-  if (it->second.votes.size() < topology_.group(group_).quorum()) return;
+  const GroupDef& def = topology_.group(group_);
+  const auto voter = std::find(def.acceptors.begin(), def.acceptors.end(), from);
+  if (voter == def.acceptors.end()) return;
+  it->second.votes |= std::uint64_t{1} << (voter - def.acceptors.begin());
+  if (static_cast<std::size_t>(std::popcount(it->second.votes)) < def.quorum())
+    return;
   sim::MessagePtr value = it->second.value;
   in_flight_.erase(it);
   for (ProcessId replica : topology_.group(group_).replicas) {
@@ -299,9 +334,8 @@ void ReplicaCore::record_decision(Slot slot, sim::MessagePtr value) {
 
 void ReplicaCore::try_deliver() {
   while (true) {
-    auto it = log_.find(next_deliver_slot_);
-    if (it == log_.end()) break;
-    const sim::MessagePtr& value = it->second;
+    const sim::MessagePtr value = log_.find(next_deliver_slot_);
+    if (!value) break;
     if (const auto* batch = sim::as<Batch>(value.get())) {
       for (const auto& inner : batch->values) {
         env_.trace(TracePoint::kPaxosDecided, next_seq_, 0, group_.value());
@@ -330,7 +364,7 @@ void ReplicaCore::try_deliver() {
   if (config_.catchup_window > 0 && next_deliver_slot_ > config_.catchup_window)
     cutoff = std::max(cutoff, next_deliver_slot_ - config_.catchup_window);
   if (cutoff > floor_slot_) {
-    log_.erase(log_.begin(), log_.lower_bound(cutoff));
+    log_.trim_below(cutoff);
     floor_slot_ = cutoff;
   }
 }
@@ -403,10 +437,9 @@ void ReplicaCore::on_catchup(ProcessId from, const CatchupReq& msg) {
     offer_snapshot(from, msg.from_slot);
     return;
   }
-  for (auto it = log_.lower_bound(msg.from_slot); it != log_.end(); ++it) {
-    env_.send_message(from,
-                      sim::make_message<Decision>(group_, it->first, it->second));
-  }
+  log_.for_each_from(msg.from_slot, [&](Slot slot, const sim::MessagePtr& v) {
+    env_.send_message(from, sim::make_message<Decision>(group_, slot, v));
+  });
 }
 
 void ReplicaCore::on_install_req(ProcessId from, const InstallSnapshotReq& msg) {

@@ -72,6 +72,44 @@ struct ReplicaRestart {
   Slot last_checkpoint_slot = 0;
 };
 
+/// A replica's decided values by slot: a std::deque indexed by
+/// `slot - base` whose null entries are slots not decided yet. Slots below
+/// the delivery point are dense, so gaps sit only above it.
+class DecisionLog {
+ public:
+  /// The value decided at `slot`, or null.
+  [[nodiscard]] sim::MessagePtr find(Slot slot) const {
+    return slot >= base_ && slot - base_ < values_.size()
+               ? values_[slot - base_]
+               : nullptr;
+  }
+  [[nodiscard]] bool contains(Slot slot) const { return find(slot) != nullptr; }
+  /// Number of decided slots (gaps excluded).
+  [[nodiscard]] std::size_t size() const { return decided_; }
+
+  /// Records `value` at `slot` unless a value is decided there already.
+  void emplace(Slot slot, sim::MessagePtr value);
+  /// Drops every slot below `slot`.
+  void trim_below(Slot slot);
+  void clear() {
+    values_.clear();
+    decided_ = 0;
+  }
+
+  /// Calls fn(slot, value) for every decided slot >= `from`, in slot order.
+  template <typename Fn>
+  void for_each_from(Slot from, Fn&& fn) const {
+    for (std::size_t i = from > base_ ? from - base_ : 0; i < values_.size();
+         ++i)
+      if (values_[i]) fn(base_ + i, values_[i]);
+  }
+
+ private:
+  Slot base_ = 0;
+  std::deque<sim::MessagePtr> values_;
+  std::size_t decided_ = 0;
+};
+
 class ReplicaCore {
  public:
   /// Called once per delivered value, in delivery order; `seq` increases by
@@ -227,7 +265,7 @@ class ReplicaCore {
   // Leader phase 2 bookkeeping.
   struct InFlight {
     sim::MessagePtr value;
-    std::unordered_set<std::uint64_t> votes;
+    std::uint64_t votes = 0;  // bit i: acceptors[i] accepted
     SimTime proposed_at = 0;
   };
   std::map<Slot, InFlight> in_flight_;
@@ -237,7 +275,7 @@ class ReplicaCore {
 
   // Learner state. `floor_slot_` is the lowest slot still in log_; slots
   // below it are only recoverable via snapshot transfer.
-  std::map<Slot, sim::MessagePtr> log_;
+  DecisionLog log_;
   Slot next_deliver_slot_ = 0;
   std::uint64_t next_seq_ = 0;
   Slot floor_slot_ = 0;

@@ -1,16 +1,8 @@
 #include "sim/reliable.h"
 
-namespace dynastar::sim {
+#include <algorithm>
 
-namespace {
-// Retransmission cadence and budget. The interval is well above one network
-// round-trip (hundreds of microseconds), so in a loss-free run a message is
-// acked long before the first retry fires. ~5 simulated seconds of retries
-// outlives every crash window the chaos injector schedules; a peer that
-// stays down longer revives the buffer with a ResendReq when it returns.
-constexpr SimTime kRetryInterval = milliseconds(100);
-constexpr std::uint32_t kMaxTries = 50;
-}  // namespace
+namespace dynastar::sim {
 
 std::uint64_t ReliableLink::new_token() {
   // Tokens must never collide across incarnations of the same process: a
@@ -18,6 +10,10 @@ std::uint64_t ReliableLink::new_token() {
   // that happens to reuse its token. The epoch (bumped on restore) salts
   // the counter out of the old incarnation's token space.
   return (epoch_ << 48) ^ (env_.self().value() << 20) ^ ++next_token_;
+}
+
+bool ReliableLink::live(const Entry& e) {
+  return !e.acked && e.tries < kMaxTries;
 }
 
 void ReliableLink::enqueue(ProcessId to, MessagePtr msg, bool control) {
@@ -31,6 +27,8 @@ void ReliableLink::enqueue(ProcessId to, MessagePtr msg, bool control) {
   e.tries = 1;
   e.control = control;
   pending_.emplace(token, std::move(e));
+  ++live_;
+  outstanding_.push_back(token);
   maybe_arm();
 }
 
@@ -45,11 +43,13 @@ bool ReliableLink::handle(ProcessId from, const MessagePtr& msg,
     case Kind::kReliableAck: {
       auto it = pending_.find(as<ReliableAck>(msg.get())->token);
       if (it != pending_.end()) {
-        if (it->second.control) {
+        Entry& e = it->second;
+        if (live(e)) --live_;
+        if (e.control) {
           pending_.erase(it);
-        } else if (!it->second.acked) {
-          it->second.acked = true;
-          it->second.acked_at = env_.now();
+        } else if (!e.acked) {
+          e.acked = true;
+          e.acked_at = env_.now();
         }
       }
       return true;
@@ -67,7 +67,8 @@ bool ReliableLink::handle(ProcessId from, const MessagePtr& msg,
     case Kind::kStableNotice: {
       // An ack that arrived strictly before the peer's checkpoint capture
       // implies the delivery happened before the capture, so the checkpoint
-      // covers it and the entry can never be needed again.
+      // covers it and the entry can never be needed again. Only acked
+      // entries go, so live_ is unchanged.
       const SimTime capture_time = as<StableNotice>(msg.get())->capture_time;
       for (auto it = pending_.begin(); it != pending_.end();) {
         const Entry& e = it->second;
@@ -97,7 +98,18 @@ void ReliableLink::redrive(ProcessId peer) {
     e.last_tx = now;
     env_.send_message(e.to, e.wrapped);
   }
+  recount();
   maybe_arm();
+}
+
+void ReliableLink::recount() {
+  live_ = 0;
+  outstanding_.clear();
+  for (const auto& [token, e] : pending_) {
+    if (!live(e)) continue;
+    ++live_;
+    outstanding_.push_back(token);
+  }
 }
 
 ReliableLink::State ReliableLink::capture() const {
@@ -125,6 +137,7 @@ void ReliableLink::restore(const State& s, const std::vector<ProcessId>& peers) 
     e.last_tx = now;
     env_.send_message(e.to, e.wrapped);
   }
+  recount();
   for (ProcessId peer : peers) {
     if (peer == env_.self()) continue;
     enqueue(peer, make_message<ResendReq>(), /*control=*/true);
@@ -149,29 +162,37 @@ std::size_t ReliableLink::unacked() const {
 }
 
 void ReliableLink::maybe_arm() {
-  if (armed_) return;
-  for (const auto& [token, e] : pending_) {
-    if (!e.acked && e.tries < kMaxTries) {
-      armed_ = true;
-      env_.start_timer(kRetryInterval, [this] { on_timer(); });
-      return;
-    }
-  }
+  if (armed_ || live_ == 0) return;
+  armed_ = true;
+  env_.start_timer(kRetryInterval, [this] { on_timer(); });
 }
 
 void ReliableLink::on_timer() {
   armed_ = false;
   const SimTime now = env_.now();
-  for (auto& [token, e] : pending_) {
-    if (e.acked || e.tries >= kMaxTries) continue;
+  // Live entries in token order; the rest of outstanding_ is dropped here.
+  std::sort(outstanding_.begin(), outstanding_.end());
+  outstanding_.erase(std::unique(outstanding_.begin(), outstanding_.end()),
+                     outstanding_.end());
+  std::size_t kept = 0;
+  for (std::uint64_t token : outstanding_) {
+    auto it = pending_.find(token);
+    if (it == pending_.end() || !live(it->second)) continue;
+    Entry& e = it->second;
     if (now - e.last_tx >= kRetryInterval) {
       // Budget exhaustion keeps the entry (silent while the peer is
       // presumed dead); its ResendReq on recovery resets the budget.
       ++e.tries;
       e.last_tx = now;
       env_.send_message(e.to, e.wrapped);
+      if (!live(e)) {
+        --live_;
+        continue;
+      }
     }
+    outstanding_[kept++] = token;
   }
+  outstanding_.resize(kept);
   maybe_arm();
 }
 

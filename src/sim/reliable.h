@@ -86,6 +86,15 @@ class ReliableLink {
     std::uint64_t epoch = 0;
   };
 
+  // Retransmission cadence and budget. The interval is well above one
+  // network round-trip (hundreds of microseconds), so in a loss-free run a
+  // message is acked long before the first retry fires. ~5 simulated
+  // seconds of retries outlives every crash window the chaos injector
+  // schedules; a peer that stays down longer revives the buffer with a
+  // ResendReq when it returns.
+  static constexpr SimTime kRetryInterval = milliseconds(100);
+  static constexpr std::uint32_t kMaxTries = 50;
+
   explicit ReliableLink(Env& env) : env_(env) {}
 
   /// Sends `msg` to `to`, retransmitting until acked; the entry is retained
@@ -119,12 +128,24 @@ class ReliableLink {
  private:
   void enqueue(ProcessId to, MessagePtr msg, bool control);
   void redrive(ProcessId peer);
+  /// Rebuilds live_ and outstanding_ from pending_.
+  void recount();
   void maybe_arm();
   void on_timer();
   [[nodiscard]] std::uint64_t new_token();
+  [[nodiscard]] static bool live(const Entry& e);
 
   Env& env_;
-  std::map<std::uint64_t, Entry> pending_;  // token -> retained send
+  // token -> retained send. Ordered: redrive and restore re-send in token
+  // order, and send order draws the network's jitter.
+  std::map<std::uint64_t, Entry> pending_;
+  // Arming and retransmission look only at live entries (unacked, retry
+  // budget left), not at the acked ones retained until a StableNotice.
+  // live_ counts them; outstanding_ lists the token of every live entry,
+  // plus tokens that stopped being live since the last on_timer, which
+  // drops them.
+  std::size_t live_ = 0;
+  std::vector<std::uint64_t> outstanding_;
   std::uint64_t next_token_ = 0;
   std::uint64_t epoch_ = 0;  // bumped per incarnation; salts tokens
   bool armed_ = false;

@@ -11,6 +11,8 @@
 // post's omega. Zipfian user selection with rho = 0.95 matches §6.4.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -34,8 +36,40 @@ inline core::VertexId user_vertex(std::uint32_t user) {
 /// A user's replicated state: their timeline plus counters.
 class UserObject final : public core::PRObject {
  public:
-  [[nodiscard]] std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<UserObject>(*this);
+  static constexpr std::size_t kTimelineCap = 20;
+
+  /// The newest kTimelineCap post references, oldest first. Held inline,
+  /// so a clone of the object is one allocation and an append makes none.
+  class Timeline {
+   public:
+    /// Appends `ref`, dropping the oldest reference when full.
+    void push(std::uint64_t ref) {
+      if (size_ == kTimelineCap) {
+        std::copy(refs_.begin() + 1, refs_.end(), refs_.begin());
+        --size_;
+      }
+      refs_[size_++] = ref;
+    }
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::uint64_t operator[](std::size_t i) const {
+      return refs_[i];
+    }
+    [[nodiscard]] std::uint64_t front() const { return refs_[0]; }
+    [[nodiscard]] std::uint64_t back() const { return refs_[size_ - 1]; }
+    [[nodiscard]] const std::uint64_t* begin() const { return refs_.data(); }
+    [[nodiscard]] const std::uint64_t* end() const {
+      return refs_.data() + size_;
+    }
+
+   private:
+    std::array<std::uint64_t, kTimelineCap> refs_{};
+    std::uint32_t size_ = 0;
+  };
+
+  [[nodiscard]] core::ObjectPtr clone() const override {
+    return std::make_shared<UserObject>(*this);
   }
   [[nodiscard]] std::size_t size_bytes() const override {
     return 48 + timeline.size() * 8;
@@ -49,15 +83,9 @@ class UserObject final : public core::PRObject {
     return h;
   }
 
-  static constexpr std::size_t kTimelineCap = 20;
+  void append(std::uint64_t post_ref) { timeline.push(post_ref); }
 
-  void append(std::uint64_t post_ref) {
-    timeline.push_back(post_ref);
-    if (timeline.size() > kTimelineCap)
-      timeline.erase(timeline.begin());
-  }
-
-  std::vector<std::uint64_t> timeline;
+  Timeline timeline;
   std::uint64_t posts = 0;
   std::uint32_t followers_count = 0;
   std::uint32_t following_count = 0;

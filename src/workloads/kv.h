@@ -18,8 +18,8 @@ namespace dynastar::workloads {
 class KvObject final : public core::PRObject {
  public:
   explicit KvObject(std::uint64_t v = 0) : value(v) {}
-  [[nodiscard]] std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<KvObject>(value);
+  [[nodiscard]] core::ObjectPtr clone() const override {
+    return std::make_shared<KvObject>(value);
   }
   [[nodiscard]] std::size_t size_bytes() const override { return 16; }
   [[nodiscard]] std::uint64_t digest() const override {

@@ -24,8 +24,8 @@ class CustomerAccounts final : public core::PRObject {
  public:
   CustomerAccounts(double checking_balance, double savings_balance)
       : checking(checking_balance), savings(savings_balance) {}
-  [[nodiscard]] std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<CustomerAccounts>(*this);
+  [[nodiscard]] core::ObjectPtr clone() const override {
+    return std::make_shared<CustomerAccounts>(*this);
   }
   [[nodiscard]] std::size_t size_bytes() const override { return 32; }
   [[nodiscard]] std::uint64_t digest() const override {

@@ -79,8 +79,8 @@ struct Scale {
 struct WarehouseRow final : core::PRObject {
   double ytd = 0;
   double tax = 0.08;
-  std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<WarehouseRow>(*this);
+  core::ObjectPtr clone() const override {
+    return std::make_shared<WarehouseRow>(*this);
   }
   std::size_t size_bytes() const override { return 48; }
   std::uint64_t digest() const override {
@@ -98,8 +98,8 @@ struct DistrictRow final : core::PRObject {
   double tax = 0.05;
   /// Ring of recent order ids (for Stock-Level's scan).
   std::vector<std::uint32_t> recent_orders;
-  std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<DistrictRow>(*this);
+  core::ObjectPtr clone() const override {
+    return std::make_shared<DistrictRow>(*this);
   }
   std::size_t size_bytes() const override {
     return 64 + recent_orders.size() * 4;
@@ -120,8 +120,8 @@ struct CustomerRow final : core::PRObject {
   double ytd_payment = 10.0;
   std::uint32_t payment_cnt = 1;
   std::uint32_t delivery_cnt = 0;
-  std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<CustomerRow>(*this);
+  core::ObjectPtr clone() const override {
+    return std::make_shared<CustomerRow>(*this);
   }
   std::size_t size_bytes() const override { return 64; }
   std::uint64_t digest() const override {
@@ -139,8 +139,8 @@ struct StockRow final : core::PRObject {
   std::uint32_t ytd = 0;
   std::uint32_t order_cnt = 0;
   std::uint32_t remote_cnt = 0;
-  std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<StockRow>(*this);
+  core::ObjectPtr clone() const override {
+    return std::make_shared<StockRow>(*this);
   }
   std::size_t size_bytes() const override { return 48; }
   std::uint64_t digest() const override {
@@ -164,8 +164,8 @@ struct OrderRow final : core::PRObject {
   std::uint32_t c_id = 0;
   std::uint32_t carrier = 0;  // 0 = undelivered (still a "new order")
   std::vector<OrderLine> lines;
-  std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<OrderRow>(*this);
+  core::ObjectPtr clone() const override {
+    return std::make_shared<OrderRow>(*this);
   }
   std::size_t size_bytes() const override { return 32 + lines.size() * 24; }
   std::uint64_t digest() const override {
@@ -185,8 +185,8 @@ struct OrderRow final : core::PRObject {
 struct HistoryRow final : core::PRObject {
   std::uint64_t entries = 0;
   double total = 0;
-  std::unique_ptr<core::PRObject> clone() const override {
-    return std::make_unique<HistoryRow>(*this);
+  core::ObjectPtr clone() const override {
+    return std::make_shared<HistoryRow>(*this);
   }
   std::size_t size_bytes() const override { return 24; }
   std::uint64_t digest() const override {

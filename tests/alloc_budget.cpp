@@ -1,0 +1,175 @@
+// Allocation budget: heap allocations per completed command on two
+// fixed-seed runs (Chirper on 4 partitions, KV on 1 partition), checked
+// against a budget. The counting global operator new below is defined in
+// this executable only, so no other binary's allocator is replaced.
+//
+// Allocation counts are deterministic for a given compiler and standard
+// library: the same seed runs the same code. A budget sits a little above
+// the count measured when it was set; a change that needs more allocations
+// per command raises it deliberately.
+//
+//   ./build/tests/alloc_budget        # prints measured vs budget per run
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <optional>
+
+#include "baselines/registry.h"
+#include "common/rng.h"
+#include "core/scenario.h"
+#include "workloads/chirper.h"
+#include "workloads/kv.h"
+#include "workloads/kv_drivers.h"
+#include "workloads/social_graph.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  if (g_counting.load(std::memory_order_relaxed))
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_new(std::size_t size) {
+  void* p = counted_malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+using namespace dynastar;
+
+/// Forwards to a workload driver and counts kOk completions.
+class CountingDriver final : public core::ClientDriver {
+ public:
+  CountingDriver(std::unique_ptr<core::ClientDriver> inner,
+                 std::uint64_t* completed)
+      : inner_(std::move(inner)), completed_(completed) {}
+
+  std::optional<core::CommandSpec> next(Rng& rng, SimTime now) override {
+    return inner_->next(rng, now);
+  }
+  void on_result(const core::CommandSpec& spec, core::ReplyStatus status,
+                 const sim::MessagePtr& payload, SimTime issued_at,
+                 SimTime completed_at) override {
+    if (status == core::ReplyStatus::kOk) ++*completed_;
+    inner_->on_result(spec, status, payload, issued_at, completed_at);
+  }
+
+ private:
+  std::unique_ptr<core::ClientDriver> inner_;
+  std::uint64_t* completed_;
+};
+
+/// Runs the built system to `start` uncounted, then counts allocations and
+/// completed commands over (start, end]. Returns allocations per command.
+double measure(core::ScenarioBuilder& builder,
+               const core::ScenarioBuilder::DriverFactory& driver,
+               std::size_t clients, SimTime start, SimTime end) {
+  std::uint64_t completed = 0;
+  builder.clients(clients, [&driver, &completed](std::size_t i) {
+    return std::make_unique<CountingDriver>(driver(i), &completed);
+  });
+  auto system = builder.build();
+  system->run_until(start);
+  const std::uint64_t completed_before = completed;
+  g_allocs.store(0);
+  g_counting.store(true);
+  system->run_until(end);
+  g_counting.store(false);
+  const std::uint64_t commands = completed - completed_before;
+  return commands == 0 ? 1e9
+                       : static_cast<double>(g_allocs.load()) /
+                             static_cast<double>(commands);
+}
+
+double chirper_4p() {
+  namespace chirper = workloads::chirper;
+  constexpr std::uint32_t kUsers = 2000;
+  constexpr std::uint64_t kSeed = 1;
+  auto graph = std::make_shared<const workloads::SocialGraph>(
+      workloads::generate_social_graph(kUsers, 4, kSeed));
+  chirper::Directory directory = chirper::make_directory(*graph);
+  auto zipf = std::make_shared<const ZipfGenerator>(kUsers, 0.95);
+  chirper::WorkloadMix mix;
+  mix.timeline_fraction = 0.85;
+
+  core::ScenarioBuilder builder;
+  builder.config(baselines::config_for("dynastar", 4, kSeed))
+      .repartitioning(false)
+      .app(chirper::chirper_app_factory())
+      .preload([graph](core::System& system) {
+        chirper::setup(system, *graph, chirper::Placement::kRandom, kSeed);
+      });
+  return measure(
+      builder,
+      [directory, mix, zipf](std::size_t) {
+        return std::make_unique<chirper::ChirperDriver>(directory, mix, zipf);
+      },
+      24, seconds(1), seconds(2));
+}
+
+constexpr std::uint64_t kKvKeys = 256;
+
+double kv_1p() {
+  core::ScenarioBuilder builder;
+  builder.config(baselines::config_for("dynastar", 1, 1))
+      .repartitioning(false)
+      .app(workloads::kv_app_factory())
+      .preload_kv(kKvKeys, workloads::KvObject(0));
+  return measure(
+      builder,
+      [](std::size_t) {
+        return std::make_unique<workloads::RandomKvDriver>(kKvKeys, 0.5, 0.0);
+      },
+      12, seconds(1), seconds(2));
+}
+
+}  // namespace
+
+int main() {
+  struct Run {
+    const char* name;
+    double (*measure)();
+    double budget;  // allocations per command; a measured value above fails
+  };
+  const Run runs[] = {
+      {"chirper-4p", chirper_4p, 53.0},
+      {"kv-1p", kv_1p, 20.8},
+  };
+  int failures = 0;
+  for (const Run& run : runs) {
+    const double measured = run.measure();
+    const bool ok = measured <= run.budget;
+    std::printf("%-11s %8.2f allocs/cmd  budget %8.2f  %s\n", run.name,
+                measured, run.budget, ok ? "ok" : "OVER BUDGET");
+    if (!ok) ++failures;
+  }
+  return failures == 0 ? 0 : 1;
+}

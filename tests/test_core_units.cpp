@@ -116,6 +116,49 @@ TEST(ObjectStore, ChurnKeepsIndexesExact) {
   check();
 }
 
+TEST(ObjectStore, DrainVertexMatchesCopyAndTake) {
+  // drain_vertex against the loop it replaces: copy the vertex's id list,
+  // then take each id.
+  ObjectStore drained;
+  for (std::uint64_t i = 0; i < 12; ++i)
+    drained.put(ObjectId{i}, VertexId{i % 3}, std::make_shared<KvObject>(i));
+  drained.take(ObjectId{4});  // vertex 1 keeps a hole in its history
+  ObjectStore taken = drained;
+
+  std::vector<std::pair<ObjectId, ObjectPtr>> expected;
+  for (ObjectId id : taken.objects_of_vertex(VertexId{1}))
+    expected.emplace_back(id, taken.take(id));
+  std::vector<std::pair<ObjectId, ObjectPtr>> got;
+  drained.drain_vertex(VertexId{1}, [&](ObjectId id, ObjectPtr object) {
+    got.emplace_back(id, std::move(object));
+  });
+
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got, expected);  // same ids, same order, same versions
+  EXPECT_TRUE(drained.objects_of_vertex(VertexId{1}).empty());
+  EXPECT_EQ(drained.size(), taken.size());
+  for (std::uint64_t i = 0; i < 12; ++i)
+    EXPECT_EQ(drained.find(ObjectId{i}), taken.find(ObjectId{i})) << i;
+  // Draining an unknown or emptied vertex calls nothing.
+  drained.drain_vertex(VertexId{1}, [](ObjectId, ObjectPtr) { FAIL(); });
+  drained.drain_vertex(VertexId{9}, [](ObjectId, ObjectPtr) { FAIL(); });
+}
+
+TEST(ObjectStore, GetMutClonesASharedVersionOnce) {
+  ObjectStore store;
+  store.put(ObjectId{1}, VertexId{1}, std::make_shared<KvObject>(5));
+  const ObjectPtr held = store.share(ObjectId{1});  // e.g. a checkpoint
+  auto* first = dynamic_cast<KvObject*>(store.get_mut(ObjectId{1}));
+  ASSERT_NE(first, nullptr);
+  EXPECT_NE(first, held.get());
+  EXPECT_EQ(store.share(ObjectId{1}).use_count(), 2);  // store + this copy
+  first->value = 6;
+  // The store now holds the sole reference: no second clone.
+  EXPECT_EQ(store.get_mut(ObjectId{1}), first);
+  EXPECT_EQ(dynamic_cast<const KvObject*>(held.get())->value, 5u);
+  EXPECT_EQ(held.use_count(), 1);
+}
+
 /// 20 objects, four per vertex 0..4, with id 3 taken (a tombstone).
 ObjectStore sample_store() {
   ObjectStore store;
@@ -432,7 +475,9 @@ TEST(CopyOnWrite, ReplicasShareReturnedVersion) {
     returned.push_back(system.server(PartitionId{p}, 0).store().share(id));
     const auto* user = dynamic_cast<const ch::UserObject*>(returned.back().get());
     ASSERT_NE(user, nullptr);
-    EXPECT_EQ(user->timeline, std::vector<std::uint64_t>{0xfeed});
+    EXPECT_EQ(std::vector<std::uint64_t>(user->timeline.begin(),
+                                         user->timeline.end()),
+              std::vector<std::uint64_t>{0xfeed});
     for (std::size_t r = 1; r < config.replicas_per_partition; ++r) {
       const ObjectStore& store = system.server(PartitionId{p}, r).store();
       EXPECT_EQ(store.find(id), user);

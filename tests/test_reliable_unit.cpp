@@ -1,0 +1,149 @@
+// Unit tests for sim::ReliableLink on a MockEnv: when the retransmit timer
+// is armed, and in which order retransmissions go out.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "sim/reliable.h"
+#include "tests/test_util.h"
+
+namespace dynastar::sim {
+namespace {
+
+using testutil::MockEnv;
+
+struct Payload final : Message {};
+
+const ProcessId kPeer{7};
+const ProcessId kOtherPeer{8};
+
+/// Tokens of the ReliableMsg frames in env.sent[from..], in send order.
+std::vector<std::uint64_t> sent_tokens(const MockEnv& env,
+                                       std::size_t from = 0) {
+  std::vector<std::uint64_t> tokens;
+  for (std::size_t i = from; i < env.sent.size(); ++i)
+    if (const auto* m = dynamic_cast<const ReliableMsg*>(env.sent[i].second.get()))
+      tokens.push_back(m->token);
+  return tokens;
+}
+
+void ack(ReliableLink& link, ProcessId from, std::uint64_t token) {
+  link.handle(from, make_message<ReliableAck>(token), nullptr);
+}
+
+TEST(ReliableLinkUnit, NewSendAmongManyAckedEntriesArmsOneTimer) {
+  MockEnv env;
+  ReliableLink link(env);
+  constexpr std::size_t kRetained = 1000;
+  for (std::size_t i = 0; i < kRetained; ++i)
+    link.send(kPeer, make_message<Payload>());
+  EXPECT_EQ(env.timers.size(), 1u);
+  for (std::uint64_t token : sent_tokens(env)) ack(link, kPeer, token);
+  EXPECT_EQ(link.retained(), kRetained);  // kept until a StableNotice
+  EXPECT_EQ(link.unacked(), 0u);
+
+  // Nothing is live, so the timer fires without re-arming.
+  env.advance_to(ReliableLink::kRetryInterval);
+  EXPECT_TRUE(env.timers.empty());
+  EXPECT_TRUE(sent_tokens(env, kRetained).empty());
+
+  link.send(kPeer, make_message<Payload>());
+  EXPECT_EQ(env.timers.size(), 1u);
+  link.send(kPeer, make_message<Payload>());
+  EXPECT_EQ(env.timers.size(), 1u);  // already armed
+}
+
+TEST(ReliableLinkUnit, ExhaustedEntryStopsRearming) {
+  MockEnv env;
+  ReliableLink link(env);
+  link.send(kPeer, make_message<Payload>());
+  for (SimTime t = 1; !env.timers.empty(); ++t) {
+    ASSERT_LE(t, 2 * static_cast<SimTime>(ReliableLink::kMaxTries));
+    env.advance_to(t * ReliableLink::kRetryInterval);
+  }
+  EXPECT_EQ(sent_tokens(env).size(), ReliableLink::kMaxTries);
+  // Budget exhaustion keeps the entry for a later ResendReq.
+  EXPECT_EQ(link.retained(), 1u);
+  EXPECT_EQ(link.unacked(), 1u);
+}
+
+TEST(ReliableLinkUnit, ResendReqRearms) {
+  MockEnv env;
+  ReliableLink link(env);
+  link.send(kPeer, make_message<Payload>());
+  const std::uint64_t token = sent_tokens(env).front();
+  ack(link, kPeer, token);
+  env.advance_to(ReliableLink::kRetryInterval);
+  ASSERT_TRUE(env.timers.empty());
+
+  // The peer recovered from a checkpoint that predates the delivery.
+  const std::size_t before = env.sent.size();
+  link.handle(kPeer,
+              make_message<ReliableMsg>(std::uint64_t{1} << 40,
+                                        make_message<ResendReq>()),
+              nullptr);
+  EXPECT_EQ(sent_tokens(env, before), std::vector<std::uint64_t>{token});
+  EXPECT_EQ(link.unacked(), 1u);
+  EXPECT_EQ(env.timers.size(), 1u);
+
+  // Unacked, the re-driven entry is retransmitted when the timer fires.
+  const std::size_t redriven = env.sent.size();
+  env.advance_to(2 * ReliableLink::kRetryInterval);
+  EXPECT_EQ(sent_tokens(env, redriven), std::vector<std::uint64_t>{token});
+  EXPECT_EQ(env.timers.size(), 1u);
+}
+
+TEST(ReliableLinkUnit, RestoreRearms) {
+  MockEnv env;
+  ReliableLink link(env);
+  link.send(kPeer, make_message<Payload>());
+  const std::uint64_t token = sent_tokens(env).front();
+  ack(link, kPeer, token);
+  const ReliableLink::State state = link.capture();
+
+  MockEnv fresh;
+  ReliableLink restored(fresh);
+  restored.restore(state, {kPeer, fresh.self()});
+  // The retained entry is re-sent, then a ResendReq goes to the peer.
+  const std::vector<std::uint64_t> tokens = sent_tokens(fresh);
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(tokens[0], token);
+  EXPECT_EQ(restored.unacked(), 2u);
+  EXPECT_EQ(fresh.timers.size(), 1u);
+
+  // Acking both leaves nothing live: the timer fires and stays down.
+  for (std::uint64_t t : tokens) ack(restored, kPeer, t);
+  EXPECT_EQ(restored.retained(), 1u);  // the ResendReq entry is dropped
+  fresh.advance_to(ReliableLink::kRetryInterval);
+  EXPECT_TRUE(fresh.timers.empty());
+}
+
+TEST(ReliableLinkUnit, RetransmitsInTokenOrder) {
+  MockEnv env;
+  ReliableLink link(env);
+  constexpr std::size_t kSends = 64;
+  for (std::size_t i = 0; i < kSends; ++i)
+    link.send(i % 3 == 0 ? kOtherPeer : kPeer, make_message<Payload>());
+  const std::vector<std::uint64_t> tokens = sent_tokens(env);
+  // Ack every third one; the rest stay live.
+  std::vector<std::uint64_t> live;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if (i % 3 == 1)
+      ack(link, kPeer, tokens[i]);
+    else
+      live.push_back(tokens[i]);
+  }
+  std::sort(live.begin(), live.end());
+
+  const std::size_t before = env.sent.size();
+  env.advance_to(ReliableLink::kRetryInterval);
+  EXPECT_EQ(sent_tokens(env, before), live);
+  const std::size_t second = env.sent.size();
+  env.advance_to(2 * ReliableLink::kRetryInterval);
+  EXPECT_EQ(sent_tokens(env, second), live);
+}
+
+}  // namespace
+}  // namespace dynastar::sim

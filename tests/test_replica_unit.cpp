@@ -2,8 +2,11 @@
 // value adoption, batching, decision dissemination, and step-down.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
+#include "common/rng.h"
 #include "paxos/replica.h"
 #include "tests/test_util.h"
 
@@ -155,6 +158,48 @@ TEST_F(ReplicaUnit, GapsHoldDeliveryUntilFilled) {
   core_.handle(ProcessId{1}, sim::make_message<Decision>(
                                  GroupId{0}, 0, sim::make_message<Payload>(1)));
   EXPECT_EQ(delivered_, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(DecisionLog, MatchesMapModel) {
+  // The std::map the window replaced, under the replica's rules: the first
+  // value decided at a slot stays, decisions arrive out of order and leave
+  // gaps, and the applied prefix is trimmed from below.
+  DecisionLog log;
+  std::map<Slot, sim::MessagePtr> model;
+  Rng rng(20261018);
+  Slot frontier = 0;
+  Slot floor = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    if (rng.chance(0.7)) ++frontier;
+    // Mostly at or ahead of the frontier; now and then a straggler.
+    const Slot ahead = frontier + rng.uniform(0, 24);
+    const Slot slot =
+        ahead - (rng.chance(0.1) ? std::min<Slot>(ahead, rng.uniform(0, 8)) : 0);
+    if (slot >= floor) {  // the replica drops decisions below its floor
+      auto value = sim::make_message<Batch>(std::vector<sim::MessagePtr>{});
+      log.emplace(slot, value);
+      model.emplace(slot, value);
+    }
+    if (rng.chance(0.05) && frontier > floor) {
+      floor += rng.uniform(0, frontier - floor);
+      log.trim_below(floor);
+      model.erase(model.begin(), model.lower_bound(floor));
+    }
+    ASSERT_EQ(log.size(), model.size()) << "step " << step;
+    const Slot probe = rng.uniform(0, frontier + 32);
+    auto it = model.find(probe);
+    EXPECT_EQ(log.find(probe), it == model.end() ? nullptr : it->second);
+    if (step % 1000 == 0) {
+      const Slot from = rng.uniform(0, frontier);
+      std::vector<std::pair<Slot, sim::MessagePtr>> got;
+      log.for_each_from(from, [&](Slot s, const sim::MessagePtr& v) {
+        got.emplace_back(s, v);
+      });
+      std::vector<std::pair<Slot, sim::MessagePtr>> expected(
+          model.lower_bound(from), model.end());
+      EXPECT_EQ(got, expected) << "step " << step;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/object.h"
@@ -224,6 +226,48 @@ TEST(ChirperApp, TimelineIsCapped) {
   EXPECT_EQ(user.timeline.size(), ch::UserObject::kTimelineCap);
   EXPECT_EQ(user.timeline.back(), 49u);
   EXPECT_EQ(user.timeline.front(), 50 - ch::UserObject::kTimelineCap);
+}
+
+TEST(ChirperApp, TimelineMatchesVectorModel) {
+  // The inline timeline against the vector it replaced: push_back, then
+  // drop the oldest past the cap.
+  ch::UserObject user;
+  std::vector<std::uint64_t> model;
+  const auto model_digest = [&] {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint64_t ref : model) h = core::digest_mix(h, ref);
+    h = core::digest_mix(h, user.posts);
+    h = core::digest_mix(h, user.followers_count);
+    return core::digest_mix(h, user.following_count);
+  };
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    user.append(i);
+    model.push_back(i);
+    if (model.size() > ch::UserObject::kTimelineCap) model.erase(model.begin());
+    ASSERT_EQ(user.timeline.size(), model.size()) << "after " << i;
+    EXPECT_EQ(user.timeline.back(), model.back());
+    EXPECT_EQ(std::vector<std::uint64_t>(user.timeline.begin(),
+                                         user.timeline.end()),
+              model);
+    EXPECT_EQ(user.size_bytes(), 48 + model.size() * 8);
+    EXPECT_EQ(user.digest(), model_digest());
+  }
+}
+
+TEST(ChirperApp, CloneIsIndependent) {
+  ch::UserObject user;
+  for (std::uint64_t i = 0; i < 30; ++i) user.append(i);
+  const std::uint64_t digest = user.digest();
+  core::ObjectPtr copy = user.clone();
+  auto* clone = const_cast<ch::UserObject*>(
+      dynamic_cast<const ch::UserObject*>(copy.get()));
+  ASSERT_NE(clone, nullptr);
+  EXPECT_EQ(clone->digest(), digest);
+  clone->append(99);
+  ++clone->posts;
+  EXPECT_NE(clone->digest(), digest);
+  EXPECT_EQ(user.digest(), digest);
+  EXPECT_EQ(user.timeline.back(), 29u);
 }
 
 TEST(ChirperApp, FollowAdjustsCounters) {
