@@ -44,7 +44,7 @@ SimTime ClientCore::busy_backoff(const SystemConfig& config,
   // but a client that keeps getting shed must still back off on its own so
   // synchronized retries cannot re-saturate a recovering server.
   const double scaled =
-      static_cast<double>(config.busy_retry_after_base) *
+      static_cast<double>(kBusyRetryAfterBase) *
       std::pow(config.client_timeout_multiplier,
                static_cast<double>(busy_streak - 1));
   SimTime floor = config.client_timeout_cap;

@@ -82,7 +82,8 @@ class ClientCore {
   /// Wait before re-routing after the `busy_streak`-th consecutive Busy
   /// (1-based) on one command: the server's retry-after hint, floored by an
   /// exponential client-side backoff — the hint can only lengthen the wait,
-  /// never shorten it below min(cap, busy_base * multiplier^(streak-1)).
+  /// never shorten it below min(cap, kBusyRetryAfterBase *
+  /// multiplier^(streak-1)).
   [[nodiscard]] static SimTime busy_backoff(const SystemConfig& config,
                                             std::uint32_t busy_streak,
                                             SimTime retry_after_hint);

@@ -1,6 +1,7 @@
 // System-wide configuration for a DynaStar (or baseline) deployment.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/ids.h"
@@ -11,9 +12,16 @@
 
 namespace dynastar::core {
 
-/// Per-item part of the retry-after hint in Busy replies (servers and the
-/// oracle): base + depth * per_item.
+/// Retry-after hint in Busy replies (servers and the oracle): base + depth
+/// * per_item. The base is also the client's own busy-backoff floor.
+inline constexpr SimTime kBusyRetryAfterBase = milliseconds(2);
 inline constexpr SimTime kBusyRetryAfterPerItem = microseconds(50);
+
+/// The retry-after hint of a Busy reply shed at admission depth `depth`.
+constexpr SimTime busy_retry_after(std::size_t depth) {
+  return kBusyRetryAfterBase +
+         static_cast<SimTime>(depth) * kBusyRetryAfterPerItem;
+}
 
 struct SystemConfig {
   ExecutionMode mode = ExecutionMode::kDynaStar;
@@ -68,9 +76,6 @@ struct SystemConfig {
   /// classification with a kBusy prophecy that still carries any cached
   /// locations, so a hot oracle degrades to a location cache.
   std::size_t oracle_inflight_cap = 0;
-  /// Retry-after hint carried in Busy replies: base + depth *
-  /// kBusyRetryAfterPerItem.
-  SimTime busy_retry_after_base = milliseconds(2);
   /// Client retry budget for Busy replies: a token bucket holding at most
   /// `client_retry_budget` tokens, refilled one per
   /// `client_retry_token_interval`. Each Busy-triggered retry spends one

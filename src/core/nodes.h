@@ -24,17 +24,20 @@ inline constexpr SimTime kClientServiceTime = microseconds(1);
 /// OracleCore) plus the replica's *durable* checkpoint (modeled like
 /// paxos::AcceptorStorage: the one thing that survives a crash). The core
 /// itself is volatile: on_crash destroys it, and recovery builds a fresh one
-/// from the factory and restores the checkpoint, then replays the log.
+/// from the factory and restores the checkpoint, then replays the log. The
+/// factory hands each core the durable checkpoint slot, which the core
+/// writes at every checkpoint boundary.
 template <class Core>
 class ReplicaNode final : public sim::Process {
  public:
-  using Factory = std::function<std::unique_ptr<Core>(sim::Env&)>;
+  using Factory = std::function<std::unique_ptr<Core>(
+      sim::Env&, typename Core::SnapshotPtr& checkpoint)>;
 
   ReplicaNode(ProcessId id, sim::World& world, SimTime service_time,
               Factory factory)
       : sim::Process(id, world), factory_(std::move(factory)) {
     set_message_service_time(service_time);
-    rebuild();
+    core_ = factory_(*this, checkpoint_);
   }
 
   void on_start() override {
@@ -47,7 +50,7 @@ class ReplicaNode final : public sim::Process {
   void on_crash() override { core_.reset(); }
 
   void on_recover() override {
-    rebuild();
+    core_ = factory_(*this, checkpoint_);
     if (checkpoint_) core_->restore_snapshot(*checkpoint_);
     core_->start_recovered();
   }
@@ -61,21 +64,11 @@ class ReplicaNode final : public sim::Process {
     assert(core_ != nullptr && "replica is crashed");
     return *core_;
   }
-  [[nodiscard]] typename Core::SnapshotPtr checkpoint() const {
-    return checkpoint_;
-  }
 
  private:
-  void rebuild() {
-    core_ = factory_(*this);
-    core_->set_checkpoint_sink([this](typename Core::SnapshotPtr snap) {
-      checkpoint_ = std::move(snap);
-    });
-  }
-
   Factory factory_;
-  std::unique_ptr<Core> core_;             // volatile (dies on crash)
   typename Core::SnapshotPtr checkpoint_;  // durable
+  std::unique_ptr<Core> core_;             // volatile (dies on crash)
 };
 
 using ServerNode = ReplicaNode<PartitionServerCore>;

@@ -25,59 +25,17 @@ std::uint64_t oracle_uid(std::uint64_t purpose, std::uint64_t counter) {
 }  // namespace
 
 OracleCore::OracleCore(sim::Env& env, const paxos::Topology& topology,
-                       const SystemConfig& config)
+                       const SystemConfig& config, SnapshotPtr& checkpoint)
     : env_(env),
       topology_(topology),
       config_(config),
       primary_(topology.group(kOracleGroup).replicas.front() == env.self()),
-      member_(env, topology, kOracleGroup, config.paxos),
+      checkpoint_(checkpoint),
+      member_(env, topology, kOracleGroup, *this, config.paxos),
       plan_sender_(env, topology) {
   const auto& replicas = topology.group(kOracleGroup).replicas;
   for (std::size_t i = 0; i < replicas.size(); ++i)
     if (replicas[i] == env.self()) replica_label_ = std::to_string(i);
-  member_.set_deliver(
-      [this](const multicast::McastData& data) { on_adeliver(data); });
-  if (config_.oracle_inflight_cap > 0) {
-    // Oracle self-protection: shed client lookups before classification when
-    // the inflight set crosses the cap, so a hot oracle degrades to serving
-    // cached locations instead of collapsing. Group-sender traffic (hints,
-    // plans, relayed deletes) is exempt via the sender-key check; multi-group
-    // messages are never gated by the member.
-    member_.set_admission_gate([this](const multicast::McastData& data) {
-      if (data.sender >= (1ULL << 40)) return false;
-      const auto* req = sim::as<OracleRequest>(data.payload.get());
-      if (req == nullptr) return false;
-      const std::size_t depth = queue_depth();
-      if (depth < config_.oracle_inflight_cap) {
-        env_.trace(TracePoint::kAdmit, req->cmd->cmd_id, req->attempt, depth);
-        return false;
-      }
-      return true;
-    });
-    member_.set_shed_deliver(
-        [this](const multicast::McastData& data) { on_shed_deliver(data); });
-  }
-  member_.replica().set_checkpoint_hook([this] { on_checkpoint_boundary(); });
-  member_.replica().set_snapshot_provider([this] {
-    return sim::make_message<OracleSnapshotMsg>(capture_snapshot());
-  });
-  member_.replica().set_snapshot_installer([this](const sim::MessagePtr& m) {
-    const auto* snap = sim::as<OracleSnapshotMsg>(m.get());
-    if (snap == nullptr || !snap->state) return false;
-    restore_snapshot(*snap->state);
-    env_.metrics().add_counter(metric::kOracleSnapshotInstalls);
-    env_.trace(TracePoint::kSnapshotInstall,
-               snap->state->member.replica.next_deliver_slot, 0,
-               /*oracle=*/UINT64_MAX);
-    return true;
-  });
-  // Chunked transfers serve the stable checkpoint snapshot (identical across
-  // the group at a given slot), letting a lagging oracle replica resume a
-  // transfer from any up-to-date peer. See PartitionServerCore for details.
-  member_.replica().set_stable_snapshot_provider([this]() -> sim::MessagePtr {
-    if (!stable_snapshot_) return nullptr;
-    return sim::make_message<OracleSnapshotMsg>(stable_snapshot_);
-  });
 }
 
 void OracleCore::start() {
@@ -85,13 +43,27 @@ void OracleCore::start() {
   arm_plan_repair_timer();
 }
 
-void OracleCore::on_checkpoint_boundary() {
-  SnapshotPtr snap = capture_snapshot();
-  stable_snapshot_ = snap;
-  if (checkpoint_sink_) checkpoint_sink_(std::move(snap));
+sim::MessagePtr OracleCore::on_checkpoint_boundary() {
+  checkpoint_ = capture_snapshot();
   env_.metrics().add_counter(metric::kOracleCheckpoints);
   env_.trace(TracePoint::kCheckpoint, member_.replica().last_checkpoint_slot(),
              0, /*oracle=*/UINT64_MAX);
+  return sim::make_message<OracleSnapshotMsg>(checkpoint_);
+}
+
+sim::MessagePtr OracleCore::capture_fresh() {
+  return sim::make_message<OracleSnapshotMsg>(capture_snapshot());
+}
+
+bool OracleCore::install_snapshot(const sim::MessagePtr& snapshot) {
+  const auto* snap = sim::as<OracleSnapshotMsg>(snapshot.get());
+  if (snap == nullptr || !snap->state) return false;
+  restore_snapshot(*snap->state);
+  env_.metrics().add_counter(metric::kOracleSnapshotInstalls);
+  env_.trace(TracePoint::kSnapshotInstall,
+             snap->state->member.replica.next_deliver_slot, 0,
+             /*oracle=*/UINT64_MAX);
+  return true;
 }
 
 OracleCore::SnapshotPtr OracleCore::capture_snapshot() const {
@@ -106,9 +78,6 @@ void OracleCore::restore_snapshot(const Snapshot& snapshot) {
   member_.restore_state(snapshot.member);
   plan_sender_.restore(snapshot.plan_sender);
   OracleState::operator=(snapshot.state);
-  // The adopted state's checkpoint history belongs to the peer; our next
-  // boundary repopulates the stable snapshot.
-  stable_snapshot_ = nullptr;
   // Replica-local plan state: any computation in flight at the crash is
   // gone (its timer died with the old incarnation); reset the latch so a
   // later hint delivery can trigger a plan again.
@@ -198,6 +167,16 @@ void OracleCore::send_prophecy(
                         epoch_, std::move(locations), retry_after));
 }
 
+bool OracleCore::admit(const multicast::McastData& data) {
+  if (config_.oracle_inflight_cap == 0) return true;
+  const auto* req = sim::as<OracleRequest>(data.payload.get());
+  if (req == nullptr) return true;
+  const std::size_t depth = queue_depth();
+  if (depth >= config_.oracle_inflight_cap) return false;
+  env_.trace(TracePoint::kAdmit, req->cmd->cmd_id, req->attempt, depth);
+  return true;
+}
+
 void OracleCore::on_shed_deliver(const multicast::McastData& data) {
   const auto* req = sim::as<OracleRequest>(data.payload.get());
   if (req == nullptr) return;
@@ -212,9 +191,7 @@ void OracleCore::on_shed_deliver(const multicast::McastData& data) {
     const PartitionId p = lookup(v);
     if (p != kNoPartition) locations.emplace_back(v, p);
   }
-  const SimTime retry_after =
-      config_.busy_retry_after_base +
-      static_cast<SimTime>(depth) * kBusyRetryAfterPerItem;
+  const SimTime retry_after = busy_retry_after(depth);
   env_.trace(TracePoint::kBusyReply, req->cmd->cmd_id, req->attempt,
              static_cast<std::uint64_t>(retry_after));
   send_prophecy(*req, ReplyStatus::kBusy, kNoPartition, std::move(locations),

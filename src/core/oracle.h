@@ -57,7 +57,7 @@ struct OracleState {
   std::uint64_t relays_emitted_ = 0;  // uid counter for group multicasts
 };
 
-class OracleCore : private OracleState {
+class OracleCore : private OracleState, private multicast::Application {
  public:
   /// An oracle replica's durable state at a slot boundary: the multicast +
   /// Paxos position, the plan sender's outbox, and one copy of OracleState
@@ -69,16 +69,12 @@ class OracleCore : private OracleState {
   };
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
+  /// `checkpoint` is the hosting node's durable checkpoint slot: each
+  /// checkpoint boundary stores its capture there.
   OracleCore(sim::Env& env, const paxos::Topology& topology,
-             const SystemConfig& config);
+             const SystemConfig& config, SnapshotPtr& checkpoint);
 
   void start();
-
-  /// Receives the snapshot captured at each checkpoint boundary; the owning
-  /// node stores it as the replica's durable checkpoint.
-  void set_checkpoint_sink(std::function<void(SnapshotPtr)> sink) {
-    checkpoint_sink_ = std::move(sink);
-  }
 
   /// Captures the durable state: one OracleState copy plus each
   /// sub-object's own capture().
@@ -122,9 +118,18 @@ class OracleCore : private OracleState {
   void request_repartition() { repartition_requested_ = true; }
 
  private:
-  void on_checkpoint_boundary();
-  void on_adeliver(const multicast::McastData& data);
-  void on_shed_deliver(const multicast::McastData& data);
+  // multicast::Application: delivery, the admission gate and snapshots.
+  void on_adeliver(const multicast::McastData& data) override;
+  /// Oracle self-protection (only with oracle_inflight_cap > 0): sheds
+  /// client lookups before classification while queue_depth() is at or
+  /// above the cap, so a hot oracle degrades to serving cached locations
+  /// instead of collapsing.
+  bool admit(const multicast::McastData& data) override;
+  void on_shed_deliver(const multicast::McastData& data) override;
+  sim::MessagePtr on_checkpoint_boundary() override;
+  sim::MessagePtr capture_fresh() override;
+  bool install_snapshot(const sim::MessagePtr& snapshot) override;
+
   void on_request(const OracleRequest& request);
   void on_create_apply(const ExecCommand& exec);
   void on_hint(const HintReport& hint);
@@ -146,10 +151,8 @@ class OracleCore : private OracleState {
   const SystemConfig& config_;
   /// The group's first replica: the one that records the run-wide series.
   const bool primary_;
-  std::function<void(SnapshotPtr)> checkpoint_sink_;
-  /// Snapshot captured at the last checkpoint boundary; serves chunked
-  /// state transfers (see PartitionServerCore::stable_snapshot_).
-  SnapshotPtr stable_snapshot_;
+  /// The hosting node's durable checkpoint slot (outlives this core).
+  SnapshotPtr& checkpoint_;
   /// Label identifying this replica in per-node metrics.
   std::string replica_label_;
   // Per-delivery and per-query metric series, resolved on first use.

@@ -78,7 +78,8 @@ bool any_index(std::size_t /*i*/) { return true; }
 
 PartitionServerCore::PartitionServerCore(
     sim::Env& env, const paxos::Topology& topology, PartitionId partition,
-    const SystemConfig& config, std::unique_ptr<AppStateMachine> app)
+    const SystemConfig& config, std::unique_ptr<AppStateMachine> app,
+    SnapshotPtr& checkpoint)
     : env_(env),
       topology_(topology),
       partition_(partition),
@@ -86,59 +87,14 @@ PartitionServerCore::PartitionServerCore(
       app_(std::move(app)),
       primary_(topology.group(group_of(partition)).replicas.front() ==
                env.self()),
+      checkpoint_(checkpoint),
       partition_label_(std::to_string(partition.value())),
-      member_(env, topology, group_of(partition), config.paxos),
+      member_(env, topology, group_of(partition), *this, config.paxos),
       reliable_(env),
       star_sender_(env, topology) {
   const auto& replicas = topology.group(group_of(partition)).replicas;
   for (std::size_t i = 0; i < replicas.size(); ++i)
     if (replicas[i] == env.self()) replica_label_ = std::to_string(i);
-  member_.set_deliver(
-      [this](const multicast::McastData& data) { on_adeliver(data); });
-  if (config_.server_queue_cap > 0) {
-    // Admission gate (leader-side): shed client-facing single-partition
-    // ExecCommands when the admission depth crosses the high-water mark.
-    // Protocol-internal traffic is exempt — group-sender multicasts (oracle
-    // relays, plans, hints) carry sender keys >= 2^40, and multi-group
-    // messages are never gated by the member (see MemberCore::GateFn).
-    member_.set_admission_gate([this](const multicast::McastData& data) {
-      if (data.sender >= (1ULL << 40)) return false;
-      const auto* exec = sim::as<ExecCommand>(data.payload.get());
-      if (exec == nullptr) return false;
-      const std::size_t depth = admission_depth();
-      if (depth < config_.server_queue_cap) {
-        env_.trace(TracePoint::kAdmit, exec->cmd->cmd_id, exec->attempt, depth);
-        return false;
-      }
-      return true;
-    });
-    member_.set_shed_deliver(
-        [this](const multicast::McastData& data) { on_shed_deliver(data); });
-  }
-  member_.replica().set_checkpoint_hook([this] { on_checkpoint_boundary(); });
-  member_.replica().set_snapshot_provider([this] {
-    // The pending executor batch is volatile, never snapshotted state:
-    // apply it so the snapshot sits at a state the log reproduces.
-    flush_exec_batch();
-    return sim::make_message<ServerSnapshotMsg>(capture_snapshot());
-  });
-  member_.replica().set_snapshot_installer([this](const sim::MessagePtr& m) {
-    const auto* snap = sim::as<ServerSnapshotMsg>(m.get());
-    if (snap == nullptr || !snap->state) return false;
-    restore_snapshot(*snap->state);
-    env_.metrics().add_counter(metric::kServerSnapshotInstalls);
-    env_.trace(TracePoint::kSnapshotInstall,
-               snap->state->member.replica.next_deliver_slot, 0,
-               partition_.value());
-    return true;
-  });
-  // Chunked transfers serve the last checkpoint-boundary snapshot (stable
-  // across the group at identical slots) rather than a fresh tip capture, so
-  // any up-to-date peer can answer chunk pulls for the same manifest.
-  member_.replica().set_stable_snapshot_provider([this]() -> sim::MessagePtr {
-    if (!stable_snapshot_) return nullptr;
-    return sim::make_message<ServerSnapshotMsg>(stable_snapshot_);
-  });
 }
 
 void PartitionServerCore::start() {
@@ -160,22 +116,39 @@ std::vector<ProcessId> PartitionServerCore::reliable_peers() const {
   return peers;
 }
 
-void PartitionServerCore::on_checkpoint_boundary() {
+sim::MessagePtr PartitionServerCore::on_checkpoint_boundary() {
   // Boundaries are slot-count driven, so every replica flushes its pending
   // executor batch at the same log position — checkpoints stay identical
   // across replicas even though batch windows are timer-local.
   flush_exec_batch();
-  // One capture feeds both the durability sink and the chunked-transfer
-  // stable snapshot: the Snapshot is immutable once built, so sharing the
-  // pointer costs nothing beyond the capture the sink forced anyway.
-  SnapshotPtr snap = capture_snapshot();
-  stable_snapshot_ = snap;
-  if (checkpoint_sink_) checkpoint_sink_(std::move(snap));
+  // One capture is both the durable checkpoint and the replica's stable
+  // snapshot for chunked transfers: the Snapshot is immutable once built,
+  // so sharing the pointer costs nothing beyond the capture.
+  checkpoint_ = capture_snapshot();
   // Tell peers which of their retained sends this durable checkpoint covers.
   reliable_.note_checkpoint(env_.now(), reliable_peers());
   env_.metrics().add_counter(metric::kServerCheckpoints);
   env_.trace(TracePoint::kCheckpoint, member_.replica().last_checkpoint_slot(),
              0, partition_.value());
+  return sim::make_message<ServerSnapshotMsg>(checkpoint_);
+}
+
+sim::MessagePtr PartitionServerCore::capture_fresh() {
+  // The pending executor batch is volatile, never snapshotted state: apply
+  // it so the snapshot sits at a state the log reproduces.
+  flush_exec_batch();
+  return sim::make_message<ServerSnapshotMsg>(capture_snapshot());
+}
+
+bool PartitionServerCore::install_snapshot(const sim::MessagePtr& snapshot) {
+  const auto* snap = sim::as<ServerSnapshotMsg>(snapshot.get());
+  if (snap == nullptr || !snap->state) return false;
+  restore_snapshot(*snap->state);
+  env_.metrics().add_counter(metric::kServerSnapshotInstalls);
+  env_.trace(TracePoint::kSnapshotInstall,
+             snap->state->member.replica.next_deliver_slot, 0,
+             partition_.value());
+  return true;
 }
 
 PartitionServerCore::SnapshotPtr PartitionServerCore::capture_snapshot()
@@ -199,9 +172,6 @@ void PartitionServerCore::restore_snapshot(const Snapshot& snapshot) {
   // and the retry is served fresh full grants.
   leases_.clear();
   lease_holders_.clear();
-  // The adopted state's checkpoint history belongs to the peer; our next
-  // boundary (forced right after install) repopulates the stable snapshot.
-  stable_snapshot_ = nullptr;
   // Replica-local marker throttle: any marker in flight at the crash died
   // with the old incarnation's timer; the next timer tick may re-emit.
   star_marker_inflight_ = star_epoch_;
@@ -321,6 +291,16 @@ void PartitionServerCore::on_adeliver(const multicast::McastData& data) {
   if (!blocked_) pump();
 }
 
+bool PartitionServerCore::admit(const multicast::McastData& data) {
+  if (config_.server_queue_cap == 0) return true;
+  const auto* exec = sim::as<ExecCommand>(data.payload.get());
+  if (exec == nullptr) return true;
+  const std::size_t depth = admission_depth();
+  if (depth >= config_.server_queue_cap) return false;
+  env_.trace(TracePoint::kAdmit, exec->cmd->cmd_id, exec->attempt, depth);
+  return true;
+}
+
 std::size_t PartitionServerCore::admission_depth() const {
   return env_.inbox_depth() + queue_.size() + exec_pending_.size();
 }
@@ -334,9 +314,7 @@ void PartitionServerCore::on_shed_deliver(const multicast::McastData& data) {
   // answered from the reply cache even under shedding — never with Busy,
   // which would send the client into a retry loop for a finished command.
   if (serve_cached_duplicate(*exec)) return;
-  const SimTime retry_after =
-      config_.busy_retry_after_base +
-      static_cast<SimTime>(depth) * kBusyRetryAfterPerItem;
+  const SimTime retry_after = busy_retry_after(depth);
   trace_cmd(TracePoint::kBusyReply, *exec,
             static_cast<std::uint64_t>(retry_after));
   env_.send_message(exec->cmd->client, sim::make_message<CommandReply>(
@@ -1461,7 +1439,7 @@ void PartitionServerCore::send_handoff(PartitionId to,
                                        sim::Ref<const ObjectHandoff> handoff) {
   const std::size_t chunk = config_.paxos.transfer_chunk_bytes;
   const std::size_t total_bytes = handoff->size_bytes();
-  if (chunk == 0 || total_bytes <= chunk) {
+  if (total_bytes <= chunk) {
     send_to_partition(to, handoff);
     return;
   }

@@ -186,7 +186,8 @@ struct ServerState {
   std::map<Epoch, sim::Ref<const StarEpochUpdate>> star_updates_;
 };
 
-class PartitionServerCore : private ServerState {
+class PartitionServerCore : private ServerState,
+                            private multicast::Application {
  public:
   /// The replica's durable state at a slot boundary: the multicast + Paxos
   /// position, retained reliable sends, the STAR marker sender's outbox, and
@@ -200,17 +201,14 @@ class PartitionServerCore : private ServerState {
   };
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
+  /// `checkpoint` is the hosting node's durable checkpoint slot: each
+  /// checkpoint boundary stores its capture there.
   PartitionServerCore(sim::Env& env, const paxos::Topology& topology,
                       PartitionId partition, const SystemConfig& config,
-                      std::unique_ptr<AppStateMachine> app);
+                      std::unique_ptr<AppStateMachine> app,
+                      SnapshotPtr& checkpoint);
 
   void start();
-
-  /// Receives the snapshot captured at each checkpoint boundary; the owning
-  /// node stores it as the replica's durable checkpoint.
-  void set_checkpoint_sink(std::function<void(SnapshotPtr)> sink) {
-    checkpoint_sink_ = std::move(sink);
-  }
 
   /// Captures the durable state: one ServerState copy (object versions
   /// shared, not cloned) plus each sub-object's own capture().
@@ -242,9 +240,18 @@ class PartitionServerCore : private ServerState {
  private:
   enum class Classification { kReady, kBlocked, kFuture, kStale, kInvalid };
 
-  // Delivery / queue pump.
-  void on_adeliver(const multicast::McastData& data);
-  void on_shed_deliver(const multicast::McastData& data);
+  // multicast::Application: delivery, the admission gate and snapshots.
+  void on_adeliver(const multicast::McastData& data) override;
+  /// Admission gate (leader-side, only with server_queue_cap > 0): sheds
+  /// client-facing single-partition ExecCommands while the admission depth
+  /// is at or above the cap.
+  bool admit(const multicast::McastData& data) override;
+  void on_shed_deliver(const multicast::McastData& data) override;
+  sim::MessagePtr on_checkpoint_boundary() override;
+  sim::MessagePtr capture_fresh() override;
+  bool install_snapshot(const sim::MessagePtr& snapshot) override;
+
+  // Queue pump.
   /// Load signal driving the admission gate: messages still waiting in the
   /// node's CPU queue plus the execution queue. The protocol queue alone
   /// stays near zero under saturation (it drains synchronously at
@@ -373,7 +380,6 @@ class PartitionServerCore : private ServerState {
                   sim::MessagePtr payload);
   void trace_cmd(TracePoint point, const ExecCommand& ec,
                  std::uint64_t detail);
-  void on_checkpoint_boundary();
   [[nodiscard]] std::vector<ProcessId> reliable_peers() const;
 
   sim::Env& env_;
@@ -384,11 +390,8 @@ class PartitionServerCore : private ServerState {
   /// The group's first replica: the one that records the run-wide series
   /// (per-node labeled series are recorded by every replica).
   const bool primary_;
-  std::function<void(SnapshotPtr)> checkpoint_sink_;
-  /// The snapshot captured at the last checkpoint boundary — what chunked
-  /// state transfers serve. All replicas checkpoint at identical slots, so
-  /// this is interchangeable across the group for a given manifest slot.
-  SnapshotPtr stable_snapshot_;
+  /// The hosting node's durable checkpoint slot (outlives this core).
+  SnapshotPtr& checkpoint_;
   /// Labels identifying this replica in per-node metrics.
   std::string partition_label_;
   std::string replica_label_;

@@ -72,8 +72,10 @@ System::System(SystemConfig config, AppFactory app_factory)
   // Oracle group (group 0).
   for (std::uint32_t r = 0; r < replicas; ++r) {
     auto& node = world_.spawn<OracleNode>(
-        kOracleServiceTime, [this](sim::Env& env) {
-          return std::make_unique<OracleCore>(env, topology_, config_);
+        kOracleServiceTime,
+        [this](sim::Env& env, OracleCore::SnapshotPtr& checkpoint) {
+          return std::make_unique<OracleCore>(env, topology_, config_,
+                                              checkpoint);
         });
     oracle_nodes_.push_back(&node);
   }
@@ -91,9 +93,12 @@ System::System(SystemConfig config, AppFactory app_factory)
       // state outside the ObjectStore (by contract), so a new one is
       // equivalent.
       auto& node = world_.spawn<ServerNode>(
-          kServerServiceTime, [this, p](sim::Env& env) {
+          kServerServiceTime,
+          [this, p](sim::Env& env,
+                    PartitionServerCore::SnapshotPtr& checkpoint) {
             return std::make_unique<PartitionServerCore>(
-                env, topology_, PartitionId{p}, config_, app_factory_());
+                env, topology_, PartitionId{p}, config_, app_factory_(),
+                checkpoint);
           });
       server_nodes_[p].push_back(&node);
     }

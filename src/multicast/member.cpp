@@ -14,7 +14,13 @@ constexpr SimTime kEntryCost = microseconds(2);
 /// Leader re-drives in-flight coordination this often.
 constexpr SimTime kRepairInterval = milliseconds(50);
 
-std::uint64_t group_sender_key(GroupId g) { return (1ULL << 40) + g.value(); }
+/// Sender keys of replicated group senders start here; client process ids
+/// stay below it.
+constexpr std::uint64_t kGroupSenderBase = 1ULL << 40;
+
+std::uint64_t group_sender_key(GroupId g) {
+  return kGroupSenderBase + g.value();
+}
 
 bool has_proposal(const MemberState::Proposals& proposals, GroupId group) {
   return std::any_of(proposals.begin(), proposals.end(),
@@ -31,16 +37,13 @@ bool add_proposal(MemberState::Proposals& proposals, GroupId group,
 }  // namespace
 
 MemberCore::MemberCore(sim::Env& env, const paxos::Topology& topology,
-                       GroupId group, paxos::ReplicaConfig paxos_config)
+                       GroupId group, Application& app,
+                       paxos::ReplicaConfig paxos_config)
     : env_(env),
       topology_(topology),
       group_(group),
-      replica_(env, topology, group, paxos_config) {
-  replica_.set_deliver([this](std::uint64_t /*seq*/, const sim::MessagePtr& v) {
-    on_log_entry(v);
-  });
-  replica_.set_on_lead([this] { on_gain_leadership(); });
-}
+      app_(app),
+      replica_(env, topology, group, *this, app, paxos_config) {}
 
 void MemberCore::start() {
   replica_.start();
@@ -123,8 +126,8 @@ void MemberCore::on_send(ProcessId from, const McastSend& msg) {
   // been lost, and it keeps retransmitting until one arrives.
   env_.send_message(from, sim::make_message<McastAck>(uid, group_));
   if (seen_.contains(uid) || unstarted_.contains(uid)) return;
-  if (gate_ && replica_.is_leader() && groups.size() == 1 &&
-      gate_(*msg.data)) {
+  if (replica_.is_leader() && groups.size() == 1 &&
+      msg.data->sender < kGroupSenderBase && !app_.admit(*msg.data)) {
     // Shed at admission: order a shed-flagged Start so every replica makes
     // the identical decision from the log. Not stashed in unstarted_ — if
     // this submit is lost (leader crash), followers hold the send in their
@@ -178,7 +181,7 @@ void MemberCore::on_ts_proposal(const TsProposal& msg) {
     maybe_submit_final(msg.uid);
 }
 
-void MemberCore::on_log_entry(const sim::MessagePtr& value) {
+void MemberCore::deliver(const sim::MessagePtr& value) {
   env_.consume_cpu(kEntryCost);
   switch (value->kind()) {
     case sim::Kind::kStartEntry: {
@@ -315,11 +318,10 @@ void MemberCore::try_deliver() {
     pending_.erase(min_it);
     ++delivered_count_;
     env_.trace(TracePoint::kMcastDelivered, data->uid, 0, group_.value());
-    if (shed) {
-      if (shed_deliver_) shed_deliver_(*data);
-    } else if (deliver_) {
-      deliver_(*data);
-    }
+    if (shed)
+      app_.on_shed_deliver(*data);
+    else
+      app_.on_adeliver(*data);
   }
 }
 
@@ -336,7 +338,7 @@ void MemberCore::resubmit_unstarted(Due due) {
   }
 }
 
-void MemberCore::on_gain_leadership() {
+void MemberCore::on_lead() {
   // A previous leader may have died between ordering and coordinating; make
   // every in-flight step happen again (receivers deduplicate).
   resubmit_unstarted([](const Unstarted&) { return true; });

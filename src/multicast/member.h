@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -64,8 +63,8 @@ struct MemberState {
   };
 
   Timestamp clock_ = 0;
-  // Iterated by the repair timer and on_gain_leadership, whose sends follow
-  // this table's iteration order; a different container would reorder them.
+  // Iterated by the repair timer and on_lead, whose sends follow this
+  // table's iteration order; a different container would reorder them.
   std::unordered_map<Uid, Pending> pending_;
   // Started or delivered uids (dedupe for Start), each with the group-local
   // timestamp assigned at admission. The timestamp outlives the pending_
@@ -100,21 +99,31 @@ struct MemberState {
   std::map<GroupId, std::uint64_t> group_sender_seq_;
 };
 
-class MemberCore : private MemberState {
+/// The application a MemberCore a-delivers to. It also owns the state the
+/// group's Paxos replica checkpoints and transfers.
+class Application : public paxos::SnapshotOwner {
  public:
   /// Called exactly once per a-delivered message, in the group's delivery
   /// order.
-  using DeliverFn = std::function<void(const McastData&)>;
-
-  /// Admission gate consulted by the *leader* before ordering a single-group
-  /// message. Returning true sheds the message: it is still ordered (as a
+  virtual void on_adeliver(const McastData& data) = 0;
+  /// Admission decision, asked by the *leader* before it orders a
+  /// single-group message from a client; group-sender traffic is always
+  /// admitted. Returning false sheds the message: it is still ordered (as a
   /// shed-flagged Start entry, so every replica advances the sender's FIFO
-  /// channel and clock identically) but delivery routes to the shed handler
-  /// instead of the application. Multi-group messages are never gated —
-  /// shedding at one group would wedge peer groups waiting on timestamp
-  /// proposals.
-  using GateFn = std::function<bool(const McastData&)>;
+  /// channel and clock identically) but its delivery goes to
+  /// on_shed_deliver instead of on_adeliver. Multi-group messages are never
+  /// asked about — shedding at one group would wedge peer groups waiting on
+  /// timestamp proposals.
+  virtual bool admit(const McastData& data) = 0;
+  /// Called, in delivery order, for each message shed at admission.
+  virtual void on_shed_deliver(const McastData& data) = 0;
 
+ protected:
+  ~Application() = default;
+};
+
+class MemberCore : private MemberState, private paxos::Learner {
+ public:
   /// A checkpoint of the member: the multicast protocol state plus the
   /// Paxos position. Plain value copies; McastData payloads are immutable
   /// and shared by pointer.
@@ -124,17 +133,7 @@ class MemberCore : private MemberState {
   };
 
   MemberCore(sim::Env& env, const paxos::Topology& topology, GroupId group,
-             paxos::ReplicaConfig paxos_config = {});
-
-  void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
-
-  /// Installs the admission gate (see GateFn). Null disables gating.
-  void set_admission_gate(GateFn fn) { gate_ = std::move(fn); }
-
-  /// Called (in delivery order) for messages shed at admission. A shed
-  /// delivery replaces the app delivery; with no handler installed the
-  /// message is silently consumed.
-  void set_shed_deliver(DeliverFn fn) { shed_deliver_ = std::move(fn); }
+             Application& app, paxos::ReplicaConfig paxos_config = {});
 
   void start();
 
@@ -149,7 +148,7 @@ class MemberCore : private MemberState {
   /// Rejoins the group after restore_state(): re-arms the repair timer and
   /// the replica's follower liveness (the previous incarnation's timers
   /// never fire). Restored in-flight coordination is re-driven by the
-  /// repair timer and on_gain_leadership.
+  /// repair timer and on_lead.
   void start_recovered();
 
   /// Handles Paxos and multicast messages; returns false for anything else
@@ -177,7 +176,10 @@ class MemberCore : private MemberState {
   [[nodiscard]] std::size_t outbox_depth() const { return outbox_.size(); }
 
  private:
-  void on_log_entry(const sim::MessagePtr& value);
+  /// Advances the multicast state machine by one delivered log entry.
+  void deliver(const sim::MessagePtr& value) override;
+  /// Re-drives every in-flight step a previous leader may have dropped.
+  void on_lead() override;
   void process_start(const McastDataPtr& data, bool shed);
   void process_final(Uid uid, Timestamp ts);
   void on_send(ProcessId from, const McastSend& msg);
@@ -191,17 +193,14 @@ class MemberCore : private MemberState {
   /// order, and restamps it.
   template <typename Due>
   void resubmit_unstarted(Due due);
-  void on_gain_leadership();
   void transmit(OutEntry& entry);
   void arm_repair_timer();
 
   sim::Env& env_;
   const paxos::Topology& topology_;
   GroupId group_;
+  Application& app_;
   paxos::ReplicaCore replica_;
-  DeliverFn deliver_;
-  GateFn gate_;
-  DeliverFn shed_deliver_;
 };
 
 }  // namespace dynastar::multicast

@@ -122,9 +122,9 @@ struct InstallSnapshotReq final : sim::Typed<sim::Kind::kInstallSnapshotReq> {
 };
 
 /// Leader -> lagging replica: an opaque application snapshot covering every
-/// slot below `next_slot`. The payload is produced by the upper layer's
-/// snapshot provider and installed by its snapshot installer; Paxos itself
-/// only transports it.
+/// slot below `next_slot`. The payload is the SnapshotOwner's fresh capture
+/// and is installed by its install_snapshot; Paxos itself only transports
+/// it.
 struct InstallSnapshotResp final : sim::Typed<sim::Kind::kInstallSnapshotResp> {
   InstallSnapshotResp(GroupId g, Slot next, sim::MessagePtr st)
       : group(g), next_slot(next), state(std::move(st)) {}
@@ -138,10 +138,10 @@ struct InstallSnapshotResp final : sim::Typed<sim::Kind::kInstallSnapshotResp> {
 
 // --- Chunked snapshot transfer (receiver-driven pull) -----------------------
 //
-// Replaces the monolithic InstallSnapshotResp when ReplicaConfig::transfer
-// chunking is enabled. A lagging replica still announces its gap with
-// InstallSnapshotReq; a chunk-capable peer answers with a ChunkManifest of
-// its latest *stable* (checkpoint-boundary) snapshot instead of a fresh
+// Replaces the monolithic InstallSnapshotResp whenever the peer holds a
+// stable snapshot newer than the gap. A lagging replica still announces its
+// gap with InstallSnapshotReq; the peer answers with a ChunkManifest of its
+// latest *stable* (checkpoint-boundary) snapshot instead of a fresh
 // monolithic capture. The receiver then pulls fixed-size chunks — windowed,
 // with per-chunk retransmit timers — from whichever group peer its
 // observed-bandwidth EWMA ranks best, and splices the state in only once

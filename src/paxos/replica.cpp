@@ -36,14 +36,21 @@ void DecisionLog::trim_below(Slot slot) {
 }
 
 ReplicaCore::ReplicaCore(sim::Env& env, const Topology& topology, GroupId group,
+                         Learner& learner, SnapshotOwner& owner,
                          ReplicaConfig config)
-    : env_(env), topology_(topology), group_(group), config_(config) {
+    : env_(env),
+      topology_(topology),
+      group_(group),
+      config_(config),
+      learner_(learner),
+      owner_(owner) {
   const auto& replicas = topology_.group(group_).replicas;
   auto it = std::find(replicas.begin(), replicas.end(), env_.self());
   assert(it != replicas.end() && "replica core hosted on non-member node");
   my_index_ = static_cast<std::size_t>(it - replicas.begin());
   assert(topology_.group(group_).acceptors.size() <= 64 &&
          "InFlight::votes holds one bit per acceptor");
+  assert(config_.transfer_chunk_bytes > 0 && "chunk size must be positive");
 }
 
 ProcessId ReplicaCore::leader_hint() const {
@@ -122,6 +129,9 @@ void ReplicaCore::restore(const ReplicaRestart& s) {
   next_seq_ = s.next_seq;
   floor_slot_ = s.next_deliver_slot;
   last_checkpoint_slot_ = s.last_checkpoint_slot;
+  // The restored position's checkpoint history is not ours to serve; the
+  // next boundary captures a new stable snapshot.
+  stable_snapshot_ = nullptr;
   last_leader_contact_ = env_.now();
   catchup_pending_ = false;
   transfer_.reset();  // any in-flight chunk pull predates the restored state
@@ -249,7 +259,7 @@ void ReplicaCore::become_leader() {
     stashed_.pop_front();
   }
   if (!batch_.empty()) flush_batch();
-  if (on_lead_) on_lead_();
+  learner_.on_lead();
 }
 
 void ReplicaCore::step_down(Ballot higher) {
@@ -339,12 +349,12 @@ void ReplicaCore::try_deliver() {
     if (const auto* batch = sim::as<Batch>(value.get())) {
       for (const auto& inner : batch->values) {
         env_.trace(TracePoint::kPaxosDecided, next_seq_, 0, group_.value());
-        if (deliver_) deliver_(next_seq_, inner);
+        learner_.deliver(inner);
         ++next_seq_;
       }
     } else {
       env_.trace(TracePoint::kPaxosDecided, next_seq_, 0, group_.value());
-      if (deliver_) deliver_(next_seq_, value);
+      learner_.deliver(value);
       ++next_seq_;
     }
     ++next_deliver_slot_;
@@ -371,7 +381,7 @@ void ReplicaCore::try_deliver() {
 
 void ReplicaCore::take_checkpoint() {
   last_checkpoint_slot_ = next_deliver_slot_;
-  if (checkpoint_hook_) checkpoint_hook_();
+  stable_snapshot_ = owner_.on_checkpoint_boundary();
 }
 
 void ReplicaCore::arm_heartbeat_timer() {
@@ -417,7 +427,7 @@ void ReplicaCore::maybe_request_catchup(Slot leader_next, Slot leader_floor) {
   env_.start_timer(kCatchupDelay, [this, below_floor] {
     catchup_pending_ = false;
     if (state_ == State::kLeading) return;
-    if (below_floor && snapshot_installer_) {
+    if (below_floor) {
       // An active chunk transfer already owns recovery of this gap; its
       // retransmit timers redirect to other peers if the source dies.
       if (transfer_) return;
@@ -431,7 +441,7 @@ void ReplicaCore::maybe_request_catchup(Slot leader_next, Slot leader_floor) {
 }
 
 void ReplicaCore::on_catchup(ProcessId from, const CatchupReq& msg) {
-  if (msg.from_slot < floor_slot_ && snapshot_provider_) {
+  if (msg.from_slot < floor_slot_) {
     // The requested prefix is gone; a snapshot covers it (chunked when a
     // stable checkpoint snapshot exists, monolithic otherwise).
     offer_snapshot(from, msg.from_slot);
@@ -447,28 +457,23 @@ void ReplicaCore::on_install_req(ProcessId from, const InstallSnapshotReq& msg) 
 }
 
 void ReplicaCore::offer_snapshot(ProcessId to, Slot have_slot) {
-  if (config_.transfer_chunk_bytes > 0 && stable_snapshot_provider_ &&
-      last_checkpoint_slot_ > have_slot) {
-    if (const sim::MessagePtr stable = stable_snapshot_provider_()) {
-      const std::size_t chunk = config_.transfer_chunk_bytes;
-      const std::size_t total_bytes = stable->size_bytes();
-      const auto total = static_cast<std::uint32_t>(
-          std::max<std::size_t>(1, (total_bytes + chunk - 1) / chunk));
-      env_.send_message(to, sim::make_message<ChunkManifest>(
-                                group_, last_checkpoint_slot_, total,
-                                static_cast<std::uint32_t>(chunk)));
-      return;
-    }
+  if (stable_snapshot_ && last_checkpoint_slot_ > have_slot) {
+    env_.send_message(to, sim::make_message<ChunkManifest>(
+                              group_, last_checkpoint_slot_, stable_chunks(),
+                              static_cast<std::uint32_t>(
+                                  config_.transfer_chunk_bytes)));
+    return;
   }
-  // No stable snapshot newer than the receiver's position (or chunking is
-  // off): fall back to a monolithic fresh capture at the tip. This also
-  // closes the gap when catchup_window < checkpoint_interval leaves a
-  // freshly chunk-installed replica still below the leader's log floor.
-  maybe_send_snapshot(to, have_slot);
+  // No stable snapshot newer than the receiver's position: fall back to a
+  // monolithic fresh capture at the tip. This also closes the gap when
+  // catchup_window < checkpoint_interval leaves a freshly chunk-installed
+  // replica still below the leader's log floor.
+  if (next_deliver_slot_ <= have_slot) return;
+  env_.send_message(to, sim::make_message<InstallSnapshotResp>(
+                            group_, next_deliver_slot_, owner_.capture_fresh()));
 }
 
 void ReplicaCore::on_chunk_req(ProcessId from, const StateChunkReq& msg) {
-  if (config_.transfer_chunk_bytes == 0 || !stable_snapshot_provider_) return;
   if (msg.next_slot != last_checkpoint_slot_) {
     // Our stable snapshot moved past the manifest being pulled: offer the
     // newer one so the receiver restarts instead of starving. When we are
@@ -478,25 +483,30 @@ void ReplicaCore::on_chunk_req(ProcessId from, const StateChunkReq& msg) {
       offer_snapshot(from, msg.next_slot);
     return;
   }
-  const sim::MessagePtr stable = stable_snapshot_provider_();
-  if (!stable) return;
-  const std::size_t chunk = config_.transfer_chunk_bytes;
-  const std::size_t total_bytes = stable->size_bytes();
-  const auto total = static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, (total_bytes + chunk - 1) / chunk));
+  // A restored replica has no stable snapshot until its next boundary.
+  if (!stable_snapshot_) return;
+  const std::uint32_t total = stable_chunks();
   if (msg.index >= total) return;
-  const auto payload = static_cast<std::uint32_t>(std::min(
-      chunk, total_bytes - static_cast<std::size_t>(msg.index) * chunk));
+  const std::size_t chunk = config_.transfer_chunk_bytes;
+  const auto payload = static_cast<std::uint32_t>(
+      std::min(chunk, stable_snapshot_->size_bytes() -
+                          static_cast<std::size_t>(msg.index) * chunk));
   env_.send_message(from,
                     sim::make_message<StateChunk>(group_, msg.next_slot,
                                                   msg.index, total, payload,
-                                                  stable));
+                                                  stable_snapshot_));
   env_.metrics().add_counter(metric::kTransferChunksSent);
+}
+
+std::uint32_t ReplicaCore::stable_chunks() const {
+  const std::size_t chunk = config_.transfer_chunk_bytes;
+  return static_cast<std::uint32_t>(std::max<std::size_t>(
+      1, (stable_snapshot_->size_bytes() + chunk - 1) / chunk));
 }
 
 void ReplicaCore::on_chunk_manifest(ProcessId /*from*/,
                                     const ChunkManifest& msg) {
-  if (!snapshot_installer_ || state_ == State::kLeading) return;
+  if (state_ == State::kLeading) return;
   if (msg.next_slot <= next_deliver_slot_) return;  // stale offer
   if (transfer_) {
     // The same manifest from another peer adds nothing (any peer at that
@@ -615,31 +625,25 @@ ProcessId ReplicaCore::best_transfer_peer() const {
 
 void ReplicaCore::complete_transfer() {
   Transfer done = std::move(*transfer_);
-  transfer_.reset();  // before the installer: restore() must see no transfer
+  transfer_.reset();  // before the install: restore() must see no transfer
   env_.trace(TracePoint::kStateTransferEnd, done.next_slot, 0,
              done.retransmits);
-  if (!snapshot_installer_ || state_ == State::kLeading) return;
+  if (state_ == State::kLeading) return;
   if (done.next_slot <= next_deliver_slot_) return;  // outran the manifest
-  if (!done.state || !snapshot_installer_(done.state)) return;
+  if (!done.state || !owner_.install_snapshot(done.state)) return;
   take_checkpoint();
   try_deliver();
 }
 
 void ReplicaCore::abandon_transfer() { transfer_.reset(); }
 
-void ReplicaCore::maybe_send_snapshot(ProcessId to, Slot have_slot) {
-  if (!snapshot_provider_ || next_deliver_slot_ <= have_slot) return;
-  env_.send_message(to, sim::make_message<InstallSnapshotResp>(
-                            group_, next_deliver_slot_, snapshot_provider_()));
-}
-
 void ReplicaCore::on_install_resp(const InstallSnapshotResp& msg) {
   // Stale or self-defeating installs are ignored: a leader never rolls its
   // own state back, and a snapshot at or below our position adds nothing.
-  if (!snapshot_installer_ || state_ == State::kLeading) return;
+  if (state_ == State::kLeading) return;
   if (msg.next_slot <= next_deliver_slot_) return;
-  if (!snapshot_installer_(msg.state)) return;
-  // The installer restored every layer, including our position (restore()),
+  if (!owner_.install_snapshot(msg.state)) return;
+  // The install restored every layer, including our position (restore()),
   // so next_deliver_slot_ == msg.next_slot here. Persist the installed state
   // as the new durable checkpoint, then resume normal delivery.
   take_checkpoint();

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -55,10 +54,8 @@ struct ReplicaConfig {
   /// retained entries once checkpoints start landing.
   Slot checkpoint_interval = 4096;
 
-  // --- chunked snapshot transfer (see messages.h §Chunked snapshot
-  // transfer). Defaults enable chunking with a 64KiB chunk; 0 restores the
-  // monolithic InstallSnapshotResp path bit-for-bit. ---
-  /// Chunk payload size in bytes (0 disables chunked transfer).
+  /// Chunk payload size in bytes of a chunked snapshot transfer (see
+  /// messages.h §Chunked snapshot transfer); must be positive.
   std::size_t transfer_chunk_bytes = 64 * 1024;
 };
 
@@ -110,59 +107,55 @@ class DecisionLog {
   std::size_t decided_ = 0;
 };
 
-class ReplicaCore {
+/// The upper layer a ReplicaCore delivers to, in delivery order.
+class Learner {
  public:
-  /// Called once per delivered value, in delivery order; `seq` increases by
-  /// one per value with no gaps.
-  using DeliverFn = std::function<void(std::uint64_t seq, const sim::MessagePtr&)>;
-
-  ReplicaCore(sim::Env& env, const Topology& topology, GroupId group,
-              ReplicaConfig config = {});
-
-  void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
-
-  /// Invoked every time this replica completes phase 1 and starts leading.
+  /// Called once per delivered value, in delivery order.
+  virtual void deliver(const sim::MessagePtr& value) = 0;
+  /// Called every time this replica completes phase 1 and starts leading.
   /// Upper layers use it to re-emit coordination messages a failed leader
   /// may have dropped.
-  void set_on_lead(std::function<void()> fn) { on_lead_ = std::move(fn); }
+  virtual void on_lead() = 0;
 
-  /// Invoked right after the replica crosses a checkpoint boundary
-  /// (`last_checkpoint_slot()` is already advanced); the upper layer
-  /// captures its durable checkpoint synchronously. The hook must not
-  /// consume CPU, RNG draws, or timers.
-  void set_checkpoint_hook(std::function<void()> fn) {
-    checkpoint_hook_ = std::move(fn);
-  }
+ protected:
+  ~Learner() = default;
+};
 
-  /// Produces an opaque snapshot of the upper layer's current state, shipped
-  /// to peers whose catch-up gap starts below our log floor.
-  void set_snapshot_provider(std::function<sim::MessagePtr()> fn) {
-    snapshot_provider_ = std::move(fn);
-  }
-
+/// The layer whose state a ReplicaCore checkpoints and ships to lagging
+/// peers as opaque snapshot messages.
+class SnapshotOwner {
+ public:
+  /// Called right after the replica crosses a checkpoint boundary
+  /// (`last_checkpoint_slot()` is already advanced): captures the durable
+  /// checkpoint synchronously and returns it as the stable snapshot that
+  /// chunked transfers serve until the next boundary. Must not consume CPU,
+  /// RNG draws or timers.
+  virtual sim::MessagePtr on_checkpoint_boundary() = 0;
+  /// A snapshot of the current state, shipped whole to a peer whose gap no
+  /// stable snapshot covers.
+  virtual sim::MessagePtr capture_fresh() = 0;
   /// Installs a peer snapshot; must restore every layer including this
   /// replica's position (via restore()). Returns false to reject a payload
   /// it does not recognise.
-  void set_snapshot_installer(std::function<bool(const sim::MessagePtr&)> fn) {
-    snapshot_installer_ = std::move(fn);
-  }
+  virtual bool install_snapshot(const sim::MessagePtr& snapshot) = 0;
 
-  /// Produces the snapshot captured at the *last checkpoint boundary*
-  /// (null if none exists yet), without copying state. Chunked transfers
-  /// serve this instead of a fresh capture: checkpoint boundaries are
-  /// deterministic slots, so every peer checkpointed at the same slot serves
-  /// an interchangeable manifest and a receiver can resume a transfer from a
-  /// different peer mid-flight.
-  void set_stable_snapshot_provider(std::function<sim::MessagePtr()> fn) {
-    stable_snapshot_provider_ = std::move(fn);
-  }
+ protected:
+  ~SnapshotOwner() = default;
+};
+
+class ReplicaCore {
+ public:
+  ReplicaCore(sim::Env& env, const Topology& topology, GroupId group,
+              Learner& learner, SnapshotOwner& owner,
+              ReplicaConfig config = {});
 
   /// Starts timers; leader bootstrap for replica index 0.
   void start();
 
   /// Resets all volatile state to a checkpointed position. The applied log,
-  /// proposer bookkeeping, and stashed values are dropped; the suffix above
-  /// `s.next_deliver_slot` is re-learned via catch-up or snapshot install.
+  /// proposer bookkeeping, stashed values and the stable snapshot are
+  /// dropped; the suffix above `s.next_deliver_slot` is re-learned via
+  /// catch-up or snapshot install.
   void restore(const ReplicaRestart& s);
 
   /// Captures the Paxos-level position for a checkpoint.
@@ -211,7 +204,6 @@ class ReplicaCore {
   void on_catchup(ProcessId from, const CatchupReq& msg);
   void on_install_req(ProcessId from, const InstallSnapshotReq& msg);
   void on_install_resp(const InstallSnapshotResp& msg);
-  void maybe_send_snapshot(ProcessId to, Slot have_slot);
   void take_checkpoint();
 
   // Chunked transfer: sender side.
@@ -219,6 +211,9 @@ class ReplicaCore {
   /// newer than `have_slot` exists, else falls back to the monolithic path.
   void offer_snapshot(ProcessId to, Slot have_slot);
   void on_chunk_req(ProcessId from, const StateChunkReq& msg);
+  /// Number of chunks the stable snapshot, which must exist, splits into
+  /// (at least one).
+  [[nodiscard]] std::uint32_t stable_chunks() const;
   // Chunked transfer: receiver side.
   void on_chunk_manifest(ProcessId from, const ChunkManifest& msg);
   void on_chunk(ProcessId from, const StateChunk& msg);
@@ -246,12 +241,8 @@ class ReplicaCore {
   const Topology& topology_;
   GroupId group_;
   ReplicaConfig config_;
-  DeliverFn deliver_;
-  std::function<void()> on_lead_;
-  std::function<void()> checkpoint_hook_;
-  std::function<sim::MessagePtr()> snapshot_provider_;
-  std::function<sim::MessagePtr()> stable_snapshot_provider_;
-  std::function<bool(const sim::MessagePtr&)> snapshot_installer_;
+  Learner& learner_;
+  SnapshotOwner& owner_;
   std::size_t my_index_ = 0;
 
   State state_ = State::kFollower;
@@ -280,6 +271,12 @@ class ReplicaCore {
   std::uint64_t next_seq_ = 0;
   Slot floor_slot_ = 0;
   Slot last_checkpoint_slot_ = 0;
+  /// The snapshot captured at the last checkpoint boundary (null before the
+  /// first one and after restore()). Chunked transfers serve it instead of a
+  /// fresh capture: boundaries are deterministic slots, so every peer
+  /// checkpointed at the same slot serves an interchangeable manifest and a
+  /// receiver can resume a transfer from a different peer mid-flight.
+  sim::MessagePtr stable_snapshot_;
 
   // Liveness.
   SimTime last_leader_contact_ = 0;

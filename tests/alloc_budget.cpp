@@ -1,12 +1,18 @@
 // Allocation budget: heap allocations per completed command on two
 // fixed-seed runs (Chirper on 4 partitions, KV on 1 partition), checked
-// against a budget. The counting global operator new below is defined in
-// this executable only, so no other binary's allocator is replaced.
+// against a budget. The counting global operator new and delete below are
+// defined in this executable only, so no other binary's allocator is
+// replaced.
 //
 // Allocation counts are deterministic for a given compiler and standard
 // library: the same seed runs the same code. A budget sits a little above
 // the count measured when it was set; a change that needs more allocations
 // per command raises it deliberately.
+//
+// Teardown check: each run is built, run and destroyed twice, and the
+// second episode must free every allocation it made. (The first may leave
+// one-time statics behind.) Growth of a process's RSS across episodes is
+// then the allocator keeping freed memory, not a leak.
 //
 //   ./build/tests/alloc_budget        # prints measured vs budget per run
 #include <atomic>
@@ -29,11 +35,20 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
+/// Allocations made and not yet freed, counted always.
+std::atomic<std::int64_t> g_live{0};
 
 void* counted_malloc(std::size_t size) noexcept {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr) g_live.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_live.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
 }
 
 void* counted_new(std::size_t size) {
@@ -52,13 +67,15 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return counted_malloc(size);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace {
@@ -166,9 +183,14 @@ int main() {
   int failures = 0;
   for (const Run& run : runs) {
     const double measured = run.measure();
-    const bool ok = measured <= run.budget;
-    std::printf("%-11s %8.2f allocs/cmd  budget %8.2f  %s\n", run.name,
-                measured, run.budget, ok ? "ok" : "OVER BUDGET");
+    const std::int64_t live_before = g_live.load();
+    run.measure();
+    const std::int64_t leaked = g_live.load() - live_before;
+    const bool ok = measured <= run.budget && leaked == 0;
+    std::printf("%-11s %8.2f allocs/cmd  budget %8.2f  leaked %lld  %s\n",
+                run.name, measured, run.budget,
+                static_cast<long long>(leaked),
+                ok ? "ok" : "FAIL");
     if (!ok) ++failures;
   }
   return failures == 0 ? 0 : 1;

@@ -12,34 +12,27 @@
 #include "paxos/nodes.h"
 #include "sim/process.h"
 #include "tests/order_checker.h"
+#include "tests/test_util.h"
 
 namespace dynastar::multicast {
 namespace {
 
-struct Tagged final : sim::Message {
-  explicit Tagged(std::uint64_t t) : tag(t) {}
-  std::uint64_t tag;
-};
+using testutil::Payload;
 
-class MemberNode final : public sim::Process {
+/// Node hosting a bare MemberCore; `delivered_uids` and `delivered` record
+/// its a-delivery order.
+class MemberNode final : public sim::Process, public testutil::FakeHost {
  public:
   MemberNode(ProcessId id, sim::World& world, const paxos::Topology& topology,
              GroupId group)
       : sim::Process(id, world) {
-    core_ = std::make_unique<MemberCore>(*this, topology, group);
-    core_->set_deliver([this](const McastData& data) {
-      delivered.push_back(data.uid);
-      if (auto* tagged = dynamic_cast<const Tagged*>(data.payload.get()))
-        delivered_tags.push_back(tagged->tag);
-    });
+    core_ = std::make_unique<MemberCore>(*this, topology, group, *this);
   }
   void on_start() override { core_->start(); }
   void on_message(ProcessId from, const sim::MessagePtr& msg) override {
     core_->handle(from, msg);
   }
   MemberCore& core() { return *core_; }
-  std::vector<Uid> delivered;
-  std::vector<std::uint64_t> delivered_tags;
 
  private:
   std::unique_ptr<MemberCore> core_;
@@ -67,7 +60,7 @@ class SenderNode final : public sim::Process {
   void send_next() {
     if (index_ >= script_.size()) return;
     const Item& item = script_[index_++];
-    client_.amcast(item.groups, sim::make_message<Tagged>(item.tag));
+    client_.amcast(item.groups, sim::make_message<Payload>(item.tag));
     start_timer(spacing_, [this] { send_next(); });
   }
 
@@ -128,8 +121,8 @@ TEST(Multicast, SingleGroupDeliversOnceInAgreement) {
   mw.world.spawn<SenderNode>(mw.topology, script, microseconds(50));
   mw.world.run_until(seconds(3));
 
-  auto& r0 = mw.members[0][0]->delivered;
-  auto& r1 = mw.members[0][1]->delivered;
+  auto& r0 = mw.members[0][0]->delivered_uids;
+  auto& r1 = mw.members[0][1]->delivered_uids;
   EXPECT_EQ(r0.size(), 30u);
   EXPECT_EQ(r0, r1);
   // Integrity: no duplicates.
@@ -145,7 +138,7 @@ TEST(Multicast, FifoPerSenderSameDestination) {
   // Zero spacing: many concurrent multicasts from one sender.
   mw.world.spawn<SenderNode>(mw.topology, script, 0);
   mw.world.run_until(seconds(3));
-  const auto& tags = mw.members[0][0]->delivered_tags;
+  const auto& tags = mw.members[0][0]->delivered;
   ASSERT_EQ(tags.size(), 40u);
   for (std::uint64_t i = 0; i < 40; ++i) EXPECT_EQ(tags[i], i);
 }
@@ -159,13 +152,13 @@ TEST(Multicast, MultiGroupDeliveredAtAllDestinations) {
   mw.world.run_until(seconds(5));
   for (auto& group : mw.members) {
     for (auto* member : group) {
-      EXPECT_EQ(member->delivered.size(), 20u);
+      EXPECT_EQ(member->delivered_uids.size(), 20u);
     }
   }
-  expect_consistent_order(mw.members[0][0]->delivered,
-                          mw.members[1][0]->delivered);
-  expect_consistent_order(mw.members[1][0]->delivered,
-                          mw.members[2][0]->delivered);
+  expect_consistent_order(mw.members[0][0]->delivered_uids,
+                          mw.members[1][0]->delivered_uids);
+  expect_consistent_order(mw.members[1][0]->delivered_uids,
+                          mw.members[2][0]->delivered_uids);
 }
 
 TEST(Multicast, GroupSenderEmitsExactlyOnce) {
@@ -175,11 +168,11 @@ TEST(Multicast, GroupSenderEmitsExactlyOnce) {
   mw.world.run_until(milliseconds(200));
   for (auto* member : mw.members[0]) {
     member->core().amcast_as_group(0xabcd, {GroupId{1}},
-                                   sim::make_message<Tagged>(1));
+                                   sim::make_message<Payload>(1));
   }
   mw.world.run_until(seconds(2));
-  EXPECT_EQ(mw.members[1][0]->delivered.size(), 1u);
-  EXPECT_EQ(mw.members[1][1]->delivered.size(), 1u);
+  EXPECT_EQ(mw.members[1][0]->delivered_uids.size(), 1u);
+  EXPECT_EQ(mw.members[1][1]->delivered_uids.size(), 1u);
 }
 
 // Property sweep: mixed single/multi-group traffic from several senders
@@ -214,22 +207,22 @@ TEST_P(McastSeedSweep, MixedTrafficConsistency) {
 
   // Agreement within every group.
   for (auto& group : mw.members)
-    EXPECT_EQ(group[0]->delivered, group[1]->delivered);
+    EXPECT_EQ(group[0]->delivered_uids, group[1]->delivered_uids);
   // Pairwise-consistent order across groups.
-  expect_consistent_order(mw.members[0][0]->delivered,
-                          mw.members[1][0]->delivered);
-  expect_consistent_order(mw.members[0][0]->delivered,
-                          mw.members[2][0]->delivered);
-  expect_consistent_order(mw.members[1][0]->delivered,
-                          mw.members[2][0]->delivered);
+  expect_consistent_order(mw.members[0][0]->delivered_uids,
+                          mw.members[1][0]->delivered_uids);
+  expect_consistent_order(mw.members[0][0]->delivered_uids,
+                          mw.members[2][0]->delivered_uids);
+  expect_consistent_order(mw.members[1][0]->delivered_uids,
+                          mw.members[2][0]->delivered_uids);
   // Global atomic order: the union over all observers must be acyclic
   // (stronger than pairwise — catches three-group cycles).
   std::vector<std::vector<Uid>> observations;
   for (auto& group : mw.members)
-    for (auto* member : group) observations.push_back(member->delivered);
+    for (auto* member : group) observations.push_back(member->delivered_uids);
   EXPECT_TRUE(dynastar::testing::global_order_acyclic(observations));
   // Liveness: everything sent to group 0 arrived (no multicast lost).
-  EXPECT_GT(mw.members[0][0]->delivered.size(), 10u);
+  EXPECT_GT(mw.members[0][0]->delivered_uids.size(), 10u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, McastSeedSweep,
@@ -248,10 +241,10 @@ TEST(Multicast, LeaderCrashDoesNotLoseMessages) {
   mw.world.run_until(seconds(10));
   // The surviving replica of group 0 and both replicas of group 1 agree and
   // eventually deliver everything.
-  EXPECT_EQ(mw.members[0][1]->delivered.size(), 30u);
-  EXPECT_EQ(mw.members[1][0]->delivered.size(), 30u);
-  expect_consistent_order(mw.members[0][1]->delivered,
-                          mw.members[1][0]->delivered);
+  EXPECT_EQ(mw.members[0][1]->delivered_uids.size(), 30u);
+  EXPECT_EQ(mw.members[1][0]->delivered_uids.size(), 30u);
+  expect_consistent_order(mw.members[0][1]->delivered_uids,
+                          mw.members[1][0]->delivered_uids);
 }
 
 TEST(Multicast, RestoreCarriesUnstartedSendsTheInstalledStateLacks) {
@@ -271,7 +264,7 @@ TEST(Multicast, RestoreCarriesUnstartedSendsTheInstalledStateLacks) {
     return sim::make_message<McastSend>(sim::make_message<McastData>(
         (sender << 32) | 1, sender, origin, std::vector<GroupId>{GroupId{0}},
         std::vector<std::pair<GroupId, std::uint64_t>>{{GroupId{0}, 1}},
-        sim::make_message<Tagged>(tag)));
+        sim::make_message<Payload>(tag)));
   };
   const Uid uid_a = (Uid{7} << 32) | 1;
   const Uid uid_b = (Uid{8} << 32) | 1;
@@ -295,8 +288,8 @@ TEST(Multicast, RestoreCarriesUnstartedSendsTheInstalledStateLacks) {
   std::size_t follower_before = 0;
   MemberCore::State installed;
   mw.world.sim().schedule_at(milliseconds(400), [&] {
-    leader_before = leader.delivered_tags;
-    follower_before = follower.delivered.size();
+    leader_before = leader.delivered;
+    follower_before = follower.delivered_uids.size();
     installed = leader.core().capture_state();
     follower.core().restore_state(installed);
     mw.world.network().unblock_all();
@@ -308,8 +301,8 @@ TEST(Multicast, RestoreCarriesUnstartedSendsTheInstalledStateLacks) {
   ASSERT_EQ(follower_before, 0u);
   ASSERT_TRUE(installed.member.seen_.contains(uid_b));
   ASSERT_FALSE(installed.member.seen_.contains(uid_a));
-  EXPECT_EQ(leader.delivered_tags, (std::vector<std::uint64_t>{2, 1}));
-  EXPECT_EQ(follower.delivered_tags, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(leader.delivered, (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(follower.delivered, (std::vector<std::uint64_t>{1}));
   EXPECT_EQ(follower.core().delivered_count(), 2u);
 }
 

@@ -12,28 +12,21 @@
 namespace dynastar {
 namespace {
 
-struct Payload final : sim::Message {
-  explicit Payload(std::uint64_t v) : value(v) {}
-  std::uint64_t value;
-};
+using testutil::Payload;
 
-class ReplicaNode final : public sim::Process {
+class ReplicaNode final : public sim::Process, public testutil::FakeHost {
  public:
   ReplicaNode(ProcessId id, sim::World& world, const paxos::Topology& topology,
               GroupId group)
       : sim::Process(id, world) {
-    core_ = std::make_unique<paxos::ReplicaCore>(*this, topology, group);
-    core_->set_deliver([this](std::uint64_t, const sim::MessagePtr& value) {
-      if (auto* payload = dynamic_cast<const Payload*>(value.get()))
-        delivered.push_back(payload->value);
-    });
+    core_ = std::make_unique<paxos::ReplicaCore>(*this, topology, group, *this,
+                                                 *this);
   }
   void on_start() override { core_->start(); }
   void on_message(ProcessId from, const sim::MessagePtr& msg) override {
     core_->handle(from, msg);
   }
   paxos::ReplicaCore& core() { return *core_; }
-  std::vector<std::uint64_t> delivered;
 
  private:
   std::unique_ptr<paxos::ReplicaCore> core_;

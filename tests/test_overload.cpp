@@ -326,7 +326,6 @@ TEST(Overload, TimeoutBackoffWithUnitMultiplierIsFlat) {
 
 TEST(Overload, BusyBackoffNeverShortensBelowComputedFloor) {
   core::SystemConfig config;
-  config.busy_retry_after_base = milliseconds(2);
   config.client_timeout_multiplier = 2.0;
   config.client_timeout_cap = seconds(1);
   // No hint: the exponential floor applies.

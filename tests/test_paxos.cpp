@@ -8,34 +8,27 @@
 #include "paxos/nodes.h"
 #include "paxos/replica.h"
 #include "sim/process.h"
+#include "tests/test_util.h"
 
 namespace dynastar::paxos {
 namespace {
 
-struct Payload final : sim::Message {
-  explicit Payload(std::uint64_t v) : value(v) {}
-  std::uint64_t value;
-};
+using testutil::Payload;
 
-/// Node hosting a bare ReplicaCore that records its delivery sequence.
-class ReplicaNode final : public sim::Process {
+/// Node hosting a bare ReplicaCore; `delivered` records its delivery
+/// sequence.
+class ReplicaNode final : public sim::Process, public testutil::FakeHost {
  public:
   ReplicaNode(ProcessId id, sim::World& world, const Topology& topology,
               GroupId group)
       : sim::Process(id, world) {
-    ReplicaConfig config;
-    core_ = std::make_unique<ReplicaCore>(*this, topology, group, config);
-    core_->set_deliver([this](std::uint64_t, const sim::MessagePtr& value) {
-      if (auto* payload = dynamic_cast<const Payload*>(value.get()))
-        delivered.push_back(payload->value);
-    });
+    core_ = std::make_unique<ReplicaCore>(*this, topology, group, *this, *this);
   }
   void on_start() override { core_->start(); }
   void on_message(ProcessId from, const sim::MessagePtr& msg) override {
     core_->handle(from, msg);
   }
   ReplicaCore& core() { return *core_; }
-  std::vector<std::uint64_t> delivered;
 
  private:
   std::unique_ptr<ReplicaCore> core_;

@@ -1,5 +1,6 @@
 // ReplicaCore unit tests against a mock Env: leader bootstrap, phase-1
-// value adoption, batching, decision dissemination, and step-down.
+// value adoption, batching, decision dissemination, step-down, and which
+// snapshot a restored replica serves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +14,9 @@
 namespace dynastar::paxos {
 namespace {
 
+using testutil::FakeHost;
 using testutil::MockEnv;
-
-struct Payload final : sim::Message {
-  explicit Payload(std::uint64_t v) : value(v) {}
-  std::uint64_t value;
-};
+using testutil::Payload;
 
 Topology two_replica_topology() {
   Topology topology;
@@ -35,12 +33,7 @@ class ReplicaUnit : public ::testing::Test {
   ReplicaUnit()
       : topology_(two_replica_topology()),
         env_(ProcessId{0}),
-        core_(env_, topology_, GroupId{0}) {
-    core_.set_deliver([this](std::uint64_t, const sim::MessagePtr& value) {
-      if (auto* payload = dynamic_cast<const Payload*>(value.get()))
-        delivered_.push_back(payload->value);
-    });
-  }
+        core_(env_, topology_, GroupId{0}, host_, host_) {}
 
   /// Answers the outstanding Prepare with promises from a quorum.
   void grant_promises(Ballot ballot,
@@ -60,8 +53,8 @@ class ReplicaUnit : public ::testing::Test {
 
   Topology topology_;
   MockEnv env_;
+  FakeHost host_;
   ReplicaCore core_;
-  std::vector<std::uint64_t> delivered_;
 };
 
 TEST_F(ReplicaUnit, BootstrapsPhaseOneAtBallotZero) {
@@ -96,7 +89,7 @@ TEST_F(ReplicaUnit, DeliversAfterQuorumAndDisseminates) {
   core_.submit(sim::make_message<Payload>(7));
   env_.advance_to(microseconds(200));
   grant_accepts(0, 0);
-  EXPECT_EQ(delivered_, (std::vector<std::uint64_t>{7}));
+  EXPECT_EQ(host_.delivered, (std::vector<std::uint64_t>{7}));
   auto decisions = env_.all_of<Decision>();
   ASSERT_EQ(decisions.size(), 1u);  // to the one other replica
 }
@@ -115,7 +108,7 @@ TEST_F(ReplicaUnit, AdoptsRecoveredValuesInPhaseOne) {
   ASSERT_NE(payload, nullptr);
   EXPECT_EQ(payload->value, 42u);
   grant_accepts(0, 0);
-  EXPECT_EQ(delivered_, (std::vector<std::uint64_t>{42}));
+  EXPECT_EQ(host_.delivered, (std::vector<std::uint64_t>{42}));
 }
 
 TEST_F(ReplicaUnit, StepsDownOnHigherBallotNack) {
@@ -131,7 +124,7 @@ TEST_F(ReplicaUnit, StepsDownOnHigherBallotNack) {
 
 TEST_F(ReplicaUnit, NonLeaderForwardsSubmissions) {
   MockEnv env(ProcessId{1});
-  ReplicaCore follower(env, topology_, GroupId{0});
+  ReplicaCore follower(env, topology_, GroupId{0}, host_, host_);
   follower.start();  // index 1: follower, arms election timer only
   follower.submit(sim::make_message<Payload>(9));
   // Forwarded to the presumed leader (ballot 0's owner, replica 0).
@@ -146,7 +139,7 @@ TEST_F(ReplicaUnit, DuplicateDecisionsApplyOnce) {
   auto value = sim::make_message<Payload>(3);
   core_.handle(ProcessId{1}, sim::make_message<Decision>(GroupId{0}, 0, value));
   core_.handle(ProcessId{1}, sim::make_message<Decision>(GroupId{0}, 0, value));
-  EXPECT_EQ(delivered_, (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(host_.delivered, (std::vector<std::uint64_t>{3}));
 }
 
 TEST_F(ReplicaUnit, GapsHoldDeliveryUntilFilled) {
@@ -154,10 +147,59 @@ TEST_F(ReplicaUnit, GapsHoldDeliveryUntilFilled) {
   grant_promises(0);
   core_.handle(ProcessId{1}, sim::make_message<Decision>(
                                  GroupId{0}, 1, sim::make_message<Payload>(2)));
-  EXPECT_TRUE(delivered_.empty());  // slot 0 missing
+  EXPECT_TRUE(host_.delivered.empty());  // slot 0 missing
   core_.handle(ProcessId{1}, sim::make_message<Decision>(
                                  GroupId{0}, 0, sim::make_message<Payload>(1)));
-  EXPECT_EQ(delivered_, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(host_.delivered, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST_F(ReplicaUnit, RestoreClearsTheStableSnapshot) {
+  ReplicaConfig config;
+  config.checkpoint_interval = 2;  // slots 2 and 4 are boundaries
+  ReplicaCore core(env_, topology_, GroupId{0}, host_, host_, config);
+  const auto decide = [&](Slot slot) {
+    core.handle(ProcessId{1},
+                sim::make_message<Decision>(GroupId{0}, slot,
+                                            sim::make_message<Payload>(slot)));
+  };
+  const auto request_chunk = [&] {
+    core.handle(ProcessId{1}, sim::make_message<StateChunkReq>(GroupId{0}, 2, 0));
+  };
+  const auto request_snapshot = [&] {
+    core.handle(ProcessId{1},
+                sim::make_message<InstallSnapshotReq>(GroupId{0}, 0));
+  };
+  decide(0);
+  decide(1);
+  ASSERT_EQ(core.last_checkpoint_slot(), 2u);
+  ASSERT_EQ(host_.captures, 1u);  // the boundary capture
+  request_chunk();
+  ASSERT_EQ(env_.all_of<StateChunk>().size(), 1u);  // served while stable
+
+  // After a restore, a chunk request for the restored slot goes unanswered.
+  core.restore(core.checkpoint_state());
+  request_chunk();
+  EXPECT_EQ(env_.all_of<StateChunk>().size(), 1u);
+
+  // A snapshot request gets the monolithic fresh capture instead.
+  request_snapshot();
+  const auto* resp = env_.last_as<InstallSnapshotResp>();
+  ASSERT_NE(resp, nullptr);
+  EXPECT_EQ(resp->next_slot, 2u);
+  const auto* fresh = dynamic_cast<const Payload*>(resp->state.get());
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->value, 2u);  // the second capture
+  EXPECT_TRUE(env_.all_of<ChunkManifest>().empty());
+
+  // The next boundary captures a stable snapshot, which is offered chunked.
+  decide(2);
+  decide(3);
+  ASSERT_EQ(host_.captures, 3u);
+  request_snapshot();
+  const auto* manifest = env_.last_as<ChunkManifest>();
+  ASSERT_NE(manifest, nullptr);
+  EXPECT_EQ(manifest->next_slot, 4u);
+  EXPECT_EQ(env_.all_of<InstallSnapshotResp>().size(), 1u);
 }
 
 TEST(DecisionLog, MatchesMapModel) {

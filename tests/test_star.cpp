@@ -327,7 +327,6 @@ void expect_only_protocol_knobs_differ(const core::SystemConfig& c,
   EXPECT_EQ(c.client_max_attempts, common.client_max_attempts);
   EXPECT_EQ(c.server_queue_cap, common.server_queue_cap);
   EXPECT_EQ(c.oracle_inflight_cap, common.oracle_inflight_cap);
-  EXPECT_EQ(c.busy_retry_after_base, common.busy_retry_after_base);
   EXPECT_EQ(c.client_retry_budget, common.client_retry_budget);
   EXPECT_EQ(c.client_retry_token_interval, common.client_retry_token_interval);
   EXPECT_EQ(c.partitioner.imbalance, common.partitioner.imbalance);

@@ -1,7 +1,8 @@
 // Shared test helpers: a mock Env for unit-testing protocol cores without
-// a simulator, plus, for the system-level tests, a canonical small-system
-// config, KV preloading, tail-throughput measurement, and a
-// history-recording driver for linearizability checks.
+// a simulator and a fake upcall host for bare Paxos and multicast cores,
+// plus, for the system-level tests, a canonical small-system config, KV
+// preloading, tail-throughput measurement, and a history-recording driver
+// for linearizability checks.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +18,8 @@
 #include "common/rng.h"
 #include "common/trace.h"
 #include "core/system.h"
+#include "multicast/member.h"
+#include "paxos/replica.h"
 #include "sim/env.h"
 #include "workloads/kv.h"
 
@@ -84,6 +87,47 @@ class MockEnv final : private MockSinks, public sim::Env {
  private:
   ProcessId self_;
   Rng rng_{1};
+};
+
+/// A test message carrying one number.
+struct Payload final : sim::Message {
+  explicit Payload(std::uint64_t v) : value(v) {}
+  std::uint64_t value;
+};
+
+/// The upcall host of a bare paxos::ReplicaCore (its learner and snapshot
+/// owner) or multicast::MemberCore (its application): records what is
+/// delivered, admits every message, serves each capture as a Payload that
+/// numbers it, and rejects every install.
+class FakeHost : public paxos::Learner, public multicast::Application {
+ public:
+  void deliver(const sim::MessagePtr& value) override { record(value); }
+  void on_lead() override {}
+  void on_adeliver(const multicast::McastData& data) override {
+    delivered_uids.push_back(data.uid);
+    record(data.payload);
+  }
+  bool admit(const multicast::McastData& /*data*/) override { return true; }
+  void on_shed_deliver(const multicast::McastData& /*data*/) override {}
+  sim::MessagePtr on_checkpoint_boundary() override { return capture(); }
+  sim::MessagePtr capture_fresh() override { return capture(); }
+  bool install_snapshot(const sim::MessagePtr& /*snapshot*/) override {
+    return false;
+  }
+
+  /// The number of every delivered Payload, in delivery order.
+  std::vector<std::uint64_t> delivered;
+  /// The uid of every a-delivered message, in delivery order.
+  std::vector<std::uint64_t> delivered_uids;
+  /// Captures so far; the n-th capture is Payload(n).
+  std::uint64_t captures = 0;
+
+ private:
+  void record(const sim::MessagePtr& value) {
+    if (const auto* payload = dynamic_cast<const Payload*>(value.get()))
+      delivered.push_back(payload->value);
+  }
+  sim::MessagePtr capture() { return sim::make_message<Payload>(++captures); }
 };
 
 /// Small fixed-partition config with repartitioning disabled — the baseline
