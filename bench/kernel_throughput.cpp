@@ -5,8 +5,9 @@
 // scripts/check_report.py --baseline).
 //
 // Three sections:
-//  1. Event storm through the current kernel (SBO EventFn + two-tier calendar
-//     queue) and through LegacyKernel — a faithful copy of the pre-PR kernel
+//  1. Event storm through the current kernel (SBO EventFn in a slab, ordered
+//     by a wheel / coarse ring / far heap of {key, slot} records) and
+//     through LegacyKernel — a faithful copy of the original kernel
 //     (std::function actions, one binary heap) — with the identical seeded
 //     workload, so the speedup is apples-to-apples in one binary.
 //  2. Message-plane storm: make_message allocation/release through the
@@ -18,8 +19,8 @@
 // with a latency spread shaped like the real system: mostly link/service
 // delays within ~500 us, a slice of batch/heartbeat-scale timers, a far
 // tail. A single binary heap degrades with the pending count (cold cache
-// lines on every sift); the calendar wheel keeps its working set in the
-// few buckets around the cursor.
+// lines on every sift); the wheel keeps its working set in the few buckets
+// around the cursor.
 //
 // Usage: kernel_throughput [output.json]   (default BENCH_kernel.json)
 #include <algorithm>

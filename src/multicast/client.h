@@ -6,12 +6,17 @@
 // (McastAck); the owner decides when to retransmit unacked sends — the
 // DynaStar client does so from its command-timeout path, which bounds
 // retransmission traffic by the client's own backoff schedule.
+//
+// The outbox is a vector in uid order (uids only grow, so a send appends)
+// and each entry's unacked groups are a bitmask over its sorted group list,
+// so a send allocates no container node.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "multicast/messages.h"
@@ -23,8 +28,10 @@ namespace dynastar::multicast {
 class McastClient {
  public:
   struct OutEntry {
+    Uid uid = 0;
     McastDataPtr data;
-    std::set<GroupId> unacked;
+    /// Bit i set: data->groups[i] has not acked yet.
+    std::uint64_t unacked = 0;
   };
 
   /// Sender state captured into a checkpoint (the env/topology refs stay
@@ -32,7 +39,7 @@ class McastClient {
   struct State {
     std::uint64_t next_uid = 0;
     std::map<GroupId, std::uint64_t> seq_per_group;
-    std::map<Uid, OutEntry> outbox;
+    std::vector<OutEntry> outbox;  // ascending uid
   };
 
   McastClient(sim::Env& env, const paxos::Topology& topology)
@@ -54,6 +61,7 @@ class McastClient {
   Uid amcast(std::vector<GroupId> groups, sim::MessagePtr payload) {
     std::sort(groups.begin(), groups.end());
     groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+    assert(groups.size() <= 64);  // one unacked bit per group
     const Uid uid = (env_.self().value() << 32) | ++next_uid_;
     std::vector<std::pair<GroupId, std::uint64_t>> seqs;
     seqs.reserve(groups.size());
@@ -61,10 +69,11 @@ class McastClient {
     auto data = sim::make_message<McastData>(
         uid, env_.self().value(), env_.self(), std::move(groups),
         std::move(seqs), std::move(payload));
-    auto& entry = outbox_[uid];
-    entry.data = data;
-    entry.unacked.insert(data->groups.begin(), data->groups.end());
-    transmit(entry);
+    const std::size_t n = data->groups.size();
+    const std::uint64_t all =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    outbox_.push_back(OutEntry{uid, std::move(data), all});
+    transmit(outbox_.back());
     return uid;
   }
 
@@ -73,18 +82,22 @@ class McastClient {
   bool handle(const sim::MessagePtr& msg) {
     const auto* ack = sim::as<McastAck>(msg.get());
     if (ack == nullptr) return false;
-    auto it = outbox_.find(ack->uid);
-    if (it != outbox_.end()) {
-      it->second.unacked.erase(ack->group);
-      if (it->second.unacked.empty()) outbox_.erase(it);
-    }
+    auto it = std::lower_bound(
+        outbox_.begin(), outbox_.end(), ack->uid,
+        [](const OutEntry& e, Uid uid) { return e.uid < uid; });
+    if (it == outbox_.end() || it->uid != ack->uid) return true;
+    const std::vector<GroupId>& groups = it->data->groups;
+    auto g = std::lower_bound(groups.begin(), groups.end(), ack->group);
+    if (g == groups.end() || *g != ack->group) return true;
+    it->unacked &= ~(std::uint64_t{1} << (g - groups.begin()));
+    if (it->unacked == 0) outbox_.erase(it);
     return true;
   }
 
   /// Retransmits every send that still has unacked destination groups, in
   /// uid (i.e. submission) order.
   void retransmit_unacked() {
-    for (auto& [uid, entry] : outbox_) transmit(entry);
+    for (const OutEntry& entry : outbox_) transmit(entry);
   }
 
   [[nodiscard]] std::size_t unacked() const { return outbox_.size(); }
@@ -92,7 +105,9 @@ class McastClient {
  private:
   void transmit(const OutEntry& entry) {
     auto msg = sim::make_message<McastSend>(entry.data);
-    for (GroupId dest : entry.unacked) {
+    // Ascending bit index is ascending group id.
+    for (std::uint64_t bits = entry.unacked; bits != 0; bits &= bits - 1) {
+      const GroupId dest = entry.data->groups[std::countr_zero(bits)];
       for (ProcessId replica : topology_.group(dest).replicas) {
         env_.send_message(replica, msg);
       }
@@ -103,7 +118,7 @@ class McastClient {
   const paxos::Topology& topology_;
   std::uint64_t next_uid_ = 0;
   std::map<GroupId, std::uint64_t> seq_per_group_;
-  std::map<Uid, OutEntry> outbox_;  // sends awaiting group acks
+  std::vector<OutEntry> outbox_;  // sends awaiting group acks, by uid
 };
 
 }  // namespace dynastar::multicast

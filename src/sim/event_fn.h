@@ -7,8 +7,9 @@
 // hot path. Larger captures transparently fall back to the heap.
 //
 // Relocation contract: moving an EventFn relocates the stored callable by
-// memcpy (no move-constructor call) so heap sifts in the event queue move
-// plain bytes. Callables must therefore be trivially relocatable — true
+// memcpy (no move-constructor call). The event queue relocates each action
+// twice, into its slab and out of it, and orders only {key, slot} records.
+// Callables must therefore be trivially relocatable — true
 // for every capture in this codebase: raw pointers, ids, sim::Ref,
 // std::function (libstdc++ stores non-trivially-copyable targets on the
 // heap). Do not capture self-referential types (e.g. std::string with SSO,

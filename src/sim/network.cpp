@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/metric_names.h"
+#include "sim/world.h"
 
 namespace dynastar::sim {
 
@@ -17,6 +18,13 @@ std::uint64_t site_pair_key(std::uint32_t from_site, std::uint32_t to_site) {
 
 constexpr std::uint32_t kNoSite = UINT32_MAX;
 }  // namespace
+
+Network::Network(World& world, NetworkConfig config, Rng rng)
+    : world_(world),
+      sim_(world.sim()),
+      config_(config),
+      rng_(std::move(rng)),
+      metrics_(world.metrics()) {}
 
 SimTime Network::sample_latency(std::size_t payload_bytes) {
   SimTime latency = config_.base_latency;
@@ -142,13 +150,13 @@ void Network::send(ProcessId from, ProcessId to, const MessagePtr& msg) {
 
   const SimTime latency = tx_delay + profile.propagation + sample_latency(size);
   sim_.schedule_after(latency, [this, from, to, msg] {
-    deliver_(from, to, msg);
+    world_.deliver(from, to, msg);
   });
   if (duplicate) {
     const SimTime dup_latency =
         tx_delay + profile.propagation + sample_latency(size);
     sim_.schedule_after(dup_latency, [this, from, to, msg] {
-      deliver_(from, to, msg);
+      world_.deliver(from, to, msg);
     });
   }
 }

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -65,21 +64,16 @@ struct LinkProfile {
   }
 };
 
+class World;
+
 class Network {
  public:
-  using Deliver =
-      std::function<void(ProcessId from, ProcessId to, const MessagePtr&)>;
-
-  /// Sends over links with a non-null resolved profile account bytes into
-  /// `metrics` as `network.bytes_sent{link=...}` (label `sA->sB` for site
-  /// pairs, `pF->pT` for per-process overrides).
-  Network(Simulator& sim, NetworkConfig config, Rng rng, Deliver deliver,
-          MetricsRegistry& metrics)
-      : sim_(sim),
-        config_(config),
-        rng_(std::move(rng)),
-        deliver_(std::move(deliver)),
-        metrics_(metrics) {}
+  /// Schedules on `world`'s simulator and hands arrivals to
+  /// World::deliver. Sends over links with a non-null resolved profile
+  /// account bytes into the world's metrics as
+  /// `network.bytes_sent{link=...}` (label `sA->sB` for site pairs, `pF->pT`
+  /// for per-process overrides).
+  Network(World& world, NetworkConfig config, Rng rng);
 
   /// Sends `msg` from `from` to `to`; delivery is scheduled per the latency
   /// and link-capacity model unless the message is dropped or the link is
@@ -173,10 +167,10 @@ class Network {
   void account_link_bytes(ProcessId from, ProcessId to, std::size_t bytes,
                           bool site_resolved);
 
+  World& world_;
   Simulator& sim_;
   NetworkConfig config_;
   Rng rng_;
-  Deliver deliver_;
   std::unordered_set<LinkKey, LinkKeyHash> blocked_;
   LinkProfile default_profile_{};
   std::unordered_map<LinkKey, LinkProfile, LinkKeyHash> overrides_;

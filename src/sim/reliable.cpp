@@ -50,6 +50,7 @@ bool ReliableLink::handle(ProcessId from, const MessagePtr& msg,
         } else if (!e.acked) {
           e.acked = true;
           e.acked_at = env_.now();
+          acked_[e.to.value()].records.emplace_back(e.acked_at, it->first);
         }
       }
       return true;
@@ -70,14 +71,21 @@ bool ReliableLink::handle(ProcessId from, const MessagePtr& msg,
       // covers it and the entry can never be needed again. Only acked
       // entries go, so live_ is unchanged.
       const SimTime capture_time = as<StableNotice>(msg.get())->capture_time;
-      for (auto it = pending_.begin(); it != pending_.end();) {
-        const Entry& e = it->second;
-        if (e.to == from && e.acked && !e.control &&
-            e.acked_at < capture_time) {
-          it = pending_.erase(it);
-        } else {
-          ++it;
+      auto log = acked_.find(from.value());
+      if (log == acked_.end()) return true;
+      auto& [records, head] = log->second;
+      for (; head < records.size() && records[head].first < capture_time;
+           ++head) {
+        const auto [acked_at, token] = records[head];
+        auto it = pending_.find(token);
+        if (it != pending_.end() && it->second.acked &&
+            it->second.acked_at == acked_at) {
+          pending_.erase(it);
         }
+      }
+      if (2 * head >= records.size()) {
+        records.erase(records.begin(), records.begin() + head);
+        head = 0;
       }
       return true;
     }
@@ -123,6 +131,7 @@ ReliableLink::State ReliableLink::capture() const {
 
 void ReliableLink::restore(const State& s, const std::vector<ProcessId>& peers) {
   pending_ = s.pending;
+  acked_.clear();  // every restored entry is unacked below
   next_token_ = s.next_token;
   epoch_ = s.epoch + 1;
   armed_ = false;

@@ -32,6 +32,8 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -146,6 +148,15 @@ class ReliableLink {
   // drops them.
   std::size_t live_ = 0;
   std::vector<std::uint64_t> outstanding_;
+  // Per peer, (acked_at, token) of every non-control entry acked, in ack
+  // (hence time) order, so a StableNotice pops a prefix instead of scanning
+  // pending_. redrive and restore reset `acked` and leave stale records
+  // behind; a record prunes only an entry still acked at that same time.
+  struct AckLog {
+    std::vector<std::pair<SimTime, std::uint64_t>> records;
+    std::size_t head = 0;  // records before it are consumed
+  };
+  std::unordered_map<std::uint64_t, AckLog> acked_;
   std::uint64_t next_token_ = 0;
   std::uint64_t epoch_ = 0;  // bumped per incarnation; salts tokens
   bool armed_ = false;

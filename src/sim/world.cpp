@@ -8,12 +8,7 @@ namespace dynastar::sim {
 
 World::World(NetworkConfig net_config, std::uint64_t seed) : rng_(seed) {
   message_pool_.install();
-  network_ = std::make_unique<Network>(
-      sim_, net_config, rng_.fork(),
-      [this](ProcessId from, ProcessId to, const MessagePtr& msg) {
-        deliver(from, to, msg);
-      },
-      metrics_);
+  network_ = std::make_unique<Network>(*this, net_config, rng_.fork());
 }
 
 World::~World() = default;

@@ -77,6 +77,10 @@ class World {
 
  private:
   void attach(std::unique_ptr<Process> proc);
+  friend class Network;
+
+  /// Hands an arriving message to its (live) destination process; the
+  /// network's delivery events call it directly.
   void deliver(ProcessId from, ProcessId to, const MessagePtr& msg);
   void start_all();
 

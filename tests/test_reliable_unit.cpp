@@ -1,9 +1,12 @@
 // Unit tests for sim::ReliableLink on a MockEnv: when the retransmit timer
-// is armed, and in which order retransmissions go out.
+// is armed, in which order retransmissions go out, and which retained
+// entries a StableNotice prunes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <random>
 #include <vector>
 
 #include "sim/reliable.h"
@@ -143,6 +146,81 @@ TEST(ReliableLinkUnit, RetransmitsInTokenOrder) {
   const std::size_t second = env.sent.size();
   env.advance_to(2 * ReliableLink::kRetryInterval);
   EXPECT_EQ(sent_tokens(env, second), live);
+}
+
+TEST(ReliableLinkUnit, StableNoticePrunesLikeAFullScan) {
+  // Brute-force model of the retained set: a notice from a peer drops
+  // exactly the entries for that peer acked strictly before its capture
+  // time, and a ResendReq un-acks every entry for the requesting peer.
+  // Random sends, acks (some repeated), ResendReqs and notices must leave
+  // the link retaining exactly the model's tokens.
+  struct ModelEntry {
+    ProcessId to{0};
+    bool acked = false;
+    SimTime acked_at = 0;
+  };
+  MockEnv env;
+  ReliableLink link(env);
+  std::map<std::uint64_t, ModelEntry> model;
+  std::vector<std::uint64_t> tokens;  // every token ever sent
+  const ProcessId peers[] = {kPeer, kOtherPeer};
+  std::mt19937_64 rng(2024);
+  std::uint64_t resend_token = std::uint64_t{1} << 40;
+  for (int step = 0; step < 20000; ++step) {
+    if (rng() % 4 == 0) env.now_ += static_cast<SimTime>(rng() % 3);
+    const ProcessId peer = peers[rng() % 2];
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2: {
+        const std::size_t before = env.sent.size();
+        link.send(peer, make_message<Payload>());
+        const std::vector<std::uint64_t> sent = sent_tokens(env, before);
+        ASSERT_EQ(sent.size(), 1u);
+        tokens.push_back(sent.front());
+        model[sent.front()] = ModelEntry{peer};
+        break;
+      }
+      case 3:
+      case 4:
+      case 5: {
+        if (tokens.empty()) break;
+        const std::uint64_t token = tokens[rng() % tokens.size()];
+        auto it = model.find(token);
+        ack(link, it == model.end() ? peer : it->second.to, token);
+        if (it != model.end() && !it->second.acked) {
+          it->second.acked = true;
+          it->second.acked_at = env.now();
+        }
+        break;
+      }
+      case 6:
+        link.handle(peer,
+                    make_message<ReliableMsg>(++resend_token,
+                                              make_message<ResendReq>()),
+                    nullptr);
+        for (auto& [token, e] : model)
+          if (e.to == peer) e.acked = false;
+        break;
+      default: {
+        const SimTime capture =
+            env.now() - static_cast<SimTime>(rng() % 6) + 2;
+        link.handle(peer, make_message<StableNotice>(capture), nullptr);
+        std::erase_if(model, [&](const auto& kv) {
+          const ModelEntry& e = kv.second;
+          return e.to == peer && e.acked && e.acked_at < capture;
+        });
+        break;
+      }
+    }
+    ASSERT_EQ(link.retained(), model.size()) << "step " << step;
+  }
+  std::vector<std::uint64_t> retained;
+  for (const auto& [token, e] : link.capture().pending)
+    retained.push_back(token);
+  std::vector<std::uint64_t> expected;
+  for (const auto& [token, e] : model) expected.push_back(token);
+  EXPECT_EQ(retained, expected);
 }
 
 }  // namespace

@@ -60,14 +60,14 @@ TEST(Simulator, NestedSchedulingFromHandlers) {
 
 // Same-timestamp events must run in schedule (seq) order even when they are
 // pushed into different tiers of the event queue: events beyond the wheel
-// horizon (~67 ms) start in the spill heap and migrate into the wheel as the
-// cursor advances; migration must not reorder them relative to events that
+// horizon (~67 ms) start in the coarse ring and cascade into the wheel as the
+// cursor advances; cascading must not reorder them relative to events that
 // were scheduled later but landed in the wheel directly.
 TEST(Simulator, TiesBreakBySchedulingOrderAcrossQueueTiers) {
   Simulator simulator;
   std::vector<int> order;
   const SimTime far = milliseconds(500);  // well past the wheel horizon
-  // First batch goes to the spill heap (far future at schedule time).
+  // First batch goes to the coarse ring (far future at schedule time).
   for (int i = 0; i < 5; ++i) {
     simulator.schedule_at(far, [&order, i] { order.push_back(i); });
   }
