@@ -177,8 +177,8 @@ int main() {
     double budget;  // allocations per command; a measured value above fails
   };
   const Run runs[] = {
-      {"chirper-4p", chirper_4p, 50.7},
-      {"kv-1p", kv_1p, 18.6},
+      {"chirper-4p", chirper_4p, 49.6},
+      {"kv-1p", kv_1p, 17.5},
   };
   int failures = 0;
   for (const Run& run : runs) {

@@ -149,22 +149,22 @@ TEST(Determinism, PinnedDynaStarRuns) {
   // simulated (1501 of 1600), so a fix for that stall moves its pin.
   using enum core::ExecutionMode;
   expect_pinned({
-      {"dynastar", pinned(kDynaStar), 0x6ed0c1b7b130d3fc},
-      {"dynastar+leases", pinned(kDynaStar, true), 0xf03a8cfc0304e535},
-      {"dynastar+lanes", pinned(kDynaStar, false, 4), 0x938f1c9fd1c6d7c8},
+      {"dynastar", pinned(kDynaStar), 0xe181264c0ebdf979},
+      {"dynastar+leases", pinned(kDynaStar, true), 0x678add55dd696cd8},
+      {"dynastar+lanes", pinned(kDynaStar, false, 4), 0x143d30e081f44b25},
       {"dynastar+chaos", pinned(kDynaStar, false, 1, true),
-       0x6bb51a0ff06409c8},
+       0x64321c99779af047},
   });
 }
 
 TEST(Determinism, PinnedBaselineRuns) {
   using enum core::ExecutionMode;
   expect_pinned({
-      {"ssmr", pinned(kSSMR), 0x620a0064ca97cf9e},
-      {"dssmr+leases", pinned(kDSSMR, true), 0xd3c734564d132d81},
-      {"dssmr+chaos", pinned(kDSSMR, false, 1, true), 0xdfc0bfa7cfee1aa6},
-      {"star", pinned(kStar), 0x8c57d462af5e2064},
-      {"star+lanes", pinned(kStar, false, 4), 0x35250a70c5abfff0},
+      {"ssmr", pinned(kSSMR), 0x98600d7a7ff180db},
+      {"dssmr+leases", pinned(kDSSMR, true), 0x1f4968318d0fb543},
+      {"dssmr+chaos", pinned(kDSSMR, false, 1, true), 0x666b2d535090e06c},
+      {"star", pinned(kStar), 0xa30751a7cf73816a},
+      {"star+lanes", pinned(kStar, false, 4), 0x921bb27be23dc3f2},
   });
 }
 
@@ -172,7 +172,7 @@ TEST(Determinism, PinnedSnapshotInstallRun) {
   // ReadLease.SnapshotInstallClearsLeaseState's scenario: long outages that
   // outrun the catch-up window, so recovery installs a peer snapshot.
   LinPin pin{"snapshot-install", pinned(core::ExecutionMode::kDynaStar, true),
-             0x34c8a9c7e979f6c2};
+             0x4f11bcf6887beac1};
   pin.scenario.system_seed = 13;
   pin.scenario.multi_fraction = 0.5;
   pin.scenario.write_fraction = 0.4;
@@ -196,7 +196,7 @@ TEST(Determinism, PinnedChirperRun) {
   EXPECT_EQ(fp.completed, 27145.0);
   EXPECT_EQ(fp.mpart, 2960.0);
   EXPECT_EQ(fp.exchanged, 24276.0);
-  EXPECT_EQ(fp.events, 1038906u);
+  EXPECT_EQ(fp.events, 1014738u);
 }
 
 }  // namespace
