@@ -546,7 +546,7 @@ void ReplicaCore::request_chunk(std::uint32_t index, std::uint32_t tries) {
        ++i)
     delay *= 2;
   delay = std::min(delay, kTransferRetryCap);
-  const std::uint64_t epoch = t.epoch;
+  const std::uint32_t epoch = t.epoch;
   env_.start_timer(delay, [this, epoch, index] {
     if (!transfer_ || transfer_->epoch != epoch) return;
     auto it = transfer_->outstanding.find(index);

@@ -303,12 +303,14 @@ class ReplicaCore {
     /// for byte-range reassembly).
     sim::MessagePtr state;
     std::map<std::uint32_t, OutstandingChunk> outstanding;
-    /// Guards retransmit timers across transfer restarts.
-    std::uint64_t epoch = 0;
+    /// Guards retransmit timers across transfer restarts. 32 bits keep a
+    /// chunk's timer capture `[this, epoch, index]` at 16 bytes, inside
+    /// std::function's inline store: every chunk request arms one.
+    std::uint32_t epoch = 0;
     std::uint32_t retransmits = 0;
   };
   std::optional<Transfer> transfer_;
-  std::uint64_t transfer_epochs_ = 0;
+  std::uint32_t transfer_epochs_ = 0;
   /// Observed per-peer bandwidth EWMA (bytes/sec), learned from chunk
   /// request->arrival times; untried peers score +inf so they get probed.
   std::unordered_map<std::uint64_t, double> peer_bandwidth_;
