@@ -36,6 +36,13 @@ bool add_proposal(MemberState::Proposals& proposals, GroupId group,
 }
 }  // namespace
 
+bool MemberState::started(const McastData& data, GroupId group) const {
+  if (data.groups.size() > 1) return seen_.contains(data.uid);
+  const auto channel = channels_.find(data.sender);
+  return channel != channels_.end() &&
+         data.seq_for(group) < channel->second.next_seq;
+}
+
 MemberCore::MemberCore(sim::Env& env, const paxos::Topology& topology,
                        GroupId group, Application& app,
                        paxos::ReplicaConfig paxos_config)
@@ -59,10 +66,12 @@ void MemberCore::restore_state(const State& s) {
   // drop McastSends it receipt-acked but the peer has not started: the ack
   // stopped the sender's retransmissions, so this stash may hold the only
   // surviving copy. Carry those entries across the install; resubmission is
-  // deduplicated through seen_. (After a crash the map starts empty — no-op.)
+  // deduplicated by started(). (After a crash the map starts empty — no-op.)
   std::vector<std::pair<Uid, Unstarted>> carried;
-  for (const auto& [uid, entry] : unstarted_)
-    if (!s.member.seen_.contains(uid)) carried.emplace_back(uid, entry);
+  for (const auto& [uid, entry] : unstarted_) {
+    if (!s.member.started(*entry.data, group_))
+      carried.emplace_back(uid, entry);
+  }
   MemberState::operator=(s.member);
   for (auto& [uid, entry] : carried)  // installed entries win on a shared uid
     unstarted_.try_emplace(uid, std::move(entry));
@@ -125,7 +134,7 @@ void MemberCore::on_send(ProcessId from, const McastSend& msg) {
   // Ack receipt even for duplicates — the sender's previous ack may have
   // been lost, and it keeps retransmitting until one arrives.
   env_.send_message(from, sim::make_message<McastAck>(uid, group_));
-  if (seen_.contains(uid) || unstarted_.contains(uid)) return;
+  if (started(*msg.data, group_) || unstarted_.contains(uid)) return;
   if (replica_.is_leader() && groups.size() == 1 &&
       msg.data->sender < kGroupSenderBase && !app_.admit(*msg.data)) {
     // Shed at admission: order a shed-flagged Start so every replica makes
@@ -200,7 +209,7 @@ void MemberCore::deliver(const sim::MessagePtr& value) {
 }
 
 void MemberCore::process_start(const McastDataPtr& data, bool shed) {
-  if (seen_.contains(data->uid)) {
+  if (started(*data, group_)) {
     unstarted_.erase(data->uid);
     return;
   }
@@ -217,11 +226,12 @@ void MemberCore::process_start(const McastDataPtr& data, bool shed) {
     // take a timestamp and advance the FIFO channel — the shed flag only
     // changes which delivery callback fires.
     unstarted_.erase(current->uid);
+    const bool single_group = current->groups.size() == 1;
     Pending pending;
     pending.data = current;
     pending.shed = current_shed;
     pending.local_ts = ++clock_;
-    seen_.emplace(current->uid, pending.local_ts);
+    if (!single_group) seen_.emplace(current->uid, pending.local_ts);
     pending.proposals.reserve(current->groups.size());
     pending.proposals.emplace_back(group_, pending.local_ts);
     if (auto early = early_proposals_.find(current->uid);
@@ -230,7 +240,6 @@ void MemberCore::process_start(const McastDataPtr& data, bool shed) {
         add_proposal(pending.proposals, g, ts);
       early_proposals_.erase(early);
     }
-    const bool single_group = current->groups.size() == 1;
     auto [it, inserted] = pending_.emplace(current->uid, std::move(pending));
     assert(inserted);
     if (single_group) {

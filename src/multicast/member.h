@@ -66,11 +66,13 @@ struct MemberState {
   // Iterated by the repair timer and on_lead, whose sends follow this
   // table's iteration order; a different container would reorder them.
   std::unordered_map<Uid, Pending> pending_;
-  // Started or delivered uids (dedupe for Start), each with the group-local
+  // Started or delivered multi-group uids, each with the group-local
   // timestamp assigned at admission. The timestamp outlives the pending_
   // entry on purpose: after this group delivers, a peer group whose copy of
   // our proposal was lost still repair-polls with its own proposal, and we
   // must be able to answer (see on_ts_proposal) or that group wedges.
+  // Single-group messages never enter it: their sender's FIFO channel
+  // already records them (see started()), and no peer group polls for them.
   // Uids are (sender << 32) | seq, so the table needs the mixing hash.
   common::FlatMap<Uid, Timestamp, common::Mix64Hash> seen_;
   std::uint64_t delivered_count_ = 0;
@@ -81,7 +83,8 @@ struct MemberState {
   // Finals already submitted (leader-side dedupe; log-side dedupe also holds).
   std::unordered_set<Uid> final_submitted_;
 
-  std::unordered_map<std::uint64_t, SenderChannel> channels_;
+  // Keyed by sender key; looked up, never iterated.
+  common::FlatMap<std::uint64_t, SenderChannel, common::Mix64Hash> channels_;
 
   // McastSends received but not yet seen as Start entries; every replica
   // retains (and periodically re-submits, in uid order) them until started,
@@ -97,6 +100,14 @@ struct MemberState {
   // Deterministic per-destination-group fifo sequence counters for
   // amcast_as_group (replicated state: identical at all replicas).
   std::map<GroupId, std::uint64_t> group_sender_seq_;
+
+  /// True once `group` (the member's own group, one of data's destinations)
+  /// has started `data`: admitted it from the log and assigned its local
+  /// timestamp. A channel admits a sender's messages strictly in seq order
+  /// and each (sender, group, seq) names one uid, so a single-group message
+  /// has started exactly when its seq is below its channel's next_seq. A
+  /// multi-group message is looked up in seen_.
+  [[nodiscard]] bool started(const McastData& data, GroupId group) const;
 };
 
 /// The application a MemberCore a-delivers to. It also owns the state the
@@ -139,9 +150,9 @@ class MemberCore : private MemberState, private paxos::Learner {
 
   /// Captures/restores the full multicast + Paxos-position state for
   /// checkpoints. restore_state() assigns the whole MemberState, keeping
-  /// only the local unstarted_ entries the installed seen_ lacks; it leaves
-  /// timers untouched, so pair it with start_recovered() when rejoining
-  /// after a crash.
+  /// only the local unstarted_ entries the installed state has not
+  /// started; it leaves timers untouched, so pair it with start_recovered()
+  /// when rejoining after a crash.
   [[nodiscard]] State capture_state() const;
   void restore_state(const State& s);
 

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "multicast/client.h"
@@ -30,9 +31,14 @@ class MemberNode final : public sim::Process, public testutil::FakeHost {
   }
   void on_start() override { core_->start(); }
   void on_message(ProcessId from, const sim::MessagePtr& msg) override {
+    if (msg->kind() == sim::Kind::kTsProposal)
+      proposals.push_back(*sim::as<TsProposal>(msg.get()));
     core_->handle(from, msg);
   }
   MemberCore& core() { return *core_; }
+
+  /// Every TsProposal this node received, in arrival order.
+  std::vector<TsProposal> proposals;
 
  private:
   std::unique_ptr<MemberCore> core_;
@@ -69,6 +75,26 @@ class SenderNode final : public sim::Process {
   SimTime spacing_;
   std::size_t index_ = 0;
 };
+
+/// A process that only records the McastAcks sent to it.
+class AckRecorder final : public sim::Process {
+ public:
+  using sim::Process::Process;
+  void on_message(ProcessId, const sim::MessagePtr& msg) override {
+    if (msg->kind() == sim::Kind::kMcastAck)
+      acked.push_back(sim::as<McastAck>(msg.get())->uid);
+  }
+  std::vector<Uid> acked;
+};
+
+/// A single-group McastData from `sender` to group 0 with fifo seq `seq`.
+McastDataPtr single_group_data(std::uint64_t sender, std::uint64_t seq,
+                               ProcessId origin, std::uint64_t tag) {
+  return sim::make_message<McastData>(
+      (sender << 32) | seq, sender, origin, std::vector<GroupId>{GroupId{0}},
+      std::vector<std::pair<GroupId, std::uint64_t>>{{GroupId{0}, seq}},
+      sim::make_message<Payload>(tag));
+}
 
 struct MulticastWorld {
   explicit MulticastWorld(std::size_t num_groups, std::uint64_t seed = 1,
@@ -261,13 +287,11 @@ TEST(Multicast, RestoreCarriesUnstartedSendsTheInstalledStateLacks) {
   MemberNode& leader = *mw.members[0][0];
   MemberNode& follower = *mw.members[0][1];
   const auto send = [&](std::uint64_t sender, std::uint64_t tag) {
-    return sim::make_message<McastSend>(sim::make_message<McastData>(
-        (sender << 32) | 1, sender, origin, std::vector<GroupId>{GroupId{0}},
-        std::vector<std::pair<GroupId, std::uint64_t>>{{GroupId{0}, 1}},
-        sim::make_message<Payload>(tag)));
+    return sim::make_message<McastSend>(
+        single_group_data(sender, 1, origin, tag));
   };
-  const Uid uid_a = (Uid{7} << 32) | 1;
-  const Uid uid_b = (Uid{8} << 32) | 1;
+  const auto a = send(7, 1);
+  const auto b = send(8, 2);
 
   bool leader_led = false;
   mw.world.sim().schedule_at(milliseconds(200), [&] {
@@ -278,8 +302,6 @@ TEST(Multicast, RestoreCarriesUnstartedSendsTheInstalledStateLacks) {
       mw.world.network().block_link(ProcessId{p}, follower.id());
       mw.world.network().block_link(follower.id(), ProcessId{p});
     }
-    const auto a = send(7, 1);
-    const auto b = send(8, 2);
     leader.core().handle(origin, b);
     follower.core().handle(origin, a);
     follower.core().handle(origin, b);
@@ -299,11 +321,132 @@ TEST(Multicast, RestoreCarriesUnstartedSendsTheInstalledStateLacks) {
   ASSERT_TRUE(leader_led);
   ASSERT_EQ(leader_before, (std::vector<std::uint64_t>{2}));
   ASSERT_EQ(follower_before, 0u);
-  ASSERT_TRUE(installed.member.seen_.contains(uid_b));
-  ASSERT_FALSE(installed.member.seen_.contains(uid_a));
+  ASSERT_TRUE(installed.member.started(*b->data, GroupId{0}));
+  ASSERT_FALSE(installed.member.started(*a->data, GroupId{0}));
   EXPECT_EQ(leader.delivered, (std::vector<std::uint64_t>{2, 1}));
   EXPECT_EQ(follower.delivered, (std::vector<std::uint64_t>{1}));
   EXPECT_EQ(follower.core().delivered_count(), 2u);
+}
+
+TEST(Multicast, DuplicateSingleGroupSendAfterDeliveryIsAckedOnly) {
+  // A retransmitted single-group McastSend that reaches a group after it
+  // delivered the message: both replicas ack it again, neither stashes nor
+  // resubmits it, and it is delivered once.
+  MulticastWorld mw(1);
+  AckRecorder& origin = mw.world.spawn<AckRecorder>();
+  const auto send = sim::make_message<McastSend>(
+      single_group_data(9, 1, origin.id(), 5));
+  const auto handle_at_both = [&] {
+    for (MemberNode* member : mw.members[0])
+      member->core().handle(origin.id(), send);
+  };
+  mw.world.sim().schedule_at(milliseconds(200), handle_at_both);
+  bool stashed = true;
+  mw.world.sim().schedule_at(milliseconds(600), [&] {
+    handle_at_both();
+    stashed = false;
+    for (MemberNode* member : mw.members[0])
+      stashed |= !member->core().capture_state().member.unstarted_.empty();
+  });
+  mw.world.run_until(seconds(1));
+
+  EXPECT_EQ(origin.acked, std::vector<Uid>(4, send->data->uid));
+  EXPECT_FALSE(stashed);
+  for (MemberNode* member : mw.members[0]) {
+    EXPECT_EQ(member->delivered, (std::vector<std::uint64_t>{5}));
+    EXPECT_EQ(member->core().delivered_count(), 1u);
+    EXPECT_TRUE(member->core().capture_state().member.unstarted_.empty());
+  }
+}
+
+TEST(Multicast, HeldOutOfOrderStartIsNotStartedUntilTheGapFills) {
+  // seq 2 is ordered before seq 1: the channel holds it back, so it has not
+  // started, and once seq 1 arrives both deliver in seq order.
+  MulticastWorld mw(1);
+  const ProcessId origin = mw.world.spawn<AckRecorder>().id();
+  const McastDataPtr first = single_group_data(9, 1, origin, 1);
+  const McastDataPtr second = single_group_data(9, 2, origin, 2);
+  const auto handle_at_both = [&](const McastDataPtr& data) {
+    const auto send = sim::make_message<McastSend>(data);
+    for (MemberNode* member : mw.members[0])
+      member->core().handle(origin, send);
+  };
+  mw.world.sim().schedule_at(milliseconds(200),
+                             [&] { handle_at_both(second); });
+  std::optional<MemberCore::State> held;
+  std::size_t delivered_while_held = 0;
+  mw.world.sim().schedule_at(milliseconds(500), [&] {
+    held = mw.members[0][0]->core().capture_state();
+    delivered_while_held = mw.members[0][0]->delivered.size();
+    handle_at_both(first);
+  });
+  mw.world.run_until(seconds(1));
+
+  ASSERT_TRUE(held.has_value());
+  EXPECT_FALSE(held->member.started(*second, GroupId{0}));
+  EXPECT_FALSE(held->member.started(*first, GroupId{0}));
+  EXPECT_EQ(delivered_while_held, 0u);
+  const MemberCore::State after = mw.members[0][0]->core().capture_state();
+  EXPECT_TRUE(after.member.started(*first, GroupId{0}));
+  EXPECT_TRUE(after.member.started(*second, GroupId{0}));
+  for (MemberNode* member : mw.members[0])
+    EXPECT_EQ(member->delivered, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(Multicast, DeliveredMultiGroupMessageAnswersALateProposalPoll) {
+  // After both groups delivered a two-group message, group 1 polls group 0
+  // again (as it does when its copy of group 0's proposal was lost). Group 0
+  // no longer has the message pending but still answers every replica of
+  // group 1 with the timestamp it assigned at admission.
+  MulticastWorld mw(2);
+  mw.world.spawn<SenderNode>(
+      mw.topology,
+      std::vector<SenderNode::Item>{{{GroupId{0}, GroupId{1}}, 3}}, 0);
+  mw.world.run_until(milliseconds(500));
+  ASSERT_EQ(mw.members[0][0]->delivered_uids.size(), 1u);
+  ASSERT_EQ(mw.members[1][0]->delivered_uids.size(), 1u);
+  const Uid uid = mw.members[0][0]->delivered_uids[0];
+  const MemberCore::State state = mw.members[0][0]->core().capture_state();
+  ASSERT_TRUE(state.member.seen_.contains(uid));
+  const Timestamp remembered = state.member.seen_.at(uid);
+
+  MemberNode& poller = *mw.members[1][0];
+  mw.world.sim().schedule_at(milliseconds(600), [&] {
+    for (MemberNode* member : mw.members[1]) member->proposals.clear();
+    mw.members[0][0]->core().handle(
+        poller.id(), sim::make_message<TsProposal>(uid, GroupId{1}, 1));
+  });
+  mw.world.run_until(milliseconds(700));
+
+  for (MemberNode* member : mw.members[1]) {
+    ASSERT_EQ(member->proposals.size(), 1u);
+    const TsProposal& answer = member->proposals[0];
+    EXPECT_EQ(answer.uid, uid);
+    EXPECT_EQ(answer.from_group, GroupId{0});
+    EXPECT_EQ(answer.ts, remembered);
+    EXPECT_TRUE(answer.reply);
+  }
+}
+
+TEST(Multicast, SingleGroupDeliveriesLeaveSeenEmpty) {
+  // Single-group messages are deduplicated by their FIFO channel, so the
+  // multi-group table stays empty however many of them are delivered.
+  constexpr std::uint64_t kMessages = 10000;
+  MulticastWorld mw(1);
+  for (int s = 0; s < 4; ++s) {
+    std::vector<SenderNode::Item> script;
+    for (std::uint64_t i = 0; i < kMessages / 4; ++i)
+      script.push_back({{GroupId{0}}, i});
+    mw.world.spawn<SenderNode>(mw.topology, script, microseconds(40));
+  }
+  mw.world.run_until(seconds(3));
+
+  for (MemberNode* member : mw.members[0]) {
+    EXPECT_EQ(member->core().delivered_count(), kMessages);
+    const MemberCore::State state = member->core().capture_state();
+    EXPECT_TRUE(state.member.seen_.empty());
+    EXPECT_TRUE(state.member.unstarted_.empty());
+  }
 }
 
 }  // namespace
