@@ -5,11 +5,9 @@
 // scripts/check_report.py --baseline).
 //
 // Three sections:
-//  1. Event storm through the current kernel (SBO EventFn in a slab, ordered
-//     by a wheel / coarse ring / far heap of {key, slot} records) and
-//     through LegacyKernel — a faithful copy of the original kernel
-//     (std::function actions, one binary heap) — with the identical seeded
-//     workload, so the speedup is apples-to-apples in one binary.
+//  1. Event storm through the kernel (SBO EventFn in a slab, ordered by a
+//     wheel / coarse ring / far heap of {key, slot} records), reported as
+//     events/sec. The baseline gates its drop against the recorded value.
 //  2. Message-plane storm: make_message allocation/release through the
 //     per-World pool, reporting pool hit rates.
 //  3. Full-stack sanity point: a traced KV scenario, commands/sec wall-clock.
@@ -27,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <random>
 #include <string>
 #include <utility>
@@ -45,53 +42,6 @@
 
 namespace dynastar {
 namespace {
-
-/// The pre-PR simulation kernel, embedded verbatim for comparison:
-/// std::function actions in a single binary heap on (time, seq).
-class LegacyKernel {
- public:
-  using Action = std::function<void()>;
-
-  [[nodiscard]] SimTime now() const { return now_; }
-
-  void schedule_after(SimTime delay, Action action) {
-    SimTime t = now_ + delay;
-    heap_.push_back(Event{t, next_seq_++, std::move(action)});
-    std::push_heap(heap_.begin(), heap_.end(), EventLater{});
-  }
-
-  bool step() {
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    now_ = ev.time;
-    ev.action();
-    return true;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
- private:
-  struct Event {
-    SimTime time;
-    std::uint64_t seq;
-    Action action;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::vector<Event> heap_;
-  SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-};
 
 double wall_seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -116,19 +66,16 @@ inline std::uint64_t storm_pending() {
   return v;
 }
 
-/// Runs the self-rescheduling event storm on `kernel` (Simulator or
-/// LegacyKernel): seeds kStormPending events; each handler re-schedules a
-/// successor until `total_events` have been scheduled. Returns events/sec.
+/// Runs the self-rescheduling event storm on the simulation kernel: seeds
+/// kStormPending events; each handler re-schedules a successor until
+/// `total_events` have been scheduled. Returns events/sec.
 ///
 /// The scheduled lambda captures 32 bytes — the exact shape of the kernel's
-/// hottest production event, Network's delivery lambda [this, from, to, msg].
-/// That size is what separates the two kernels: it heap-allocates under
-/// std::function (libstdc++ inline capacity is 16 bytes) and stays inline
-/// in the 48-byte EventFn buffer.
-template <typename Kernel>
+/// hottest production event, Network's delivery lambda [this, from, to, msg]
+/// — which stays inline in the 48-byte EventFn buffer.
 double run_event_storm(std::uint64_t total_events) {
   struct Ctx {
-    Kernel kernel;
+    sim::Simulator kernel;
     std::mt19937_64 rng{kStormSeed};
     std::uint64_t executed = 0;
     std::uint64_t scheduled = 0;
@@ -315,14 +262,9 @@ int main(int argc, char** argv) {
               "best of %d)...\n",
               static_cast<unsigned long long>(kStormEvents),
               static_cast<unsigned long long>(storm_pending()), kRounds);
-  const double current_eps = best_of(
-      kRounds, [] { return run_event_storm<sim::Simulator>(kStormEvents); });
+  const double current_eps =
+      best_of(kRounds, [] { return run_event_storm(kStormEvents); });
   std::printf("  calendar kernel : %.0f events/sec\n", current_eps);
-  const double legacy_eps = best_of(
-      kRounds, [] { return run_event_storm<LegacyKernel>(kStormEvents); });
-  std::printf("  legacy kernel   : %.0f events/sec\n", legacy_eps);
-  const double speedup = current_eps / legacy_eps;
-  std::printf("  speedup         : %.2fx\n", speedup);
 
   std::printf("kernel_throughput: message storm (%llu messages)...\n",
               static_cast<unsigned long long>(kStormMessages));
@@ -380,10 +322,6 @@ int main(int argc, char** argv) {
       {"kernel.events", events},
       {"kernel.pending", pending},
       {"kernel.events_per_sec", current_eps},
-      {"legacy_kernel.events", events},
-      {"legacy_kernel.pending", pending},
-      {"legacy_kernel.events_per_sec", legacy_eps},
-      {"speedup_vs_legacy", speedup},
       {"message_plane.messages", static_cast<double>(kStormMessages)},
       {"message_plane.messages_per_sec", msg.messages_per_sec},
       {"message_plane.pool_allocs", msg.pool_allocs},

@@ -69,14 +69,12 @@ bool OracleCore::install_snapshot(const sim::MessagePtr& snapshot) {
 OracleCore::SnapshotPtr OracleCore::capture_snapshot() const {
   auto snap = std::make_shared<Snapshot>();
   snap->member = member_.capture_state();
-  snap->plan_sender = plan_sender_.capture();
   snap->state = *this;
   return snap;
 }
 
 void OracleCore::restore_snapshot(const Snapshot& snapshot) {
   member_.restore_state(snapshot.member);
-  plan_sender_.restore(snapshot.plan_sender);
   OracleState::operator=(snapshot.state);
   // Replica-local plan state: any computation in flight at the crash is
   // gone (its timer died with the old incarnation); reset the latch so a
@@ -90,8 +88,6 @@ void OracleCore::start_recovered() {
   env_.trace(TracePoint::kRecoveryRestore,
              member_.replica().next_deliver_slot(), 0, /*oracle=*/UINT64_MAX);
   member_.start_recovered();
-  // Re-drive unacked PlanMsg sends immediately, then keep the repair cadence.
-  plan_sender_.retransmit_unacked();
   arm_plan_repair_timer();
 }
 

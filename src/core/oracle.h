@@ -60,11 +60,10 @@ struct OracleState {
 class OracleCore : private OracleState, private multicast::Application {
  public:
   /// An oracle replica's durable state at a slot boundary: the multicast +
-  /// Paxos position, the plan sender's outbox, and one copy of OracleState
-  /// (location map, workload graph, relay cache). Immutable once captured.
+  /// Paxos position and one copy of OracleState (location map, workload
+  /// graph, relay cache). Immutable once captured.
   struct Snapshot {
     multicast::MemberCore::State member;
-    multicast::McastClient::State plan_sender;
     OracleState state;
   };
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
@@ -76,8 +75,8 @@ class OracleCore : private OracleState, private multicast::Application {
 
   void start();
 
-  /// Captures the durable state: one OracleState copy plus each
-  /// sub-object's own capture().
+  /// Captures the durable state: one OracleState copy plus the member's
+  /// own capture.
   [[nodiscard]] SnapshotPtr capture_snapshot() const;
 
   /// Replaces the durable state with a snapshot's contents and resets the
@@ -160,7 +159,9 @@ class OracleCore : private OracleState, private multicast::Application {
   TimeSeries* queries_series_ = nullptr;
 
   multicast::MemberCore member_;
-  multicast::McastClient plan_sender_;  // per-replica sender for PlanMsg
+  // Per-replica PlanMsg sender; replica-local, so never in a snapshot (see
+  // PartitionServerCore::star_sender_).
+  multicast::McastClient plan_sender_;
 
   // Volatile by design (outside OracleState, never checkpointed): the
   // replica-local plan-computation latch and cooldown anchor. A restored

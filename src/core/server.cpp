@@ -156,7 +156,6 @@ PartitionServerCore::SnapshotPtr PartitionServerCore::capture_snapshot()
   auto snap = std::make_shared<Snapshot>();
   snap->member = member_.capture_state();
   snap->reliable = reliable_.capture();
-  snap->star_sender = star_sender_.capture();
   snap->state = *this;
   return snap;
 }
@@ -164,7 +163,6 @@ PartitionServerCore::SnapshotPtr PartitionServerCore::capture_snapshot()
 void PartitionServerCore::restore_snapshot(const Snapshot& snapshot) {
   member_.restore_state(snapshot.member);
   reliable_.restore(snapshot.reliable, reliable_peers());
-  star_sender_.restore(snapshot.star_sender);
   ServerState::operator=(snapshot.state);
   // Leases are volatile: installed copies and holder records die with the
   // incarnation (a regression test pins that they are not in the snapshot).
@@ -172,8 +170,10 @@ void PartitionServerCore::restore_snapshot(const Snapshot& snapshot) {
   // and the retry is served fresh full grants.
   leases_.clear();
   lease_holders_.clear();
-  // Replica-local marker throttle: any marker in flight at the crash died
-  // with the old incarnation's timer; the next timer tick may re-emit.
+  // Replica-local marker throttle: a marker in flight at a crash died with
+  // the old incarnation, and an installed peer state carries the peer's
+  // epoch, not this replica's sends. The next timer tick may re-emit;
+  // receivers dedupe by epoch.
   star_marker_inflight_ = star_epoch_;
   // Live snapshot install: a pending executor batch refers to log positions
   // the installed state already covers (the peer executed those slots), so
@@ -186,11 +186,7 @@ void PartitionServerCore::start_recovered() {
   env_.trace(TracePoint::kRecoveryRestore,
              member_.replica().next_deliver_slot(), 0, partition_.value());
   member_.start_recovered();
-  if (is_star_master()) {
-    // Re-drive unacked marker sends immediately, then keep the epoch cadence.
-    star_sender_.retransmit_unacked();
-    arm_star_epoch_timer();
-  }
+  if (is_star_master()) arm_star_epoch_timer();
 }
 
 void PartitionServerCore::preload_object(ObjectId id, VertexId vertex,

@@ -190,13 +190,12 @@ class PartitionServerCore : private ServerState,
                             private multicast::Application {
  public:
   /// The replica's durable state at a slot boundary: the multicast + Paxos
-  /// position, retained reliable sends, the STAR marker sender's outbox, and
-  /// one copy of ServerState. Immutable once captured; shared between the
-  /// node's durable checkpoint slot and in-flight snapshot transfers.
+  /// position, retained reliable sends, and one copy of ServerState.
+  /// Immutable once captured; shared between the node's durable checkpoint
+  /// slot and in-flight snapshot transfers.
   struct Snapshot {
     multicast::MemberCore::State member;
     sim::ReliableLink::State reliable;
-    multicast::McastClient::State star_sender;
     ServerState state;
   };
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
@@ -412,10 +411,14 @@ class PartitionServerCore : private ServerState,
   // STAR: the epoch-switch markers are emitted by master replicas via a
   // per-replica McastClient (timer emission is replica-local, like the
   // oracle's plan_sender_) and deduplicated by epoch at every receiver, so
-  // the first delivered marker defines each group's switch position.
+  // the first delivered marker defines each group's switch position. Its
+  // sends are this replica's own, so it is never captured or restored: a
+  // peer install leaves it as it was, and a recovered incarnation gets a
+  // fresh one on a channel of its own. Sends a crash loses are safe to
+  // lose, since every master replica emits its own copy of each marker.
   multicast::McastClient star_sender_;
 
-  // The three sub-objects above checkpoint through their own capture().
+  // member_ and reliable_ checkpoint through their own capture().
   // Everything below is volatile by design: outside ServerState, never
   // checkpointed, and reset by restore_snapshot().
 

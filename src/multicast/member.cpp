@@ -102,9 +102,9 @@ void MemberCore::arm_repair_timer() {
           maybe_submit_final(uid);
         }
       }
-      for (auto& entry : outbox_) {
-        if (!entry.unacked.empty() && now - entry.last_tx >= kRepairInterval)
-          transmit(entry);
+      for (Outbox::Entry& entry : outbox_.entries()) {
+        if (now - entry.last_tx >= kRepairInterval)
+          Outbox::transmit(entry, env_, topology_);
       }
     }
     arm_repair_timer();
@@ -117,8 +117,10 @@ bool MemberCore::handle(ProcessId from, const sim::MessagePtr& msg) {
     case sim::Kind::kMcastSend:
       on_send(from, *sim::as<McastSend>(msg.get()));
       return true;
-    case sim::Kind::kMcastAck:
-      return on_ack(*sim::as<McastAck>(msg.get()));
+    case sim::Kind::kMcastAck: {
+      const auto& ack = *sim::as<McastAck>(msg.get());
+      return outbox_.ack(ack.uid, ack.group);
+    }
     case sim::Kind::kTsProposal:
       on_ts_proposal(*sim::as<TsProposal>(msg.get()));
       return true;
@@ -148,18 +150,6 @@ void MemberCore::on_send(ProcessId from, const McastSend& msg) {
   unstarted_[uid] = Unstarted{msg.data, env_.now()};
   if (replica_.is_leader())
     replica_.submit(sim::make_message<StartEntry>(msg.data));
-}
-
-bool MemberCore::on_ack(const McastAck& msg) {
-  for (auto it = outbox_.begin(); it != outbox_.end(); ++it) {
-    if (it->data->uid != msg.uid) continue;
-    it->unacked.erase(msg.group);
-    if (it->unacked.empty()) outbox_.erase(it);
-    return true;
-  }
-  // Not one of ours: either already fully acked (late duplicate) or aimed at
-  // a co-located McastClient. Let the caller route it.
-  return false;
 }
 
 void MemberCore::on_ts_proposal(const TsProposal& msg) {
@@ -358,35 +348,16 @@ void MemberCore::on_lead() {
       maybe_submit_final(uid);
     }
   }
-  for (auto& entry : outbox_)
-    if (!entry.unacked.empty()) transmit(entry);
+  for (Outbox::Entry& entry : outbox_.entries())
+    Outbox::transmit(entry, env_, topology_);
 }
 
 void MemberCore::amcast_as_group(Uid uid, std::vector<GroupId> groups,
                                  sim::MessagePtr payload) {
-  std::sort(groups.begin(), groups.end());
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-  std::vector<std::pair<GroupId, std::uint64_t>> seqs;
-  seqs.reserve(groups.size());
-  for (GroupId g : groups) seqs.emplace_back(g, ++group_sender_seq_[g]);
-  auto data = sim::make_message<McastData>(
-      uid, group_sender_key(group_), env_.self(), std::move(groups),
-      std::move(seqs), std::move(payload));
-  OutEntry entry;
-  entry.data = data;
-  entry.unacked.insert(data->groups.begin(), data->groups.end());
-  outbox_.push_back(std::move(entry));
-  if (replica_.is_leader()) transmit(outbox_.back());
-}
-
-void MemberCore::transmit(OutEntry& entry) {
-  entry.last_tx = env_.now();
-  auto msg = sim::make_message<McastSend>(entry.data);
-  for (GroupId dest : entry.unacked) {
-    for (ProcessId replica : topology_.group(dest).replicas) {
-      env_.send_message(replica, msg);
-    }
-  }
+  Outbox::Entry& entry =
+      outbox_.stamp(uid, group_sender_key(group_), env_.self(),
+                    std::move(groups), std::move(payload));
+  if (replica_.is_leader()) Outbox::transmit(entry, env_, topology_);
 }
 
 }  // namespace dynastar::multicast

@@ -10,13 +10,13 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.h"
 #include "multicast/messages.h"
+#include "multicast/outbox.h"
 #include "paxos/replica.h"
 #include "paxos/topology.h"
 #include "sim/env.h"
@@ -37,12 +37,6 @@ struct MemberState {
     Proposals proposals;
     std::optional<Timestamp> final_ts;
     bool shed = false;
-  };
-
-  struct OutEntry {
-    McastDataPtr data;
-    std::set<GroupId> unacked;  // destination groups not yet heard from
-    SimTime last_tx = 0;
   };
 
   // FIFO holdback: per sender, next expected seq and messages waiting. Each
@@ -92,14 +86,11 @@ struct MemberState {
   // gets ordered.
   common::FlatMap<Uid, Unstarted, common::Mix64Hash> unstarted_;
 
-  // Group-sender outbox: multicasts this group emitted (deterministically).
-  // The leader retransmits entries to destination groups that have not acked
-  // yet; fully-acked entries are pruned.
-  std::vector<OutEntry> outbox_;
-
-  // Deterministic per-destination-group fifo sequence counters for
-  // amcast_as_group (replicated state: identical at all replicas).
-  std::map<GroupId, std::uint64_t> group_sender_seq_;
+  // Group sender: the multicasts this group emitted and its FIFO seqs, the
+  // same at every replica (each stamps them at the same log position). Only
+  // the leader transmits; it re-sends entries to destination groups that
+  // have not acked yet, and fully acked entries are pruned.
+  Outbox outbox_;
 
   /// True once `group` (the member's own group, one of data's destinations)
   /// has started `data`: admitted it from the log and assigned its local
@@ -194,7 +185,6 @@ class MemberCore : private MemberState, private paxos::Learner {
   void process_start(const McastDataPtr& data, bool shed);
   void process_final(Uid uid, Timestamp ts);
   void on_send(ProcessId from, const McastSend& msg);
-  bool on_ack(const McastAck& msg);
   void on_ts_proposal(const TsProposal& msg);
   void maybe_submit_final(Uid uid);
   void resend_to_silent_groups(const Pending& pending);
@@ -204,7 +194,6 @@ class MemberCore : private MemberState, private paxos::Learner {
   /// order, and restamps it.
   template <typename Due>
   void resubmit_unstarted(Due due);
-  void transmit(OutEntry& entry);
   void arm_repair_timer();
 
   sim::Env& env_;

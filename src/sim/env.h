@@ -40,6 +40,10 @@ class Env {
   /// Identity of the hosting node.
   [[nodiscard]] virtual ProcessId self() const = 0;
 
+  /// Restarts of the hosting node so far (0 in its first incarnation).
+  /// Mock Envs report 0.
+  [[nodiscard]] virtual std::uint64_t incarnation() const { return 0; }
+
   /// Current (simulated) time.
   [[nodiscard]] virtual SimTime now() const = 0;
 

@@ -48,6 +48,9 @@ class Process : public Env {
 
   // --- Env ---
   [[nodiscard]] ProcessId self() const override { return id_; }
+  [[nodiscard]] std::uint64_t incarnation() const override {
+    return incarnation_;
+  }
   [[nodiscard]] SimTime now() const override;
   void send_message(ProcessId to, const MessagePtr& msg) override;
   void start_timer(SimTime delay, std::function<void()> fn) override;

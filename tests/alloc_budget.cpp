@@ -213,7 +213,7 @@ int main() {
     double growth_budget;
   };
   const Run runs[] = {
-      {"chirper-4p", chirper_4p, 49.6, 0},
+      {"chirper-4p", chirper_4p, 48.2, 0},
       {"kv-1p", kv_1p, 17.5, 32.5},
   };
   int failures = 0;

@@ -10,6 +10,7 @@
 
 #include "multicast/client.h"
 #include "multicast/member.h"
+#include "multicast/outbox.h"
 #include "paxos/nodes.h"
 #include "sim/process.h"
 #include "tests/order_checker.h"
@@ -447,6 +448,119 @@ TEST(Multicast, SingleGroupDeliveriesLeaveSeenEmpty) {
     EXPECT_TRUE(state.member.seen_.empty());
     EXPECT_TRUE(state.member.unstarted_.empty());
   }
+}
+
+/// Groups 0..n-1, group g served by replicas 10g and 10g + 1.
+paxos::Topology outbox_topology(std::uint64_t groups) {
+  paxos::Topology topology;
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    paxos::GroupDef def;
+    def.id = GroupId{g};
+    def.replicas = {ProcessId{10 * g}, ProcessId{10 * g + 1}};
+    def.acceptors = {ProcessId{10 * g + 2}, ProcessId{10 * g + 3},
+                     ProcessId{10 * g + 4}};
+    topology.add_group(def);
+  }
+  return topology;
+}
+
+TEST(Multicast, OutboxAcksClearOneGroupAtATime) {
+  Outbox outbox;
+  const Outbox::Entry& entry =
+      outbox.stamp(7, /*sender=*/3, ProcessId{3},
+                   {GroupId{2}, GroupId{0}, GroupId{1}, GroupId{0}},
+                   sim::make_message<Payload>(1));
+  EXPECT_EQ(entry.data->groups,
+            (std::vector<GroupId>{GroupId{0}, GroupId{1}, GroupId{2}}));
+  EXPECT_EQ(entry.unacked, 0b111u);
+  for (GroupId g : entry.data->groups) EXPECT_EQ(entry.data->seq_for(g), 1u);
+
+  EXPECT_TRUE(outbox.ack(7, GroupId{1}));
+  EXPECT_EQ(outbox.entries().front().unacked, 0b101u);
+  EXPECT_TRUE(outbox.ack(7, GroupId{1}));  // a duplicate ack changes nothing
+  EXPECT_EQ(outbox.entries().front().unacked, 0b101u);
+  EXPECT_TRUE(outbox.ack(7, GroupId{0}));
+  EXPECT_EQ(outbox.entries().front().unacked, 0b100u);
+  EXPECT_TRUE(outbox.ack(7, GroupId{2}));
+  EXPECT_EQ(outbox.size(), 0u) << "a fully acked entry was kept";
+  EXPECT_FALSE(outbox.ack(7, GroupId{2}));
+
+  // Seqs count per group across messages.
+  const Outbox::Entry& next = outbox.stamp(
+      8, 3, ProcessId{3}, {GroupId{2}, GroupId{3}},
+      sim::make_message<Payload>(2));
+  EXPECT_EQ(next.data->seq_for(GroupId{2}), 2u);
+  EXPECT_EQ(next.data->seq_for(GroupId{3}), 1u);
+}
+
+TEST(Multicast, OutboxTransmitReachesOnlyUnackedGroupsInAscendingOrder) {
+  const paxos::Topology topology = outbox_topology(3);
+  testutil::MockEnv env(ProcessId{50});
+  env.now_ = milliseconds(5);
+  Outbox outbox;
+  outbox.stamp(7, 50, ProcessId{50}, {GroupId{2}, GroupId{1}, GroupId{0}},
+               sim::make_message<Payload>(1));
+  ASSERT_TRUE(outbox.ack(7, GroupId{1}));
+  Outbox::transmit(outbox.entries().front(), env, topology);
+
+  std::vector<ProcessId> to;
+  for (const auto& [dest, msg] : env.sent) {
+    ASSERT_EQ(msg->kind(), sim::Kind::kMcastSend);
+    EXPECT_EQ(sim::as<McastSend>(msg.get())->data->uid, 7u);
+    to.push_back(dest);
+  }
+  EXPECT_EQ(to, (std::vector<ProcessId>{ProcessId{0}, ProcessId{1},
+                                        ProcessId{20}, ProcessId{21}}));
+  EXPECT_EQ(outbox.entries().front().last_tx, milliseconds(5));
+}
+
+TEST(Multicast, OutboxAcksUidsThatArriveOutOfOrder) {
+  // Group senders hash their uids, so entries are not in uid order.
+  const std::vector<Uid> uids = {0x9000, 0x1000, 0x5000, 0x3000};
+  Outbox outbox;
+  for (Uid uid : uids) {
+    outbox.stamp(uid, 1, ProcessId{1}, {GroupId{0}, GroupId{1}},
+                 sim::make_message<Payload>(uid));
+  }
+  const auto held = [&outbox] {
+    std::vector<Uid> out;
+    for (const Outbox::Entry& e : outbox.entries()) out.push_back(e.data->uid);
+    return out;
+  };
+  EXPECT_TRUE(outbox.ack(0x5000, GroupId{1}));
+  EXPECT_TRUE(outbox.ack(0x5000, GroupId{0}));
+  EXPECT_EQ(held(), (std::vector<Uid>{0x9000, 0x1000, 0x3000}));
+  EXPECT_TRUE(outbox.ack(0x3000, GroupId{0}));
+  EXPECT_TRUE(outbox.ack(0x1000, GroupId{0}));
+  EXPECT_TRUE(outbox.ack(0x1000, GroupId{1}));
+  EXPECT_EQ(held(), (std::vector<Uid>{0x9000, 0x3000}));
+  EXPECT_EQ(outbox.entries()[0].unacked, 0b11u);
+  EXPECT_EQ(outbox.entries()[1].unacked, 0b10u);
+}
+
+TEST(Multicast, AckForAnotherSendersUidReachesTheColocatedClient) {
+  // A replica hosts both a group sender (its member) and a McastClient. An
+  // ack the member's outbox does not hold must come back unconsumed so the
+  // caller can hand it to the client.
+  const paxos::Topology topology = outbox_topology(2);
+  testutil::MockEnv env(ProcessId{0});
+  testutil::FakeHost host;
+  MemberCore member(env, topology, GroupId{0}, host);
+  McastClient client(env, topology);
+  member.amcast_as_group(0xabcd, {GroupId{1}}, sim::make_message<Payload>(1));
+  const Uid uid = client.amcast({GroupId{1}}, sim::make_message<Payload>(2));
+  ASSERT_EQ(member.outbox_depth(), 1u);
+  ASSERT_EQ(client.unacked(), 1u);
+
+  const sim::MessagePtr client_ack = sim::make_message<McastAck>(uid, GroupId{1});
+  EXPECT_FALSE(member.handle(ProcessId{10}, client_ack));
+  EXPECT_TRUE(client.handle(client_ack));
+  EXPECT_EQ(client.unacked(), 0u);
+  EXPECT_EQ(member.outbox_depth(), 1u);
+
+  EXPECT_TRUE(member.handle(ProcessId{10},
+                            sim::make_message<McastAck>(0xabcd, GroupId{1})));
+  EXPECT_EQ(member.outbox_depth(), 0u);
 }
 
 }  // namespace

@@ -127,6 +127,36 @@ TEST(Repartitioning, PlanRequestSkipsCrashedOracleReplica) {
   EXPECT_GE(system.metrics().series("plan_applied").total(), 1.0);
 }
 
+TEST(Repartitioning, OracleReplicaInstallingAPeerSnapshotStillSendsItsPlan) {
+  // Replica 0 sends plan 1 while replica 1 is down, so replica 1's sender
+  // has sent nothing when it installs replica 0's state. The install must
+  // leave replica 1's sender as it was: taking replica 0's counts would
+  // stamp its next plan with seq 2 on its own channel, whose seq 1 never
+  // comes, and every group would hold that plan forever.
+  core::System system(base_config(true), workloads::kv_app_factory());
+  preload(system, 8);
+  for (int c = 0; c < 4; ++c) {
+    system.add_client(
+        std::make_unique<workloads::RandomKvDriver>(8, 0.6, 0.5));
+  }
+  const auto& oracles = system.topology().group(core::kOracleGroup).replicas;
+  system.run_until(milliseconds(500));
+  system.world().crash(oracles[1]);
+  system.request_repartition();
+  system.run_until(seconds(2));
+  ASSERT_EQ(system.server(PartitionId{0}).epoch(), 1u);
+  system.world().recover(oracles[1]);
+  system.run_until(milliseconds(2500));
+  const auto peer = system.oracle(0).capture_snapshot();
+  system.world().crash(oracles[0]);
+  system.oracle(1).restore_snapshot(*peer);
+  system.request_repartition();
+  system.run_until(seconds(5));
+  EXPECT_EQ(system.oracle(1).epoch(), 2u);
+  EXPECT_EQ(system.server(PartitionId{0}).epoch(), 2u);
+  EXPECT_EQ(system.server(PartitionId{1}).epoch(), 2u);
+}
+
 TEST(Repartitioning, OracleRejectsUnknownVertices) {
   core::System system(base_config(true), workloads::kv_app_factory());
   preload(system, 4);

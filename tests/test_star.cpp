@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -231,6 +232,112 @@ TEST(Star, CrashRestartRunsAreBitIdentical) {
                                             /*chaos_seed=*/57);
   EXPECT_EQ(a.fingerprint, b.fingerprint)
       << "STAR snapshot recovery broke same-seed determinism";
+}
+
+/// A 3-partition STAR deployment under background mixed load (so markers
+/// keep flowing) that the marker-sender tests below steer by crashing and
+/// restoring master replicas.
+struct MarkerSenderRun {
+  MarkerSenderRun() : system(config(), workloads::kv_app_factory()) {
+    // The background load touches keys below kKeys; the probe below writes
+    // kKeys (on partition 1) and kKeys + 1 (on partition 2).
+    testutil::preload(system, kKeys + 2, 1000);
+    for (int c = 0; c < kClients; ++c) {
+      system.add_client(std::make_unique<workloads::RandomKvDriver>(
+          kKeys, /*write_fraction=*/0.5, /*multi_fraction=*/0.3));
+    }
+  }
+
+  static core::SystemConfig config() {
+    auto config = testutil::config_for(core::ExecutionMode::kStar, 3);
+    config.paxos.checkpoint_interval = 64;
+    return config;
+  }
+
+  ProcessId master(std::size_t replica) {
+    return system.topology().group(core::group_of(core::kStarMaster))
+        .replicas[replica];
+  }
+
+  /// Call once one master replica is the only one up, so every marker from
+  /// here on is its own. A put to keys on the two other partitions defers
+  /// to the next epoch switch, so it completes only once that replica's
+  /// next marker is delivered at the master; gets at both owners read the
+  /// put only once they deliver that marker too.
+  void expect_next_marker_delivered_everywhere() {
+    const auto kv = [](std::initializer_list<std::uint64_t> keys,
+                       workloads::KvOp::Kind kind) {
+      core::CommandSpec spec;
+      for (std::uint64_t k : keys)
+        spec.objects.emplace_back(ObjectId{k}, core::VertexId{k});
+      spec.payload = sim::make_message<workloads::KvOp>(kind, 7);
+      return spec;
+    };
+    using Kind = workloads::KvOp::Kind;
+    std::vector<workloads::ScriptedKvDriver::Record> records;
+    system.add_client(std::make_unique<workloads::ScriptedKvDriver>(
+        std::vector<core::CommandSpec>{kv({kKeys, kKeys + 1}, Kind::kPut),
+                                       kv({kKeys}, Kind::kGet),
+                                       kv({kKeys + 1}, Kind::kGet)},
+        &records));
+    system.run_until(system.world().now() + seconds(3));
+    ASSERT_EQ(records.size(), 3u) << "the epoch switch never happened";
+    for (const auto& record : records)
+      EXPECT_EQ(record.status, core::ReplyStatus::kOk);
+    for (std::size_t i = 1; i < 3; ++i) {
+      ASSERT_EQ(records[i].observed.size(), 1u);
+      EXPECT_EQ(records[i].observed[0], std::optional<std::uint64_t>(7))
+          << "partition " << i << " missed the epoch switch";
+    }
+  }
+
+  core::System system;
+};
+
+TEST(Star, MasterReplicaInstallingAPeerSnapshotKeepsItsMarkerChannel) {
+  // Replica 1 is cut off for a while and sends no markers meanwhile, so
+  // the two master replicas have sent different numbers of markers when
+  // the follower installs the leader's state. The install must leave the
+  // follower's own sender as it was: with the leader's counts, its next
+  // marker would skip or reuse seqs on its own channel, and receivers would
+  // hold or drop it.
+  MarkerSenderRun run;
+  core::System& system = run.system;
+  sim::World& world = system.world();
+  system.run_until(milliseconds(400));
+  for (std::uint64_t id = 0; world.find(ProcessId{id}) != nullptr; ++id) {
+    world.network().block_link(run.master(1), ProcessId{id});
+    world.network().block_link(ProcessId{id}, run.master(1));
+  }
+  system.run_until(milliseconds(700));
+  world.network().unblock_all();
+  system.run_until(milliseconds(1200));
+  const std::size_t leader =
+      system.server(core::kStarMaster, 0).member().is_leader() ? 0 : 1;
+  core::PartitionServerCore& follower =
+      system.server(core::kStarMaster, 1 - leader);
+  ASSERT_FALSE(follower.member().is_leader());
+  follower.restore_snapshot(
+      *system.server(core::kStarMaster, leader).capture_snapshot());
+  world.crash(run.master(leader));
+  run.expect_next_marker_delivered_everywhere();
+}
+
+TEST(Star, MasterReplicaRecoveredPastItsCheckpointSendsOnAFreshChannel) {
+  // Replica 1 is down for good, so replica 0 sends every marker. It crashes
+  // after sending markers past its last checkpoint; restoring its sender
+  // from that checkpoint would resend seqs its channel has already
+  // delivered, so the recovered incarnation must send on a channel of its
+  // own.
+  MarkerSenderRun run;
+  core::System& system = run.system;
+  system.run_until(milliseconds(100));
+  system.world().crash(run.master(1));
+  system.run_until(milliseconds(800));
+  system.world().crash(run.master(0));
+  system.run_until(milliseconds(850));
+  system.world().recover(run.master(0));
+  run.expect_next_marker_delivered_everywhere();
 }
 
 // Surge under STAR with admission control armed: client-facing commands are
