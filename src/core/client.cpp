@@ -117,7 +117,7 @@ void ClientCore::route(bool force_oracle) {
   // The mode seam: the cache-hit path computes the same addressing as the
   // oracle would (STAR pins the master; the partitioned modes address the
   // distinct owners).
-  Route r = route_command(config_.mode, cmd.objects, owners);
+  Route r = route_command(config_.mode, owners);
   out.multi = r.multi;
   out.target = r.target;
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <cstddef>
 
 namespace dynastar::core {
 
@@ -22,15 +22,15 @@ std::optional<ExecutionMode> parse_mode(std::string_view name) {
   return std::nullopt;
 }
 
-PartitionId choose_target([[maybe_unused]] const std::vector<ObjectId>& objects,
+PartitionId choose_target(const std::vector<PartitionId>& dests,
                           const std::vector<PartitionId>& owner_per_object) {
-  assert(!objects.empty() && objects.size() == owner_per_object.size());
-  // Count objects per owner; winner = most objects, ties -> lowest id.
-  std::map<PartitionId, std::size_t> counts;
-  for (PartitionId p : owner_per_object) counts[p]++;
-  PartitionId best = owner_per_object[0];
-  std::size_t best_count = 0;
-  for (const auto& [p, count] : counts) {
+  assert(!dests.empty() && std::is_sorted(dests.begin(), dests.end()));
+  // Winner = most objects; dests ascend, so a tie keeps the lowest id.
+  PartitionId best = dests.front();
+  std::ptrdiff_t best_count = 0;
+  for (PartitionId p : dests) {
+    const std::ptrdiff_t count =
+        std::count(owner_per_object.begin(), owner_per_object.end(), p);
     if (count > best_count) {
       best = p;
       best_count = count;
@@ -39,7 +39,7 @@ PartitionId choose_target([[maybe_unused]] const std::vector<ObjectId>& objects,
   return best;
 }
 
-Route route_command(ExecutionMode mode, const std::vector<ObjectId>& objects,
+Route route_command(ExecutionMode mode,
                     const std::vector<PartitionId>& owner_per_object) {
   Route route;
   route.dests = owner_per_object;
@@ -47,7 +47,7 @@ Route route_command(ExecutionMode mode, const std::vector<ObjectId>& objects,
   route.dests.erase(std::unique(route.dests.begin(), route.dests.end()),
                     route.dests.end());
   route.multi = route.dests.size() > 1;
-  route.target = choose_target(objects, owner_per_object);
+  route.target = choose_target(route.dests, owner_per_object);
   if (mode == ExecutionMode::kStar) {
     if (route.multi) {
       // Deferred to the master's next fully-replicated epoch; the owners

@@ -50,7 +50,8 @@ std::optional<ExecutionMode> parse_mode(std::string_view name);
 
 /// Deterministic choice of the execution target: the partition owning the
 /// most of omega's objects; ties broken by lowest partition id (§4.2.2).
-PartitionId choose_target(const std::vector<ObjectId>& objects,
+/// `dests` are the distinct owners of `owner_per_object`, sorted.
+PartitionId choose_target(const std::vector<PartitionId>& dests,
                           const std::vector<PartitionId>& owner_per_object);
 
 /// Addressing computed for one access/delete command, shared by the oracle
@@ -75,14 +76,14 @@ inline constexpr bool mode_supports_leases(ExecutionMode mode) {
   return mode == ExecutionMode::kDynaStar || mode == ExecutionMode::kDSSMR;
 }
 
-/// Computes the addressing for `objects` with believed owners
-/// `owner_per_object` (parallel arrays):
+/// Computes the addressing for a command whose objects have believed
+/// owners `owner_per_object`:
 ///  * partitioned modes: dests = distinct owners, target = majority owner;
 ///  * STAR single-owner: dests = {owner, master}, target = owner (the
 ///    master applies silently to stay a full replica);
 ///  * STAR multi-owner:  dests = {master}, target = master (deferred there
 ///    until the next fully-replicated epoch).
-Route route_command(ExecutionMode mode, const std::vector<ObjectId>& objects,
+Route route_command(ExecutionMode mode,
                     const std::vector<PartitionId>& owner_per_object);
 
 }  // namespace dynastar::core

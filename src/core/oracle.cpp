@@ -279,7 +279,7 @@ void OracleCore::on_request(const OracleRequest& request) {
   }
   // The mode seam: DynaStar/S-SMR*/DS-SMR address the distinct owners; STAR
   // additionally pins the master (singles) or defers to it (multi-owner).
-  Route route = route_command(config_.mode, cmd.objects, owners);
+  Route route = route_command(config_.mode, owners);
 
   std::vector<GroupId> groups;
   groups.reserve(route.dests.size() + 1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 #include "common/logging.h"
 #include "common/metric_names.h"
@@ -74,6 +75,21 @@ std::vector<std::size_t> first_occurrences(const std::vector<VertexId>& vertices
 }
 
 bool any_index(std::size_t /*i*/) { return true; }
+
+/// Inserts `value` into `v`, kept sorted by proj(element), unless an element
+/// with the same key is already there; true if inserted.
+template <typename T, typename Proj = std::identity>
+bool insert_sorted(std::vector<T>& v, T value, Proj proj = {}) {
+  const auto key = std::invoke(proj, value);
+  const auto it = std::ranges::lower_bound(v, key, {}, proj);
+  if (it != v.end() && std::invoke(proj, *it) == key) return false;
+  v.insert(it, std::move(value));
+  return true;
+}
+
+PartitionId source_of(const sim::Ref<const VarTransfer>& transfer) {
+  return transfer->from;
+}
 }  // namespace
 
 PartitionServerCore::PartitionServerCore(
@@ -224,7 +240,7 @@ bool PartitionServerCore::dispatch_direct(ProcessId /*from*/,
                                           const sim::MessagePtr& msg) {
   switch (msg->kind()) {
     case sim::Kind::kVarTransfer:
-      on_var_transfer(*sim::as<VarTransfer>(msg.get()));
+      on_var_transfer(sim::as<VarTransfer>(msg));
       return true;
     case sim::Kind::kVarReturn:
       on_var_return(sim::as<VarReturn>(msg));
@@ -782,10 +798,10 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
   auto& sources = resolved_[key];
   std::size_t borrowed_objects = 0;
   if (auto tstate = transfers_.find(key); tstate != transfers_.end()) {
-    for (const auto& [source, envelopes] : tstate->second.received) {
-      sources.insert(source);
-      insert_envelopes(envelopes);
-      borrowed_objects += envelopes.size();
+    for (const auto& transfer : tstate->second.received) {
+      insert_sorted(sources, transfer->from);
+      insert_envelopes(transfer->objects);
+      borrowed_objects += transfer->objects.size();
     }
   }
   env_.consume_cpu(kPerObjectMoveCost *
@@ -1157,8 +1173,8 @@ void PartitionServerCore::execute_ssmr(const ExecCommand& ec) {
   // own updated state.
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
   if (auto tstate = transfers_.find(key); tstate != transfers_.end()) {
-    for (const auto& [source, envelopes] : tstate->second.received)
-      insert_envelopes(envelopes);
+    for (const auto& transfer : tstate->second.received)
+      insert_envelopes(transfer->objects);
   }
   ExecResult result = execute(ec);
   env_.consume_cpu(result.cpu_cost);
@@ -1329,12 +1345,13 @@ void PartitionServerCore::release(const ExecCommand& ec) {
   auto& sources = resolved_[key];
   auto tstate = transfers_.find(key);
   if (tstate == transfers_.end()) return;
-  for (const auto& [source, envelopes] : tstate->second.received) {
-    sources.insert(source);
-    trace_cmd(TracePoint::kReturnSent, ec, source.value());
-    send_to_partition(source,
+  for (const auto& transfer : tstate->second.received) {
+    insert_sorted(sources, transfer->from);
+    trace_cmd(TracePoint::kReturnSent, ec, transfer->from.value());
+    send_to_partition(transfer->from,
                       sim::make_message<VarReturn>(ec.cmd->cmd_id, ec.attempt,
-                                                   partition_, envelopes));
+                                                   partition_,
+                                                   transfer->objects));
   }
   transfers_.erase(tstate);
 }
@@ -1495,7 +1512,9 @@ void PartitionServerCore::on_fetch(const FetchVertex& msg) {
 // Direct message handlers
 // ---------------------------------------------------------------------------
 
-void PartitionServerCore::on_var_transfer(const VarTransfer& msg) {
+void PartitionServerCore::on_var_transfer(
+    const sim::Ref<const VarTransfer>& msg_ptr) {
+  const VarTransfer& msg = *msg_ptr;
   const CmdKey key{msg.cmd_id, msg.attempt};
   // A transfer can arrive after this target already resolved the command
   // (a peer's abort raced ahead of the source's objects). Bounce it home
@@ -1503,7 +1522,7 @@ void PartitionServerCore::on_var_transfer(const VarTransfer& msg) {
   // Duplicates from sources whose transfer was already consumed are
   // dropped instead.
   if (auto res = resolved_.find(key); res != resolved_.end()) {
-    if (res->second.insert(msg.from).second) {
+    if (insert_sorted(res->second, msg.from)) {
       env_.trace(TracePoint::kReturnSent, msg.cmd_id, msg.attempt,
                  msg.from.value());
       send_to_partition(msg.from, sim::make_message<VarReturn>(
@@ -1512,10 +1531,9 @@ void PartitionServerCore::on_var_transfer(const VarTransfer& msg) {
     }
     return;
   }
-  auto& state = transfers_[key];
-  auto [it, inserted] = state.received.emplace(msg.from, msg.objects);
-  (void)it;
-  if (!inserted) return;  // duplicate from the source's other replica
+  auto& received = transfers_[key].received;
+  if (!insert_sorted(received, msg_ptr, source_of))
+    return;  // duplicate from the source's other replica
   env_.trace(TracePoint::kTransferReceived, msg.cmd_id, msg.attempt,
              msg.from.value());
   resume();
@@ -1572,7 +1590,7 @@ void PartitionServerCore::on_var_return(
 
 void PartitionServerCore::on_abort(const AbortNotice& msg) {
   auto& state = transfers_[CmdKey{msg.cmd_id, msg.attempt}];
-  if (!state.aborted.insert(msg.from).second) return;
+  if (!insert_sorted(state.aborted, msg.from)) return;
   resume();
 }
 

@@ -91,10 +91,11 @@ struct ServerState {
   // against; re-enqueued when that plan is applied.
   std::deque<ExecCommandPtr> future_;
 
-  // Target-side: transfers received per command (may arrive early).
+  // Target-side: transfers received per command (may arrive early). Both
+  // vectors are sorted by source partition, one element per source.
   struct TransferState {
-    std::map<PartitionId, std::vector<ObjectEnvelope>> received;
-    std::set<PartitionId> aborted;
+    std::vector<sim::Ref<const VarTransfer>> received;
+    std::vector<PartitionId> aborted;
   };
   CmdMap<TransferState> transfers_;
 
@@ -120,8 +121,8 @@ struct ServerState {
   // whose transfers were consumed (or already bounced). A late transfer
   // from any *other* source is bounced straight back; duplicates from an
   // already-consumed source are dropped (bouncing those would resurrect
-  // pre-execution object state at the source).
-  CmdMap<std::set<PartitionId>> resolved_;
+  // pre-execution object state at the source). Sources sorted by id.
+  CmdMap<std::vector<PartitionId>> resolved_;
 
   // Plan-application state.
   std::unordered_map<VertexId, PartitionId> awaited_;      // inbound moves
@@ -333,7 +334,7 @@ class PartitionServerCore : private ServerState,
   void note_vertex_mutation(VertexId vertex);
 
   // Direct message handlers.
-  void on_var_transfer(const VarTransfer& msg);
+  void on_var_transfer(const sim::Ref<const VarTransfer>& msg);
   void on_var_return(const sim::Ref<const VarReturn>& msg);
   void on_handoff(const ObjectHandoff& msg);
   void on_handoff_chunk(const sim::Ref<const HandoffChunk>& msg);

@@ -221,20 +221,23 @@ void MemberCore::process_start(const McastDataPtr& data, bool shed) {
     pending.data = current;
     pending.shed = current_shed;
     pending.local_ts = ++clock_;
-    if (!single_group) seen_.emplace(current->uid, pending.local_ts);
-    pending.proposals.reserve(current->groups.size());
-    pending.proposals.emplace_back(group_, pending.local_ts);
-    if (auto early = early_proposals_.find(current->uid);
-        early != early_proposals_.end()) {
-      for (const auto& [g, ts] : early->second)
-        add_proposal(pending.proposals, g, ts);
-      early_proposals_.erase(early);
+    if (single_group) {
+      // Final at admission; no peer group proposes, so no proposals.
+      pending.final_ts = pending.local_ts;
+    } else {
+      seen_.emplace(current->uid, pending.local_ts);
+      pending.proposals.reserve(current->groups.size());
+      pending.proposals.emplace_back(group_, pending.local_ts);
+      if (auto early = early_proposals_.find(current->uid);
+          early != early_proposals_.end()) {
+        for (const auto& [g, ts] : early->second)
+          add_proposal(pending.proposals, g, ts);
+        early_proposals_.erase(early);
+      }
     }
     auto [it, inserted] = pending_.emplace(current->uid, std::move(pending));
     assert(inserted);
-    if (single_group) {
-      it->second.final_ts = it->second.local_ts;
-    } else if (replica_.is_leader()) {
+    if (!single_group && replica_.is_leader()) {
       broadcast_ts_proposal(it->second);
       maybe_submit_final(current->uid);
     }
@@ -265,7 +268,7 @@ void MemberCore::maybe_submit_final(Uid uid) {
   if (pending.proposals.size() < pending.data->groups.size()) return;
   Timestamp final_ts = 0;
   for (const auto& [g, ts] : pending.proposals) final_ts = std::max(final_ts, ts);
-  final_submitted_.insert(uid);
+  final_submitted_.try_emplace(uid);
   replica_.submit(sim::make_message<FinalEntry>(uid, final_ts));
 }
 

@@ -11,7 +11,6 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -34,7 +33,7 @@ struct MemberState {
   struct Pending {
     McastDataPtr data;
     Timestamp local_ts = 0;
-    Proposals proposals;
+    Proposals proposals;  // multi-group only; a single-group one stays empty
     std::optional<Timestamp> final_ts;
     bool shed = false;
   };
@@ -74,8 +73,9 @@ struct MemberState {
   // Timestamp proposals that arrived before the Start entry was processed
   // (a later proposal from the same group replaces an earlier one).
   common::FlatMap<Uid, Proposals, common::Mix64Hash> early_proposals_;
-  // Finals already submitted (leader-side dedupe; log-side dedupe also holds).
-  std::unordered_set<Uid> final_submitted_;
+  // Finals already submitted (leader-side dedupe; log-side dedupe also
+  // holds). A set: the mapped byte is unused. Looked up, never iterated.
+  common::FlatMap<Uid, bool, common::Mix64Hash> final_submitted_;
 
   // Keyed by sender key; looked up, never iterated.
   common::FlatMap<std::uint64_t, SenderChannel, common::Mix64Hash> channels_;

@@ -98,9 +98,13 @@ void ReliableLink::redrive(ProcessId peer) {
   // The peer rolled back to its checkpoint; everything we retain for it may
   // have been lost. Re-send the lot (its restored dedup state suppresses
   // true duplicates) and restart the retry budget.
+  std::vector<std::uint64_t> tokens;
+  for (const auto& [token, e] : pending_)
+    if (e.to == peer && !e.control) tokens.push_back(token);
+  std::sort(tokens.begin(), tokens.end());
   const SimTime now = env_.now();
-  for (auto& [token, e] : pending_) {
-    if (e.to != peer || e.control) continue;
+  for (std::uint64_t token : tokens) {
+    Entry& e = pending_.at(token);
     e.acked = false;
     e.tries = 1;
     e.last_tx = now;
@@ -122,25 +126,31 @@ void ReliableLink::recount() {
 
 ReliableLink::State ReliableLink::capture() const {
   State s;
+  s.pending.reserve(pending_.size());
   for (const auto& [token, e] : pending_)
-    if (!e.control) s.pending.emplace(token, e);
+    if (!e.control) s.pending.emplace_back(token, e);
+  std::sort(s.pending.begin(), s.pending.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   s.next_token = next_token_;
   s.epoch = epoch_;
   return s;
 }
 
 void ReliableLink::restore(const State& s, const std::vector<ProcessId>& peers) {
-  pending_ = s.pending;
+  pending_.clear();
+  pending_.reserve(s.pending.size());
   acked_.clear();  // every restored entry is unacked below
   next_token_ = s.next_token;
   epoch_ = s.epoch + 1;
   armed_ = false;
   // Anything acked after the checkpoint looks unacked again — that is the
   // point: the ack bookkeeping died with the heap, so re-send everything
-  // and let acks re-accumulate. Tokens are unchanged (same content), so a
-  // stale ack from a pre-crash copy still lands correctly.
+  // (s.pending is in token order) and let acks re-accumulate. Tokens are
+  // unchanged (same content), so a stale ack from a pre-crash copy still
+  // lands correctly.
   const SimTime now = env_.now();
-  for (auto& [token, e] : pending_) {
+  for (const auto& [token, retained] : s.pending) {
+    Entry& e = pending_.try_emplace(token, retained).first->second;
     e.acked = false;
     e.tries = 1;
     e.last_tx = now;

@@ -31,11 +31,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "sim/env.h"
 #include "sim/message.h"
@@ -70,20 +69,22 @@ struct StableNotice final : Typed<Kind::kStableNotice> {
 
 class ReliableLink {
  public:
+  // Word-sized fields first, so an entry packs into 40 bytes.
   struct Entry {
     ProcessId to{0};
     MessagePtr wrapped;
     SimTime last_tx = 0;
+    SimTime acked_at = 0;
     std::uint32_t tries = 0;
     bool acked = false;
-    SimTime acked_at = 0;
     bool control = false;  // link-internal (ResendReq); dropped on ack
   };
 
-  /// Sender-side state captured into a checkpoint. Control entries are
-  /// excluded (they are incarnation-local).
+  /// Sender-side state captured into a checkpoint: the retained sends
+  /// sorted by token. Control entries are excluded (they are
+  /// incarnation-local).
   struct State {
-    std::map<std::uint64_t, Entry> pending;
+    std::vector<std::pair<std::uint64_t, Entry>> pending;
     std::uint64_t next_token = 0;
     std::uint64_t epoch = 0;
   };
@@ -112,9 +113,10 @@ class ReliableLink {
   /// Captures retained sends for the owner's checkpoint.
   [[nodiscard]] State capture() const;
 
-  /// Restores after a crash: re-sends every retained entry under a fresh
-  /// token epoch (acks above the checkpoint were lost with the heap) and
-  /// asks every potential peer to re-drive its buffer for us.
+  /// Restores after a crash: re-sends every retained entry, in token
+  /// order, under a fresh token epoch (acks above the checkpoint were lost
+  /// with the heap) and asks every potential peer to re-drive its buffer
+  /// for us.
   void restore(const State& s, const std::vector<ProcessId>& peers);
 
   /// Announces a durable checkpoint captured at `capture_time` so peers can
@@ -138,9 +140,13 @@ class ReliableLink {
   [[nodiscard]] static bool live(const Entry& e);
 
   Env& env_;
-  // token -> retained send. Ordered: redrive and restore re-send in token
-  // order, and send order draws the network's jitter.
-  std::map<std::uint64_t, Entry> pending_;
+  // token -> retained send. Send order draws the network's jitter, so the
+  // order of every batch re-send comes from sorting tokens, never from the
+  // table's slots: redrive and on_timer sort the tokens they visit, and
+  // capture sorts the checkpoint that restore re-sends. Insertion order
+  // would not do either: tokens stop rising with send order once the
+  // counter passes 2^20.
+  common::FlatMap<std::uint64_t, Entry, common::Mix64Hash> pending_;
   // Arming and retransmission look only at live entries (unacked, retry
   // budget left), not at the acked ones retained until a StableNotice.
   // live_ counts them; outstanding_ lists the token of every live entry,
@@ -152,14 +158,17 @@ class ReliableLink {
   // (hence time) order, so a StableNotice pops a prefix instead of scanning
   // pending_. redrive and restore reset `acked` and leave stale records
   // behind; a record prunes only an entry still acked at that same time.
+  // Keyed by peer process id; looked up, never iterated.
   struct AckLog {
     std::vector<std::pair<SimTime, std::uint64_t>> records;
     std::size_t head = 0;  // records before it are consumed
   };
-  std::unordered_map<std::uint64_t, AckLog> acked_;
+  common::FlatMap<std::uint64_t, AckLog, common::Mix64Hash> acked_;
   std::uint64_t next_token_ = 0;
   std::uint64_t epoch_ = 0;  // bumped per incarnation; salts tokens
   bool armed_ = false;
 };
+
+static_assert(sizeof(ReliableLink::Entry) == 40);
 
 }  // namespace dynastar::sim

@@ -213,8 +213,8 @@ int main() {
     double growth_budget;
   };
   const Run runs[] = {
-      {"chirper-4p", chirper_4p, 48.2, 0},
-      {"kv-1p", kv_1p, 17.5, 32.5},
+      {"chirper-4p", chirper_4p, 37.4, 0},
+      {"kv-1p", kv_1p, 14.2, 32.5},
   };
   int failures = 0;
   for (const Run& run : runs) {

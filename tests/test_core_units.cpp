@@ -510,23 +510,46 @@ TEST(CopyOnWrite, ReplicasShareReturnedVersion) {
   }
 }
 
+/// The target route_command picks for objects owned by `owners`.
+PartitionId target_of(const std::vector<PartitionId>& owners) {
+  return route_command(ExecutionMode::kDynaStar, owners).target;
+}
+
 TEST(ChooseTarget, MostObjectsWins) {
-  std::vector<ObjectId> objects{ObjectId{1}, ObjectId{2}, ObjectId{3}};
-  std::vector<PartitionId> owners{PartitionId{0}, PartitionId{1},
-                                  PartitionId{1}};
-  EXPECT_EQ(choose_target(objects, owners), PartitionId{1});
+  EXPECT_EQ(target_of({PartitionId{0}, PartitionId{1}, PartitionId{1}}),
+            PartitionId{1});
 }
 
 TEST(ChooseTarget, TieBreaksToLowestPartition) {
-  std::vector<ObjectId> objects{ObjectId{1}, ObjectId{2}};
-  std::vector<PartitionId> owners{PartitionId{3}, PartitionId{1}};
-  EXPECT_EQ(choose_target(objects, owners), PartitionId{1});
+  EXPECT_EQ(target_of({PartitionId{3}, PartitionId{1}}), PartitionId{1});
+  EXPECT_EQ(target_of({PartitionId{4}, PartitionId{2}, PartitionId{2},
+                       PartitionId{4}, PartitionId{0}}),
+            PartitionId{2});
 }
 
 TEST(ChooseTarget, SingleOwner) {
-  std::vector<ObjectId> objects{ObjectId{1}};
-  std::vector<PartitionId> owners{PartitionId{2}};
-  EXPECT_EQ(choose_target(objects, owners), PartitionId{2});
+  EXPECT_EQ(target_of({PartitionId{2}}), PartitionId{2});
+  EXPECT_EQ(target_of({PartitionId{5}, PartitionId{5}, PartitionId{5}}),
+            PartitionId{5});
+}
+
+TEST(ChooseTarget, ManyOwnersCountEachDistinctOwner) {
+  // 20 owners, objects listed from the highest owner down. One object each
+  // is a 20-way tie; a second object for owner 17 makes it the winner, and
+  // then a second object for owner 3 ties it again.
+  std::vector<PartitionId> owners;
+  for (std::uint64_t p = 20; p-- > 0;) owners.push_back(PartitionId{p});
+  EXPECT_EQ(target_of(owners), PartitionId{0});
+  owners.push_back(PartitionId{17});
+  EXPECT_EQ(target_of(owners), PartitionId{17});
+  owners.push_back(PartitionId{3});
+  EXPECT_EQ(target_of(owners), PartitionId{3});
+  // choose_target itself, over the sorted distinct owners.
+  std::vector<PartitionId> dests;
+  for (std::uint64_t p = 0; p < 20; ++p) dests.push_back(PartitionId{p});
+  owners.push_back(PartitionId{19});
+  owners.push_back(PartitionId{19});
+  EXPECT_EQ(choose_target(dests, owners), PartitionId{19});
 }
 
 TEST(GroupMapping, OracleIsGroupZero) {

@@ -1,6 +1,6 @@
 // Unit tests for sim::ReliableLink on a MockEnv: when the retransmit timer
-// is armed, in which order retransmissions go out, and which retained
-// entries a StableNotice prunes.
+// is armed, in which order retransmissions, re-drives, restores and
+// checkpoints list retained entries, and which ones a StableNotice prunes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +34,39 @@ std::vector<std::uint64_t> sent_tokens(const MockEnv& env,
 
 void ack(ReliableLink& link, ProcessId from, std::uint64_t token) {
   link.handle(from, make_message<ReliableAck>(token), nullptr);
+}
+
+/// Sends `n` payloads to `to`; returns their tokens in send order.
+std::vector<std::uint64_t> send_n(MockEnv& env, ReliableLink& link,
+                                  ProcessId to, std::size_t n) {
+  const std::size_t before = env.sent.size();
+  for (std::size_t i = 0; i < n; ++i) link.send(to, make_message<Payload>());
+  return sent_tokens(env, before);
+}
+
+std::vector<std::uint64_t> tokens_of(const ReliableLink::State& state) {
+  std::vector<std::uint64_t> tokens;
+  for (const auto& [token, e] : state.pending) tokens.push_back(token);
+  return tokens;
+}
+
+std::vector<std::uint64_t> sorted(std::vector<std::uint64_t> tokens) {
+  std::sort(tokens.begin(), tokens.end());
+  return tokens;
+}
+
+/// Restarts a checkpoint's send counter just below 2^20. A token is
+/// (epoch << 48) ^ (self << 20) ^ counter, so once the counter's bit 20
+/// comes on, the restored link's tokens stop rising with send order.
+void counter_near_wrap(ReliableLink::State& state) {
+  state.next_token = (std::uint64_t{1} << 20) - 4;
+}
+
+void resend_req(ReliableLink& link, ProcessId from) {
+  link.handle(from,
+              make_message<ReliableMsg>(std::uint64_t{1} << 40,
+                                        make_message<ResendReq>()),
+              nullptr);
 }
 
 TEST(ReliableLinkUnit, NewSendAmongManyAckedEntriesArmsOneTimer) {
@@ -146,6 +179,76 @@ TEST(ReliableLinkUnit, RetransmitsInTokenOrder) {
   const std::size_t second = env.sent.size();
   env.advance_to(2 * ReliableLink::kRetryInterval);
   EXPECT_EQ(sent_tokens(env, second), live);
+}
+
+TEST(ReliableLinkUnit, RedriveAndRestoreResendInTokenOrder) {
+  // First incarnation: sends to both peers.
+  MockEnv env0;
+  ReliableLink first(env0);
+  std::vector<std::uint64_t> to_peer = send_n(env0, first, kPeer, 5);
+  const std::vector<std::uint64_t> to_other =
+      send_n(env0, first, kOtherPeer, 3);
+  std::vector<std::uint64_t> all = to_peer;
+  all.insert(all.end(), to_other.begin(), to_other.end());
+  ReliableLink::State state = first.capture();
+  counter_near_wrap(state);
+
+  // Second incarnation: re-sends the first one's table in token order, then
+  // sends under its own epoch, across the counter wrap.
+  MockEnv env1;
+  ReliableLink second(env1);
+  second.restore(state, {kPeer, kOtherPeer});
+  std::vector<std::uint64_t> restored = sent_tokens(env1);
+  restored.resize(all.size());  // the ResendReqs follow
+  EXPECT_EQ(restored, sorted(all));
+  const std::vector<std::uint64_t> fresh = send_n(env1, second, kPeer, 8);
+  ASSERT_FALSE(std::is_sorted(fresh.begin(), fresh.end()));
+  to_peer.insert(to_peer.end(), fresh.begin(), fresh.end());
+  all.insert(all.end(), fresh.begin(), fresh.end());
+
+  // redrive: a ResendReq re-sends everything retained for its sender, both
+  // incarnations' tokens, in token order.
+  std::size_t before = env1.sent.size();
+  resend_req(second, kPeer);
+  EXPECT_EQ(sent_tokens(env1, before), sorted(to_peer));
+  before = env1.sent.size();
+  resend_req(second, kOtherPeer);
+  EXPECT_EQ(sent_tokens(env1, before), to_other);
+
+  // restore: a third incarnation re-sends the second one's table (two
+  // incarnations' tokens) in token order.
+  MockEnv env2;
+  ReliableLink third(env2);
+  third.restore(second.capture(), {kPeer, kOtherPeer});
+  std::vector<std::uint64_t> resent = sent_tokens(env2);
+  ASSERT_EQ(resent.size(), all.size() + 2);  // + one ResendReq per peer
+  resent.resize(all.size());
+  EXPECT_EQ(resent, sorted(all));
+}
+
+TEST(ReliableLinkUnit, CaptureIsSortedByTokenWithoutControlEntries) {
+  MockEnv env0;
+  ReliableLink first(env0);
+  std::vector<std::uint64_t> payloads = send_n(env0, first, kPeer, 4);
+  ReliableLink::State state = first.capture();
+  counter_near_wrap(state);
+
+  MockEnv env1;
+  ReliableLink link(env1);
+  link.restore(state, {kPeer, kOtherPeer});  // retains two ResendReqs
+  const std::vector<std::uint64_t> fresh = send_n(env1, link, kOtherPeer, 8);
+  ASSERT_FALSE(std::is_sorted(fresh.begin(), fresh.end()));
+  payloads.insert(payloads.end(), fresh.begin(), fresh.end());
+  ack(link, kOtherPeer, fresh[2]);  // acked entries are captured too
+  ASSERT_EQ(link.retained(), payloads.size() + 2);
+
+  const ReliableLink::State captured = link.capture();
+  EXPECT_EQ(tokens_of(captured), sorted(payloads));
+  for (const auto& [token, e] : captured.pending) {
+    EXPECT_FALSE(e.control);
+    EXPECT_EQ(as<ResendReq>(as<ReliableMsg>(e.wrapped.get())->inner.get()),
+              nullptr);
+  }
 }
 
 TEST(ReliableLinkUnit, StableNoticePrunesLikeAFullScan) {
